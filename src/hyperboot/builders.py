@@ -95,11 +95,11 @@ def _triangle_lift(G: Hypergraph) -> Hypergraph:
     return Hypergraph.from_rows(G.num_edges, 3, arr)
 
 
-def _edge_order(F: Hypergraph) -> list:
+def _edge_order(F: Hypergraph, covered=()) -> list:
     """Edge processing order: greedy, maximizing overlap with covered vertices."""
     remaining = list(range(F.num_edges))
     order = []
-    covered: set = set()
+    covered = set(covered)
     while remaining:
         best = max(remaining,
                    key=lambda i: (len(covered.intersection(F.edge(i))), -i))
@@ -109,6 +109,62 @@ def _edge_order(F: Hypergraph) -> list:
     return order
 
 
+def match_copies(G: Hypergraph, F: Hypergraph, roots=(), images=(),
+                 marked=frozenset(), infected=None, active=None) -> set:
+    """Copies of F in G, each a sorted tuple of G-edge ids, under constraints.
+
+    Every bijection of the pattern vertices `roots` onto the host vertices
+    `images` is tried; a copy must then map every `marked` pattern vertex to
+    a vertex where the bool mask `infected` is set, and use only edges where
+    the bool mask `active` is set (all edges when None).  Backtracks over
+    F's edges in connectivity order from the roots; copies reached through
+    several witness maps collapse because the result is a set.
+    """
+    if F.r != G.r:
+        raise ValueError(
+            f"pattern uniformity {F.r} does not match host uniformity {G.r}")
+    f_edges = [F.edge(i) for i in _edge_order(F, roots)]
+    found: set = set()
+    phi: dict = {}
+    used: set = set()
+    chosen: list = []
+
+    def assign(pos: int):
+        if pos == len(f_edges):
+            found.add(tuple(sorted(chosen)))
+            return
+        fe = f_edges[pos]
+        anchors = [phi[x] for x in fe if x in phi]
+        free = [x for x in fe if x not in phi]
+        cand = G.edges_containing(anchors) if anchors else range(G.num_edges)
+        for gid in cand:
+            gid = int(gid)
+            if gid in chosen or (active is not None and not active[gid]):
+                continue
+            rem = [y for y in G.edge(gid) if y not in anchors]
+            if len(rem) != len(free) or any(y in used for y in rem):
+                continue
+            for perm in permutations(rem):
+                if marked and any(x in marked and not infected[y]
+                                  for x, y in zip(free, perm)):
+                    continue
+                phi.update(zip(free, perm))
+                used.update(perm)
+                chosen.append(gid)
+                assign(pos + 1)
+                chosen.pop()
+                for x in free:
+                    used.discard(phi.pop(x))
+
+    for perm in permutations(images):
+        phi.update(zip(roots, perm))
+        used.update(perm)
+        assign(0)
+        phi.clear()
+        used.clear()
+    return found
+
+
 def enumerate_copies(G: Hypergraph, F: Hypergraph):
     """All copies of F in G, each as a sorted tuple of G-edge ids.
 
@@ -116,56 +172,8 @@ def enumerate_copies(G: Hypergraph, F: Hypergraph):
     exactly on an edge of G; the result is deduplicated at the
     subhypergraph level, so automorphisms of F do not inflate the count.
     """
-    if F.r != G.r:
-        raise ValueError(
-            f"pattern uniformity {F.r} does not match host uniformity {G.r}")
-    if F.num_edges == 0:
-        return set()
-    order = _edge_order(F)
-    f_edges = [F.edge(i) for i in order]
-    f_degree = [F.degree(x) for x in range(F.n)]
-    g_degrees = G.degrees()
-    found: set = set()
-    phi: dict = {}
-    used: set = set()
-    chosen: list = []
-
-    def assign(edge_pos: int):
-        if edge_pos == len(f_edges):
-            found.add(tuple(sorted(chosen)))
-            return
-        fe = f_edges[edge_pos]
-        anchored = [x for x in fe if x in phi]
-        free = [x for x in fe if x not in phi]
-        anchor_img = [phi[x] for x in anchored]
-        if anchor_img:
-            cand = G.edges_containing(anchor_img)
-        else:
-            cand = range(G.num_edges)
-        anchor_set = set(anchor_img)
-        for gid in cand:
-            gid = int(gid)
-            if gid in chosen:
-                continue
-            g = G.edge(gid)
-            rem = [y for y in g if y not in anchor_set]
-            if len(rem) != len(free) or any(y in used for y in rem):
-                continue
-            for perm in permutations(rem):
-                if any(g_degrees[perm[i]] < f_degree[free[i]]
-                       for i in range(len(free))):
-                    continue
-                for x, y in zip(free, perm):
-                    phi[x] = y
-                    used.add(y)
-                chosen.append(gid)
-                assign(edge_pos + 1)
-                chosen.pop()
-                for x in free:
-                    used.discard(phi.pop(x))
-
-    assign(0)
-    return found
+    copies = match_copies(G, F)
+    return copies if F.num_edges else set()
 
 
 def bootstrap_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Optional
+from typing import Iterable
 
-import numpy as np
-
-from .hypergraph import Hypergraph, build_hypergraph
+from .builders import match_copies
+from .hypergraph import Hypergraph, as_mask, build_hypergraph
 
 SECONDARY_MIN_R = 3
 SECONDARY_MAX_R = 6
@@ -71,64 +70,15 @@ class Configuration:
             frozenset(int(v) for v in obj["marked"]))
 
 
-def _infected_mask(H: Hypergraph, infected) -> np.ndarray:
-    if isinstance(infected, (set, frozenset)):
-        infected = sorted(infected)
-    arr = np.asarray(infected)
-    if arr.dtype == bool:
-        if arr.shape != (H.n,):
-            raise ValueError("infected mask has wrong length")
-        return arr
-    mask = np.zeros(H.n, dtype=bool)
-    ids = arr.astype(np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= H.n):
-        raise ValueError("infected vertex outside 0..n-1")
-    mask[ids] = True
-    return mask
-
-
-def _active_mask(H: Hypergraph, active) -> Optional[np.ndarray]:
-    if active is None:
-        return None
-    if isinstance(active, (set, frozenset)):
-        active = sorted(active)
-    arr = np.asarray(active)
-    if arr.dtype == bool:
-        if arr.shape != (H.num_edges,):
-            raise ValueError("active mask has wrong length")
-        return arr
-    mask = np.zeros(H.num_edges, dtype=bool)
-    mask[arr.astype(np.int64)] = True
-    return mask
-
-
-def _config_edge_order(F: Hypergraph, roots: frozenset) -> list:
-    """Process root edges first, then greedily by overlap with covered."""
-    remaining = list(range(F.num_edges))
-    order = []
-    covered = set(roots)
-    while remaining:
-        best = max(remaining,
-                   key=lambda i: (len(covered.intersection(F.edge(i))), -i))
-        order.append(best)
-        covered.update(F.edge(best))
-        remaining.remove(best)
-    return order
-
-
 def rooted_copies(H: Hypergraph, infected, config: Configuration,
                   root_images: Iterable[int], active=None) -> set:
     """The set of copies, each a sorted tuple of host edge ids.
 
-    Backtracks over the pattern's edges in connectivity order, starting from
-    every bijection of roots onto the requested images; copies found through
-    different witnesses collapse because the result is a set.
+    Tries every bijection of roots onto the requested images; copies found
+    through different witnesses collapse because the result is a set.
     """
-    F = config.pattern
-    if F.r != H.r:
-        raise ValueError(f"pattern uniformity {F.r} != host uniformity {H.r}")
-    inf = _infected_mask(H, infected)
-    act = _active_mask(H, active)
+    inf = as_mask(infected, H.n, "infected vertex")
+    act = as_mask(active, H.num_edges, "active edge")
     S = sorted(set(int(v) for v in root_images))
     for v in S:
         if not 0 <= v < H.n:
@@ -136,58 +86,8 @@ def rooted_copies(H: Hypergraph, infected, config: Configuration,
     if len(S) != len(config.roots):
         raise ValueError(
             f"{len(S)} root images for {len(config.roots)} roots")
-    root_list = sorted(config.roots)
-    marked = config.marked
-    order = _config_edge_order(F, config.roots)
-    f_edges = [F.edge(i) for i in order]
-    s_set = set(S)
-    found: set = set()
-
-    def ok_image(x: int, y: int) -> bool:
-        if y in s_set:
-            return False          # injectivity: non-roots avoid root images
-        if x in marked and not inf[y]:
-            return False
-        return True
-
-    def assign(pos: int, phi: dict, used: set, chosen: list):
-        if pos == len(f_edges):
-            found.add(tuple(sorted(chosen)))
-            return
-        fe = f_edges[pos]
-        anchored_img = [phi[x] for x in fe if x in phi]
-        free = [x for x in fe if x not in phi]
-        if anchored_img:
-            cand = H.edges_containing(anchored_img)
-        else:
-            cand = range(H.num_edges)
-        anchor_set = set(anchored_img)
-        for gid in cand:
-            gid = int(gid)
-            if act is not None and not act[gid]:
-                continue
-            if gid in chosen:
-                continue
-            g = H.edge(gid)
-            rem = [y for y in g if y not in anchor_set]
-            if len(rem) != len(free) or any(y in used for y in rem):
-                continue
-            for perm in permutations(rem):
-                if not all(ok_image(x, y) for x, y in zip(free, perm)):
-                    continue
-                for x, y in zip(free, perm):
-                    phi[x] = y
-                    used.add(y)
-                chosen.append(gid)
-                assign(pos + 1, phi, used, chosen)
-                chosen.pop()
-                for x in free:
-                    used.discard(phi.pop(x))
-
-    for images in permutations(S):
-        phi = dict(zip(root_list, images))
-        assign(0, phi, set(images), [])
-    return found
+    return match_copies(H, config.pattern, sorted(config.roots), S,
+                        config.marked, inf, act)
 
 
 def count_rooted_copies(H: Hypergraph, infected, config: Configuration,
@@ -200,8 +100,8 @@ def count_rooted_copies(H: Hypergraph, infected, config: Configuration,
 def count_saturated_edges(H: Hypergraph, infected, S: Iterable[int],
                           active=None) -> int:
     """Edges containing S whose remaining vertices are all infected."""
-    inf = _infected_mask(H, infected)
-    act = _active_mask(H, active)
+    inf = as_mask(infected, H.n, "infected vertex")
+    act = as_mask(active, H.num_edges, "active edge")
     s = set(int(v) for v in S)
     for v in s:
         if not 0 <= v < H.n:
@@ -237,8 +137,8 @@ def count_pendant_stars(H: Hypergraph, infected, v: int, i: int, j: int,
     infected vertices besides v; the i condition is a lower bound because a
     copy may contain infected vertices beyond the images of marked ones.
     """
-    inf = _infected_mask(H, infected)
-    act = _active_mask(H, active)
+    inf = as_mask(infected, H.n, "infected vertex")
+    act = as_mask(active, H.num_edges, "active edge")
     _check_star_indices(H, v, i, j)
     total = 0
     for eid in H.incident_edges(v):
@@ -297,8 +197,8 @@ def count_general_stars(H: Hypergraph, infected, v: int, i: int, j: int,
     vertices on the central edge.  Counted at the subhypergraph level: an
     edge set reachable through several attachment choices counts once.
     """
-    inf = _infected_mask(H, infected)
-    act = _active_mask(H, active)
+    inf = as_mask(infected, H.n, "infected vertex")
+    act = as_mask(active, H.num_edges, "active edge")
     _check_star_indices(H, v, i, j)
     total = 0
     for eid in H.incident_edges(v):

@@ -20,8 +20,8 @@ from .builders import (SizeGuardError, bootstrap_lift, complete_uniform,
 from .census import Configuration, count_rooted_copies
 from .engine import closure
 from .experiments import (ExperimentSpec, estimate_pc_bisection,
-                          record_trajectory, render_report, run_experiment,
-                          threshold_scan)
+                          pipeline_seed, record_trajectory, render_report,
+                          run_experiment, threshold_scan)
 from .hypergraph import Hypergraph, check_well_behaved, loads, to_json
 from .processes import full_pipeline, write_trace_csv
 from .theory import ModelParams
@@ -116,7 +116,8 @@ def _cmd_closure(args) -> int:
 def _cmd_simulate(args) -> int:
     H = _read_host(args)
     params = _params_from(args, H.r)
-    result = full_pipeline(H, params, args.seed, trace_stride=args.stride)
+    result = full_pipeline(H, params, pipeline_seed(args.seed, 0),
+                           trace_stride=args.stride)
     buf = io.StringIO()
     write_trace_csv(result.trace, buf)
     _emit(buf.getvalue(), args.out)

@@ -11,28 +11,11 @@ infect/remove updates proportional to the degree of the touched vertex.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .hypergraph import Hypergraph
-
-
-def _normalize_active(H: Hypergraph, active) -> Optional[np.ndarray]:
-    """Coerce an edge filter (mask, id list, or None) to an id array or None."""
-    if active is None:
-        return None
-    if isinstance(active, (set, frozenset)):
-        active = sorted(active)
-    arr = np.asarray(active)
-    if arr.dtype == bool:
-        if arr.shape != (H.num_edges,):
-            raise ValueError("boolean edge mask has wrong length")
-        return np.flatnonzero(arr).astype(np.int64)
-    ids = np.unique(arr.astype(np.int64))
-    if ids.size and (ids[0] < 0 or ids[-1] >= H.num_edges):
-        raise ValueError("edge id outside 0..m-1 in active filter")
-    return ids
+from .hypergraph import Hypergraph, as_mask
 
 
 def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> set:
@@ -42,15 +25,10 @@ def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> set:
     outside it are ignored entirely.  Runs on a compacted copy of the active
     edges so sparse filters cost what they select, not what exists.
     """
-    ids = _normalize_active(H, active)
-    E = H.edges_array if ids is None else H.edges_array[ids]
+    act = as_mask(active, H.num_edges, "active edge")
+    E = H.edges_array if act is None else H.edges_array[np.flatnonzero(act)]
     n = H.n
-    infected = np.zeros(n, dtype=bool)
-    init = list(infected0)
-    for v in init:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
-    infected[init] = True
+    infected = as_mask(infected0, n, "infected vertex")
     if E.shape[0] == 0:
         return set(int(v) for v in np.flatnonzero(infected))
     counts = (H.r - infected[E].sum(axis=1)).astype(np.int64).tolist()
@@ -110,18 +88,9 @@ class InfectionState:
     def __init__(self, H: Hypergraph, infected0: Iterable[int], active=None):
         self.H = H
         n, m = H.n, H.num_edges
-        ids = _normalize_active(H, active)
-        self.live = np.zeros(m, dtype=bool)
-        if ids is None:
-            self.live[:] = True
-        else:
-            self.live[ids] = True
-        infected = np.zeros(n, dtype=bool)
-        init = list(infected0)
-        for v in init:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} outside 0..{n - 1}")
-        infected[init] = True
+        act = as_mask(active, m, "active edge")
+        self.live = np.ones(m, dtype=bool) if act is None else act.copy()
+        infected = as_mask(infected0, n, "infected vertex").copy()
         counts = (H.r - infected[H.edges_array].sum(axis=1)).astype(np.int32)
         counts[~self.live] = -1
         self.infected = infected

@@ -6,9 +6,7 @@ initial-infection and coin uniforms are drawn once per trial and compared
 against the thresholds p and q afterwards, which couples every evaluation
 of the percolation profile monotonically across p, q and c.  Percolation
 per trial is decided by the deterministic closure on the sampled success
-set; the process pipeline is available behind a flag for when a trace is
-wanted (the two agree trial-for-trial only in distribution, but both are
-exact Bernoulli estimators of the same event).
+set.
 """
 
 from __future__ import annotations
@@ -28,11 +26,9 @@ from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pat
 from .census import count_pendant_stars
 from .engine import closure
 from .hypergraph import Hypergraph, build_hypergraph
-from .processes import (CoinOracle, ProcessState, drain, full_pipeline,
-                        phase1_run, subcritical_round, supercritical_round,
-                        PHASE2_SUB, PHASE2_SUPER, QUIESCENT)
-from .theory import (BoundaryError, Criticality, ModelParams,
-                     classify_criticality, derive_constants, star_density)
+from .processes import ProcessState, full_pipeline
+from .theory import (BoundaryError, ModelParams, classify_criticality,
+                     derive_constants, star_density)
 
 EXACT_ORACLE_LIMIT = 22      # max n + |E| for the brute-force oracle
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
@@ -236,21 +232,14 @@ def _trial_percolates(H: Hypergraph, p: float, q: float, seed: int,
     return len(closure(H, init, successes)) == H.n
 
 
-def _pipeline_seed(seed: int, trial: int) -> int:
-    return int(rng_mod.stream_key(seed, rng_mod.TRIAL, trial)[0])
-
-
-def _trial_pipeline(H: Hypergraph, params: ModelParams, seed: int,
-                    trial: int) -> bool:
-    return full_pipeline(H, params, _pipeline_seed(seed, trial)).percolated
+def pipeline_seed(seed: int, index: int) -> int:
+    """The full_pipeline seed of process run `index` under master `seed`."""
+    return int(rng_mod.stream_key(seed, rng_mod.TRIAL, index)[0])
 
 
 def _mc_chunk(bounds: tuple) -> int:
     lo, hi = bounds
     ctx = _MC_CTX
-    if ctx["pipeline"]:
-        return sum(_trial_pipeline(ctx["H"], ctx["params"], ctx["seed"], k)
-                   for k in range(lo, hi))
     return sum(_trial_percolates(ctx["H"], ctx["p"], ctx["q"],
                                  ctx["seed"], k)
                for k in range(lo, hi))
@@ -268,28 +257,22 @@ def _chunk_bounds(trials: int, parts: int) -> list:
 
 
 def percolation_probability_mc(H: Hypergraph, p: float, q: float,
-                               trials: int, seed: int, workers: int = 1,
-                               use_pipeline: bool = False,
-                               params: Optional[ModelParams] = None) -> MCResult:
+                               trials: int, seed: int, workers: int = 1
+                               ) -> MCResult:
     """Fraction of independent trials whose sampled instance percolates.
 
     A trial draws the initial infection Bernoulli(p) per vertex and a coin
     Bernoulli(q) per edge, then asks the closure whether everything gets
-    infected.  With use_pipeline=True each trial instead runs the two-phase
-    process end to end (params required; p and q must then match it).
-    Worker processes split the trial range; totals are sums, so any split
-    gives the identical result.
+    infected.  Worker processes split the trial range; totals are sums, so
+    any split gives the identical result.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"probability {name}={val} outside [0, 1]")
-    if use_pipeline and params is None:
-        raise ValueError("pipeline trials need model params")
     global _MC_CTX
-    _MC_CTX = {"H": H, "p": p, "q": q, "seed": seed,
-               "pipeline": use_pipeline, "params": params}
+    _MC_CTX = {"H": H, "p": p, "q": q, "seed": seed}
     bounds = _chunk_bounds(trials, workers)
     if len(bounds) == 1:
         successes = _mc_chunk(bounds[0])
@@ -480,10 +463,7 @@ def threshold_scan(H: Hypergraph, grid: Iterable[float], alpha: float,
     rows = []
     for c in cs:
         params = ModelParams(r=H.r, c=c, alpha=alpha, d=d, K=K)
-        try:
-            predicted = classify_criticality(params).value
-        except BoundaryError:
-            predicted = "boundary"
+        predicted = classify_criticality(params).value
         res = percolation_probability_mc(H, params.p, params.q, trials,
                                          seed, workers)
         rows.append(ScanRow(c=c, result=res, predicted=predicted))
@@ -538,53 +518,28 @@ def record_trajectory(H: Hypergraph, params: ModelParams, seed: int,
                       star_vertices: int = 0) -> TrajectoryTrace:
     """One full process run with its trace, plus optional star sampling.
 
-    The run follows the standard pipeline stream layout, so the trace is
-    identical to what the pipeline with the same derived seed would emit.
-    Star counts are taken against the live (not yet revealed) edges at the
-    start and at the end of the single-reveal phase.
+    The run is full_pipeline under pipeline_seed(seed, index).  Star counts
+    are taken against the live (not yet revealed) edges at the start and at
+    the end of the single-reveal phase.
     """
-    trial_seed = _pipeline_seed(seed, index)
-    bound = params.bind(H.n)
-    if bound.p > 1.0 or bound.q > 1.0:
-        raise ValueError("bound parameters leave [0, 1]")
-    constants = derive_constants(bound)
-    vertex_stream = rng_mod.substream(trial_seed, rng_mod.VERTEX_DRAW)
-    choice_stream = rng_mod.substream(trial_seed, rng_mod.PROCESS_CHOICE)
-    coins = CoinOracle(bound.q, trial_seed, rng_mod.EDGE_COIN)
-    init = np.flatnonzero(vertex_stream.random(H.n) < bound.p).astype(np.int64)
-    ps = ProcessState(H, init, coins, choice_stream, bound)
-    stars = []
-    sample = None
+    trial_seed = pipeline_seed(seed, index)
+    stars: list = []
+    observe = None
     if star_vertices > 0 and star_indices:
         picker = rng_mod.substream(trial_seed, rng_mod.INSTANCE)
         sample = picker.choice(H.n, size=min(star_vertices, H.n),
                                replace=False)
-        stars.extend(_star_samples(H, ps.state.infected, None, 0.0,
-                                   star_indices, sample, bound))
-    if trace_stride is None:
-        trace_stride = max(1, constants.phases.steps // 50)
-    quiet = phase1_run(ps, constants.phases.steps, trace_stride)
-    if sample is not None:
-        live = np.ones(H.num_edges, dtype=bool)
-        live[ps.sampled] = False
-        stars.extend(_star_samples(H, ps.state.infected, live,
-                                   ps.m / H.n, star_indices, sample, bound))
-    if not quiet:
-        subcritical = constants.criticality is Criticality.SUBCRITICAL
-        round_fn = subcritical_round if subcritical else supercritical_round
-        tag = PHASE2_SUB if subcritical else PHASE2_SUPER
-        for _ in range(constants.phases.rounds):
-            round_fn(ps)
-            ps.record(tag)
-            if not ps.state.open_count:
-                break
-        drain(ps)
-        ps.record(QUIESCENT)
+
+        def observe(ps: ProcessState) -> None:
+            stars.extend(_star_samples(H, ps.state.infected, ps.state.live,
+                                       ps.m / H.n, star_indices, sample,
+                                       ps.params))
+
+    res = full_pipeline(H, params, trial_seed, trace_stride, observe)
     return TrajectoryTrace(
-        index=index, seed=trial_seed,
-        percolated=ps.state.infected_count == H.n,
-        infected_count=ps.state.infected_count,
-        rows=tuple(ps.trace), stars=tuple(stars))
+        index=index, seed=trial_seed, percolated=res.percolated,
+        infected_count=res.infected_count, rows=tuple(res.trace),
+        stars=tuple(stars))
 
 
 # -- reports -------------------------------------------------------------------

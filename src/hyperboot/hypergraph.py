@@ -133,12 +133,7 @@ class Hypergraph:
             return self.degree(s[0])
         if len(s) == 2 and self._pair_index is not None:
             return self._pair_index.get((s[0], s[1]), 0)
-        ids = self.incident_edges(s[0])
-        for v in s[1:]:
-            ids = np.intersect1d(ids, self.incident_edges(v), assume_unique=True)
-            if ids.size == 0:
-                return 0
-        return int(ids.size)
+        return int(self.edges_containing(s).size)
 
     def edges_containing(self, S: Iterable[int]) -> np.ndarray:
         """Edge ids of all edges containing every vertex of S, ascending."""
@@ -238,6 +233,30 @@ def _csr_incidence(n: int, rows: np.ndarray):
     incident = (order // rows.shape[1]).astype(np.int32) if flat.size else \
         np.zeros(0, dtype=np.int32)
     return indptr, incident
+
+
+def as_mask(items, size: int, what: str) -> Optional[np.ndarray]:
+    """Coerce a vertex or edge filter to a validated bool mask of length size.
+
+    items is a set, an iterable of ids, an id array or a bool mask; None (no
+    filter) stays None.  A bool mask is returned as given, not copied.
+    """
+    if items is None:
+        return None
+    arr = items if isinstance(items, np.ndarray) else np.asarray(list(items))
+    if arr.dtype == bool:
+        if arr.shape != (size,):
+            raise ValueError(f"{what} mask has shape {arr.shape}, "
+                             f"expected ({size},)")
+        return arr
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{what} ids must be integers, got {arr.dtype}")
+    ids = arr.astype(np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise ValueError(f"{what} id outside 0..{size - 1}")
+    mask = np.zeros(size, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
 def build_hypergraph(n: int, r: int, raw_edges) -> Hypergraph:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import log
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -157,18 +157,28 @@ def subcritical_round(ps: ProcessState) -> int:
     removed, which forces the next open set to be disjoint from this one.
     Returns the number of successful reveals.
     """
-    snapshot = sorted(ps.state.open_list)
+    successes = _reveal_batch(ps, sorted(ps.state.open_list))
+    ps.rounds += 1
+    return successes
+
+
+def _reveal_batch(ps: ProcessState, edges: list) -> int:
+    """Reveal a batch of open edges, then infect the vertices they hit.
+
+    Every edge's healthy vertex is read before any infection, so the batch
+    acts simultaneously.  Returns the number of successful reveals.
+    """
+    st = ps.state
     hits = []
-    for e in snapshot:
-        u = ps.state.unique_healthy_vertex(e)
+    for e in edges:
+        u = st.unique_healthy_vertex(e)
         if ps.coins.outcome(e):
             hits.append(u)
-        ps.state.remove_edge(e)
+        st.remove_edge(e)
         ps.sampled.append(e)
     for u in hits:
-        if not ps.state.infected[u]:
-            ps.state.infect(u)
-    ps.rounds += 1
+        if not st.infected[u]:
+            st.infect(u)
     return len(hits)
 
 
@@ -204,16 +214,7 @@ def supercritical_round(ps: ProcessState) -> None:
         for v in sorted(st.per_vertex_open):
             edges = sorted(st.per_vertex_open[v])
             chosen.extend(edges[:budget])
-    hits = []
-    for e in chosen:
-        u = st.unique_healthy_vertex(e)
-        if ps.coins.outcome(e):
-            hits.append(u)
-        st.remove_edge(e)
-        ps.sampled.append(e)
-    for u in hits:
-        if not st.infected[u]:
-            st.infect(u)
+    _reveal_batch(ps, chosen)
     # saturation sweeps
     threshold = saturation_threshold(ps.params)
     while True:
@@ -272,13 +273,17 @@ class PipelineResult:
 
 
 def full_pipeline(H: Hypergraph, params: ModelParams, seed: int,
-                  trace_stride: Optional[int] = None) -> PipelineResult:
+                  trace_stride: Optional[int] = None,
+                  observe: Optional[Callable[[ProcessState], None]] = None
+                  ) -> PipelineResult:
     """Draw the initial infection, run both phases, then drain to a verdict.
 
     Phase lengths come from the derived constants of the bound parameters;
     the regime picks the round type.  The terminal drain makes percolation
     decidable at any scale: it cannot create infections the round phase
     would not eventually have found, by the per-edge-coin coupling.
+    observe, if given, is called with the process state after set-up and
+    again at the end of phase 1.
     """
     if H.r != params.r:
         raise ValueError(f"hypergraph uniformity {H.r} != params.r {params.r}")
@@ -295,16 +300,17 @@ def full_pipeline(H: Hypergraph, params: ModelParams, seed: int,
     coins = CoinOracle(bound.q, seed, rng_mod.EDGE_COIN)
     init = np.flatnonzero(vertex_stream.random(H.n) < bound.p).astype(np.int64)
     ps = ProcessState(H, init, coins, choice_stream, bound)
+    if observe is not None:
+        observe(ps)
     if trace_stride is None:
         trace_stride = max(1, constants.phases.steps // 50)
     quiet = phase1_run(ps, constants.phases.steps, trace_stride)
+    if observe is not None:
+        observe(ps)
     if not quiet:
-        round_fn = (subcritical_round
-                    if constants.criticality is Criticality.SUBCRITICAL
-                    else supercritical_round)
-        phase_tag = (PHASE2_SUB
-                     if constants.criticality is Criticality.SUBCRITICAL
-                     else PHASE2_SUPER)
+        subcritical = constants.criticality is Criticality.SUBCRITICAL
+        round_fn = subcritical_round if subcritical else supercritical_round
+        phase_tag = PHASE2_SUB if subcritical else PHASE2_SUPER
         for _ in range(constants.phases.rounds):
             round_fn(ps)
             ps.record(phase_tag)

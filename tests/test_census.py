@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_lists, random_hypergraph
-from hyperboot.builders import complete_uniform
+from hyperboot.builders import complete_uniform, enumerate_copies, load_pattern
 from hyperboot.census import (Configuration, canonical_config_key,
                               count_general_stars, count_pendant_stars,
                               count_rooted_copies, count_saturated_edges,
@@ -164,6 +164,7 @@ def test_fast_counters_match_generic_matcher():
 
 def test_generic_matcher_against_subset_oracle():
     rng = np.random.default_rng(16)
+    mask_rng = np.random.default_rng(17)
     for _ in range(12):
         H = random_hypergraph(rng, 8, 3, 10)
         edges = edge_lists(H)
@@ -175,6 +176,22 @@ def test_generic_matcher_against_subset_oracle():
             want = count_copies_oracle(edges, pattern_edges, cfg.roots,
                                        cfg.marked, [v], infected)
             assert count_rooted_copies(H, infected, cfg, [v]) == want
+            # under an edge filter the oracle sees only the active edges
+            active = mask_rng.random(H.num_edges) < 0.7
+            kept = [e for e, a in zip(edges, active) if a]
+            want = count_copies_oracle(kept, pattern_edges, cfg.roots,
+                                       cfg.marked, [v], infected)
+            assert count_rooted_copies(H, infected, cfg, [v], active) == want
+    # unrooted, unmarked copies: the lift's enumerator
+    for F in (build_hypergraph(5, 3, [[0, 1, 2], [2, 3, 4]]),
+              build_hypergraph(4, 3, [[0, 1, 2], [1, 2, 3]]),
+              load_pattern("loose_triangle_3")):
+        pattern_edges = [list(e) for e in F.edges()]
+        for _ in range(4):
+            H = random_hypergraph(mask_rng, 7, 3, 9)
+            want = count_copies_oracle(edge_lists(H), pattern_edges, (), (),
+                                       [], [])
+            assert len(enumerate_copies(H, F)) == want
 
 
 def test_general_star_family_shapes():
@@ -299,3 +316,22 @@ def test_counters_validate_arguments():
         count_saturated_edges(H, [], [0, 1, 2, 3])
     with pytest.raises(ValueError):
         count_rooted_copies(H, [], pendant_star_config(4, 0, 0), [0])
+    # edge and vertex filters are range-checked, not wrapped or clipped
+    cfg = saturated_edge_config(3, 1)
+    m = TWO_EDGE.num_edges
+    for bad in (-1, m):
+        for call in (lambda: count_saturated_edges(TWO_EDGE, [3, 4], [2],
+                                                   active=[bad]),
+                     lambda: count_pendant_stars(TWO_EDGE, [], 2, 0, 1,
+                                                 active=[bad]),
+                     lambda: count_general_stars(TWO_EDGE, [], 2, 0, 1,
+                                                 active=[bad]),
+                     lambda: count_rooted_copies(TWO_EDGE, [], cfg, [2],
+                                                 active=[bad])):
+            with pytest.raises(ValueError):
+                call()
+    for bad in (-1, TWO_EDGE.n):
+        with pytest.raises(ValueError):
+            count_saturated_edges(TWO_EDGE, [bad], [2])
+        with pytest.raises(ValueError):
+            count_rooted_copies(TWO_EDGE, [bad], cfg, [2])

@@ -101,6 +101,16 @@ def test_simulate_splits_artifact_and_log(capsys, lift_file):
     assert set(summary) == {"percolated", "infected_count", "sampled_count"}
 
 
+def test_simulate_and_trajectory_share_the_seed(capsys, lift_file):
+    flags = ("--in", lift_file, "--c", "0.4", "--alpha", "1.0", "--d", "10",
+             "--seed", "5")
+    code, simulated, _ = run_cli(capsys, "simulate", *flags)
+    assert code == 0
+    code, traced, _ = run_cli(capsys, "trajectory", *flags, "--traces", "1")
+    assert code == 0
+    assert simulated == traced
+
+
 def test_pc_single_edge(capsys, tmp_path):
     path = tmp_path / "edge.json"
     path.write_text(to_json(loads('{"n": 3, "r": 3, "edges": [[0, 1, 2]]}')))

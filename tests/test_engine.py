@@ -39,6 +39,17 @@ def test_closure_respects_active_subset():
     assert closure(H, [0, 1], active=[]) == {0, 1}
 
 
+def test_filters_reject_bad_ids():
+    H = complete_uniform(4, 3)
+    for infected, active in (([-1], None), ([4], None), ([0.5], None),
+                             ([0], [-1]), ([0], [4]), ([0], [1.5]),
+                             ([0], np.ones(3, dtype=bool))):
+        with pytest.raises(ValueError):
+            closure(H, infected, active)
+        with pytest.raises(ValueError):
+            InfectionState(H, infected, active)
+
+
 def test_closure_idempotent_and_monotone():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -204,6 +204,12 @@ def test_record_trajectory_shape_and_predictions():
                                                rel=0.4)
 
 
+def test_record_trajectory_validates_like_the_pipeline():
+    H = complete_uniform(6, 3)
+    with pytest.raises(ValueError):
+        record_trajectory(H, ModelParams(r=4, c=0.5, alpha=1.0, d=10.0), 0)
+
+
 def test_model_recipe_round_trip():
     for recipe in (ModelRecipe(kind="complete", n=5, k=3),
                    ModelRecipe(kind="lift", n=12, pattern="k3"),
