@@ -91,8 +91,14 @@ class InfectionState:
         act = as_mask(active, m, "active edge")
         self.live = np.ones(m, dtype=bool) if act is None else act.copy()
         infected = as_mask(infected0, n, "infected vertex").copy()
-        counts = (H.r - infected[H.edges_array].sum(axis=1)).astype(np.int32)
-        counts[~self.live] = -1
+        # only edges touching an initially infected vertex differ from r
+        incidences = np.concatenate([np.zeros(0, dtype=np.int32)] + [
+            H.incident_edges(v) for v in np.flatnonzero(infected)])
+        touched, hits = np.unique(incidences, return_counts=True)
+        counts = np.full(m, H.r, dtype=np.int32)
+        counts[touched] -= hits
+        if act is not None:
+            counts[~act] = -1
         self.infected = infected
         self.healthy_count = counts
         self.infected_count = int(infected.sum())
@@ -100,8 +106,15 @@ class InfectionState:
         self.open_pos = np.full(m, -1, dtype=np.int64)
         self.per_vertex_open: dict = {}
         self._rows = H.edges_array
-        for e in np.flatnonzero((counts == 1) & self.live):
-            self._open_add(int(e), self._healthy_vertex(int(e)))
+        # r >= 2, so an open edge has an infected vertex and is touched
+        opened = touched[counts[touched] == 1]
+        for e, u in zip(opened.tolist(), self._healthy_of(opened).tolist()):
+            self._open_add(e, u)
+
+    def _healthy_of(self, edges: np.ndarray) -> np.ndarray:
+        """The healthy vertex of each given edge, each having exactly one."""
+        rows = self._rows[edges]
+        return rows[~self.infected[rows]]
 
     # healthy-vertex scan; only valid when the edge has exactly one
     def _healthy_vertex(self, e: int) -> int:
@@ -153,18 +166,21 @@ class InfectionState:
             raise ValueError(f"vertex {v} is already infected")
         self.infected[v] = True
         self.infected_count += 1
-        counts = self.healthy_count
-        for e in self.H.incident_edges(v):
-            e = int(e)
-            if not self.live[e]:
-                continue
-            c = counts[e]
-            counts[e] = c - 1
+        inc = self.H.incident_edges(v)
+        inc = inc[self.live[inc]]
+        before = self.healthy_count[inc]
+        self.healthy_count[inc] = before - 1
+        # before 1: v was the unique healthy vertex, the edge closes;
+        # before 2: the edge opens.  Applied in incidence order, which fixes
+        # the order of open_list.
+        moved = before <= 2
+        inc, before = inc[moved], before[moved]
+        healthy = iter(self._healthy_of(inc[before == 2]).tolist())
+        for e, c in zip(inc.tolist(), before.tolist()):
             if c == 1:
-                # v was the unique healthy vertex, the edge closes
                 self._open_discard(e, v)
-            elif c == 2:
-                self._open_add(e, self._healthy_vertex(e))
+            else:
+                self._open_add(e, next(healthy))
 
     def remove_edge(self, e: int) -> None:
         """Delete a live edge (consumed by sampling)."""

@@ -34,12 +34,18 @@ QUIESCENT = "quiescent"
 TRACE_HEADER = "m,t,Q,I,gamma_pred,phase"
 
 
+# Coins are read from the stream in aligned blocks of this many edges.
+COIN_BLOCK = 256
+
+
 class CoinOracle:
     """Lazy memoized per-edge Bernoulli(q) coins on a counter-based stream.
 
-    outcome(e) is deterministic in (key, e) alone; drawn records every coin
-    revealed so far.  success_mask forces all coins, which is how the closure
-    oracle recovers the exact edge subset the process was coupled to.
+    outcome(e) is value_at(key, e) < q, a function of (key, e) alone; a miss
+    reads the whole aligned COIN_BLOCK of coins holding e in one call and
+    keeps it.  drawn records exactly the coins revealed so far.  success_mask
+    computes every coin at once without revealing any, which is how the
+    closure oracle recovers the exact edge subset the process was coupled to.
     """
 
     def __init__(self, q: float, master_seed: int, *path: int):
@@ -47,18 +53,24 @@ class CoinOracle:
             raise ValueError(f"probability q={q} outside [0, 1]")
         self.q = q
         self._key = rng_mod.stream_key(master_seed, *path)
+        self._blocks: dict = {}
         self.drawn: dict = {}
 
     def outcome(self, e: int) -> bool:
         got = self.drawn.get(e)
         if got is None:
-            got = rng_mod.value_at(self._key, e) < self.q
+            b, i = divmod(e, COIN_BLOCK)
+            block = self._blocks.get(b)
+            if block is None:
+                block = rng_mod.value_at(self._key, b * COIN_BLOCK,
+                                         COIN_BLOCK) < self.q
+                self._blocks[b] = block
+            got = bool(block[i])
             self.drawn[e] = got
         return got
 
     def success_mask(self, num_edges: int) -> np.ndarray:
-        return np.fromiter((self.outcome(e) for e in range(num_edges)),
-                           dtype=bool, count=num_edges)
+        return rng_mod.value_at(self._key, 0, num_edges) < self.q
 
 
 @dataclass

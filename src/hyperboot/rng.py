@@ -8,9 +8,14 @@ it.  That is what makes trial-level parallelism bit-reproducible.
 
 Philox is counter-based, so a stream can also be evaluated at an arbitrary
 offset without generating the prefix (used by the per-edge coin oracle).
+Each counter position is one 4-word Philox block whose first word gives the
+variate at that position, so a run of consecutive positions is read as one
+block: value_at(key, i, size)[j] == value_at(key, i + j) exactly.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -38,12 +43,16 @@ def stream_key(master_seed: int, *path: int) -> np.ndarray:
     return SeedSequence(master_seed, spawn_key=tuple(path)).generate_state(2, np.uint64)
 
 
-def value_at(key: np.ndarray, index: int) -> float:
+def value_at(key: np.ndarray, index: int, size: Optional[int] = None):
     """The uniform [0,1) variate at position ``index`` of a keyed stream.
 
-    Pure function of (key, index): evaluation order cannot change it.
+    Pure function of (key, index): evaluation order cannot change it.  With
+    size, an array of the variates at positions index .. index+size-1, read
+    in one call; each equals the scalar value at its position.
     """
     bg = Philox(key=key)
     if index:
         bg.advance(int(index))
-    return Generator(bg).random()
+    if size is None:
+        return Generator(bg).random()
+    return Generator(bg).random(4 * size)[::4]

@@ -120,13 +120,19 @@ def _assert_state_matches_scratch(st0: InfectionState, edges) -> None:
 
 def test_incremental_state_equals_scratch_recomputation():
     rng = np.random.default_rng(11)
-    for trial in range(30):
+    for trial in range(60):
         n = int(rng.integers(5, 21))
-        H = random_hypergraph(rng, n, 3, int(rng.integers(5, 40)))
+        r = 3 if trial % 2 else 4
+        H = random_hypergraph(rng, n, r, int(rng.integers(5, 40)))
         edges = edge_lists(H)
         k = int(rng.integers(0, n // 2 + 1))
-        st0 = InfectionState(H, sorted(int(v) for v in
-                                       rng.choice(n, size=k, replace=False)))
+        infected0 = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
+        # every third trial starts from a random live subset of the edges
+        active = rng.random(H.num_edges) < 0.6 if trial % 3 == 0 else None
+        st0 = InfectionState(H, infected0, active)
+        if active is not None:
+            assert np.array_equal(st0.live, active)
+            assert (st0.healthy_count[~active] == -1).all()
         _assert_state_matches_scratch(st0, edges)
         for _ in range(40):
             healthy = np.flatnonzero(~st0.infected)

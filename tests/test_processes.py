@@ -1,5 +1,6 @@
 """Two-phase revelation processes, coin coupling, trace contract."""
 
+import hashlib
 import io
 import math
 
@@ -41,6 +42,24 @@ def test_coin_oracle_is_a_pure_function_of_seed_and_edge():
     assert list(a.success_mask(40)) == left
     assert _coins(0.0).success_mask(30).sum() == 0
     assert _coins(1.0).success_mask(30).sum() == 30
+    # block reads equal the scalar reads, across block edges and past m
+    key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
+    for start, size in [(0, 300), (255, 3), (256, 1), (257, 10), (43, 600)]:
+        block = rng_mod.value_at(key, start, size)
+        assert list(block) == [rng_mod.value_at(key, start + j)
+                               for j in range(size)]
+    H = bootstrap_lift(complete_uniform(12, 2), load_pattern("k3"))
+    order = np.random.default_rng(3).permutation(H.num_edges).tolist()
+    c = _coins(0.4, seed=5)
+    got = {e: c.outcome(e) for e in order}
+    assert got == {e: rng_mod.value_at(key, e) < 0.4 for e in order}
+    assert c.drawn == got
+    assert list(c.success_mask(H.num_edges)) == [got[e] for e in
+                                                 range(H.num_edges)]
+    # success_mask computes coins without revealing them
+    fresh = _coins(0.4, seed=5)
+    fresh.success_mask(H.num_edges)
+    assert fresh.drawn == {}
 
 
 def test_coin_oracle_rejects_bad_probability():
@@ -295,3 +314,38 @@ def test_drain_reaches_quiescence():
     drain(ps)
     assert ps.state.open_count == 0
     assert ps.state.infected_count == 6
+
+
+# sha256 of the trace CSV, the verdict line and the reveal order of
+# full_pipeline on triangle lifts of K_k (alpha 1, d = k - 2).  Pinned from
+# the per-coin, per-edge implementation; any engine or coin change must
+# reproduce them byte for byte.
+PIPELINE_DIGESTS = {
+    (40, 0.5, 0): "8a92123db7d1601a867ea65d3bfc4c6427c33d1a12bfd8263645618f3df081e5",
+    (40, 0.5, 1): "7377ef9e32fa9186468843fbd06f39c6fb0360b013db3983366702d9836d02f6",
+    (40, 0.5, 2): "dca9beadeaf127eb7c4977ba1628c4ae983613a3160e9f27359b0aca629ae68e",
+    (40, 0.1, 0): "eeb7221d9f8929a562c9c927d5595039baaba2944f3e0f1d254e66eac6df02a1",
+    (40, 0.1, 1): "a8bab48b3bc8539adff242b38d7f2e088237f14a04d2bd762d969dddd97bd569",
+    (40, 0.1, 2): "60d99674bfa5aecdd6043551340ec2ab625e5b9d3c2e35aa55dd43d12e314be1",
+    # these two reach supercritical rounds; the K_80 one percolates
+    (60, 0.5, 1): "c1e508ac66349ffc857d9178a5f150442a5d99e35c735a0860eae4e40f8da8b6",
+    (80, 0.5, 0): "d617a3b9b02eae708e38b6907e2f61bbea2a0db73e0e42841cd453c87262db86",
+}
+
+
+def test_pipeline_outputs_match_pinned_digests():
+    lifts = {}
+    for (k, c, seed), want in PIPELINE_DIGESTS.items():
+        if k not in lifts:
+            lifts[k] = bootstrap_lift(complete_uniform(k, 2), load_pattern("k3"))
+        seen = []
+        res = full_pipeline(lifts[k], ModelParams(r=3, c=c, alpha=1.0,
+                                                  d=k - 2.0),
+                            seed, observe=seen.append)
+        buf = io.StringIO()
+        write_trace_csv(res.trace, buf)
+        buf.write(f"percolated={res.percolated},infected={res.infected_count},"
+                  f"sampled={res.sampled_count}\n")
+        buf.write(",".join(map(str, seen[0].sampled)) + "\n")
+        got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert got == want, (k, c, seed)

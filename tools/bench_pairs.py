@@ -1,0 +1,94 @@
+"""Alternating parent/change runs of the benchmark, summarised as one JSON file.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \
+        --out BENCH_3.json [--workloads scan_k200 ...] [--first-seed 101]
+        [--traced pipeline_k120 dieout_k200]
+
+PARENT_DIR and CHANGE_DIR are two checkouts (e.g. made with ``git archive``).
+Pair k runs ``python3 perfbench/run.py --workload W --seed first_seed + k``
+once in each checkout, the parent first on even k and the change first on odd
+k, one process at a time.  For every end-to-end metric the file gives each
+side's median, quartiles and runs, and the pairs the change won (ties count
+for neither side).  Each workload named by --traced also gets one
+``--trace 1`` run per side with its per-layer metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(checkout: Path, workload: str, seed: int, trace: int):
+    """One benchmark process: (metric values, environment block)."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    lines = out.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout} {workload} seed {seed}: {out.stderr}")
+    result = json.loads(lines[-1])
+    if not result.get("correct"):
+        raise RuntimeError(f"{checkout} {workload} seed {seed}: incorrect output")
+    return ({name: m["value"] for name, m in result["metrics"].items()},
+            json.loads(lines[-2])["environment"])
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=101)
+    ap.add_argument("--workloads", nargs="+", default=None)
+    ap.add_argument("--traced", nargs="*", default=[])
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+
+    command = (f"python3 tools/bench_pairs.py PARENT CHANGE --pairs "
+               f"{args.pairs} --first-seed {args.first_seed} --workloads "
+               f"{' '.join(workloads)} --traced {' '.join(args.traced)}")
+    report = {"command": command, "pairs": args.pairs,
+              "seeds": [args.first_seed + k for k in range(args.pairs)],
+              "environment": {}, "workloads": {}, "traced": {}}
+    for w in workloads:
+        runs: dict = {"parent": [], "change": []}
+        for k in range(args.pairs):
+            order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+            for side in order:
+                values, env = run(sides[side], w, args.first_seed + k, 0)
+                runs[side].append(values)
+                report["environment"][side] = env
+                print(w, k, side, values["requests_per_s"],
+                      file=sys.stderr, flush=True)
+        rows = {}
+        for metric, direction in better.items():
+            a = [r[metric] for r in runs["parent"]]
+            b = [r[metric] for r in runs["change"]]
+            sign = 1 if direction == "higher" else -1
+            rows[metric] = {"parent": summary(a), "change": summary(b),
+                            "change_wins": sum(sign * (y - x) > 0
+                                               for x, y in zip(a, b))}
+        report["workloads"][w] = rows
+    for w in args.traced:
+        report["traced"][w] = {side: run(path, w, args.first_seed, 1)[0]
+                               for side, path in sides.items()}
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
