@@ -4,8 +4,10 @@ closure() computes the least fixed point of the infection rule: a healthy
 vertex becomes infected as soon as some (active) edge has it as its unique
 healthy vertex.  InfectionState supports the incremental operations the
 revelation processes need: O(1) uniform sampling from the open-edge set
-(swap-remove array plus position index), per-vertex open-edge lookup, and
-infect/remove updates proportional to the degree of the touched vertex.
+(swap-remove array plus position index) and infect/remove updates
+proportional to the degree of the touched vertex.  The open edges of a
+vertex, or all of them grouped by their healthy vertex, are derived on
+demand from the healthy counts.
 """
 
 from __future__ import annotations
@@ -81,8 +83,9 @@ class InfectionState:
 
     An edge is live until explicitly removed; it is open when it is live and
     has exactly one healthy vertex.  The open set supports O(1) uniform
-    sampling; per_vertex_open partitions it by the healthy vertex.  An edge
-    whose healthy count reaches 0 stays live (closed) unless removed.
+    sampling; open_at and open_by_vertex group it by the healthy vertex on
+    demand.  An edge whose healthy count reaches 0 stays live (closed)
+    unless removed.
     """
 
     def __init__(self, H: Hypergraph, infected0: Iterable[int], active=None):
@@ -102,46 +105,30 @@ class InfectionState:
         self.infected = infected
         self.healthy_count = counts
         self.infected_count = int(infected.sum())
-        self.open_list: list = []
-        self.open_pos = np.full(m, -1, dtype=np.int64)
-        self.per_vertex_open: dict = {}
         self._rows = H.edges_array
         # r >= 2, so an open edge has an infected vertex and is touched
         opened = touched[counts[touched] == 1]
-        for e, u in zip(opened.tolist(), self._healthy_of(opened).tolist()):
-            self._open_add(e, u)
+        self.open_list: list = opened.tolist()
+        self.open_pos = np.full(m, -1, dtype=np.int64)
+        self.open_pos[opened] = np.arange(len(opened))
 
-    def _healthy_of(self, edges: np.ndarray) -> np.ndarray:
-        """The healthy vertex of each given edge, each having exactly one."""
+    def _healthy_of(self, edges) -> np.ndarray:
+        """Healthy vertices of one edge id or of an array of edges; for
+        edges with exactly one each, the healthy vertex of every edge."""
         rows = self._rows[edges]
         return rows[~self.infected[rows]]
 
-    # healthy-vertex scan; only valid when the edge has exactly one
-    def _healthy_vertex(self, e: int) -> int:
-        for x in self._rows[e]:
-            if not self.infected[x]:
-                return int(x)
-        raise AssertionError(f"edge {e} has no healthy vertex")
-
-    def _open_add(self, e: int, u: int) -> None:
+    def _open_add(self, e: int) -> None:
         self.open_pos[e] = len(self.open_list)
         self.open_list.append(e)
-        self.per_vertex_open.setdefault(u, set()).add(e)
 
-    def _open_discard(self, e: int, u: int) -> None:
+    def _open_discard(self, e: int) -> None:
         pos = self.open_pos[e]
-        if pos < 0:
-            return
         last = self.open_list[-1]
         self.open_list[pos] = last
         self.open_pos[last] = pos
         self.open_list.pop()
         self.open_pos[e] = -1
-        s = self.per_vertex_open.get(u)
-        if s is not None:
-            s.discard(e)
-            if not s:
-                del self.per_vertex_open[u]
 
     @property
     def open_count(self) -> int:
@@ -153,12 +140,27 @@ class InfectionState:
 
     def open_at(self, v: int) -> set:
         """Open edges whose unique healthy vertex is v."""
-        return set(self.per_vertex_open.get(v, ()))
+        if self.infected[v]:
+            return set()
+        inc = self.H.incident_edges(v)
+        return set(inc[self.healthy_count[inc] == 1].tolist())
+
+    def open_by_vertex(self) -> tuple:
+        """(vertices, edges): every open edge and its healthy vertex, sorted
+        by vertex, then by edge id."""
+        edges = np.array(self.open_list, dtype=np.int64)
+        vertices = self._healthy_of(edges)
+        order = np.lexsort((edges, vertices))
+        return vertices[order], edges[order]
 
     def unique_healthy_vertex(self, e: int) -> int:
         if self.open_pos[e] < 0:
             raise ValueError(f"edge {e} is not open")
-        return self._healthy_vertex(e)
+        healthy = self._healthy_of(e)
+        if healthy.size != 1:
+            raise AssertionError(f"open edge {e} has {healthy.size} healthy "
+                                 "vertices")
+        return int(healthy[0])
 
     def infect(self, v: int) -> None:
         """Infect a healthy vertex and update all live edges containing it."""
@@ -174,13 +176,11 @@ class InfectionState:
         # before 2: the edge opens.  Applied in incidence order, which fixes
         # the order of open_list.
         moved = before <= 2
-        inc, before = inc[moved], before[moved]
-        healthy = iter(self._healthy_of(inc[before == 2]).tolist())
-        for e, c in zip(inc.tolist(), before.tolist()):
+        for e, c in zip(inc[moved].tolist(), before[moved].tolist()):
             if c == 1:
-                self._open_discard(e, v)
+                self._open_discard(e)
             else:
-                self._open_add(e, next(healthy))
+                self._open_add(e)
 
     def remove_edge(self, e: int) -> None:
         """Delete a live edge (consumed by sampling)."""
@@ -188,7 +188,7 @@ class InfectionState:
             raise ValueError(f"edge {e} is not live")
         self.live[e] = False
         if self.open_pos[e] >= 0:
-            self._open_discard(e, self._healthy_vertex(e))
+            self._open_discard(e)
         self.healthy_count[e] = -1
 
     def infected_set(self) -> set:

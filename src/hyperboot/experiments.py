@@ -24,7 +24,7 @@ from . import __version__
 from . import rng as rng_mod
 from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pattern
 from .census import count_pendant_stars
-from .engine import closure
+from .engine import closure, sample_edge_set, sample_vertex_set
 from .hypergraph import Hypergraph, build_hypergraph
 from .processes import ProcessState, full_pipeline
 from .theory import (BoundaryError, ModelParams, classify_criticality,
@@ -223,12 +223,10 @@ _MC_CTX: dict = {}
 
 def _trial_percolates(H: Hypergraph, p: float, q: float, seed: int,
                       trial: int) -> bool:
-    uv = rng_mod.substream(seed, rng_mod.TRIAL, trial,
-                           rng_mod.VERTEX_DRAW).random(H.n)
-    init = np.flatnonzero(uv < p)
-    ue = rng_mod.substream(seed, rng_mod.TRIAL, trial,
-                           rng_mod.EDGE_COIN).random(H.num_edges)
-    successes = np.flatnonzero(ue < q)
+    init = sample_vertex_set(H, p, rng_mod.substream(
+        seed, rng_mod.TRIAL, trial, rng_mod.VERTEX_DRAW))
+    successes = sample_edge_set(H, q, rng_mod.substream(
+        seed, rng_mod.TRIAL, trial, rng_mod.EDGE_COIN))
     return len(closure(H, init, successes)) == H.n
 
 

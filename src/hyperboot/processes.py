@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import rng as rng_mod
-from .engine import InfectionState
+from .engine import InfectionState, sample_vertex_set
 from .hypergraph import Hypergraph
 from .theory import (Criticality, DerivedConstants, ModelParams,
                      derive_constants, open_edge_density)
@@ -119,17 +119,6 @@ class ProcessState:
                                    self.state.infected_count,
                                    self._gamma_pred(t), phase))
 
-    def _reveal(self, e: int) -> bool:
-        """Sample one live edge: reveal its coin, remove it, infect on success."""
-        success = self.coins.outcome(e)
-        u = (self.state.unique_healthy_vertex(e)
-             if self.state.open_pos[e] >= 0 else None)
-        self.state.remove_edge(e)
-        self.sampled.append(e)
-        if success and u is not None and not self.state.infected[u]:
-            self.state.infect(u)
-        return success
-
 
 def phase1_run(ps: ProcessState, steps: int,
                trace_stride: Optional[int] = None) -> bool:
@@ -151,8 +140,7 @@ def phase1_run(ps: ProcessState, steps: int,
                 ps.record(QUIESCENT)
             return True
         k = int(ps.choice.integers(ps.state.open_count))
-        e = ps.state.open_list[k]
-        ps._reveal(e)
+        _reveal_batch(ps, [ps.state.open_list[k]])
         ps.m += 1
         if trace_stride is not None and ps.m % trace_stride == 0:
             ps.record(PHASE1)
@@ -177,8 +165,10 @@ def subcritical_round(ps: ProcessState) -> int:
 def _reveal_batch(ps: ProcessState, edges: list) -> int:
     """Reveal a batch of open edges, then infect the vertices they hit.
 
-    Every edge's healthy vertex is read before any infection, so the batch
-    acts simultaneously.  Returns the number of successful reveals.
+    Each edge's coin is revealed and the edge removed; every edge's healthy
+    vertex is read before any infection, so the batch acts simultaneously.
+    This is the only place a coin is revealed.  Returns the number of
+    successful reveals.
     """
     st = ps.state
     hits = []
@@ -222,30 +212,22 @@ def supercritical_round(ps: ProcessState) -> None:
         chosen = sorted(st.open_list)
     else:
         budget = supercritical_budget(ps.H.n, ps.rounds)
-        chosen = []
-        for v in sorted(st.per_vertex_open):
-            edges = sorted(st.per_vertex_open[v])
-            chosen.extend(edges[:budget])
+        vertices, edges = st.open_by_vertex()
+        # rank of each edge among its vertex's edges: offset from the first
+        rank = np.arange(len(edges)) - np.searchsorted(vertices, vertices)
+        chosen = edges[rank < budget].tolist()
     _reveal_batch(ps, chosen)
-    # saturation sweeps
+    # saturation sweeps, lowest qualifying vertex first
     threshold = saturation_threshold(ps.params)
     while True:
-        v = None
-        for u in sorted(st.per_vertex_open):
-            if len(st.per_vertex_open[u]) >= threshold:
-                v = u
-                break
-        if v is None:
+        vertices, edges = st.open_by_vertex()
+        _, starts, sizes = np.unique(vertices, return_index=True,
+                                     return_counts=True)
+        full = np.flatnonzero(sizes >= threshold)
+        if not len(full):
             break
-        edges = sorted(st.per_vertex_open[v])
-        success = False
-        for e in edges:
-            if ps.coins.outcome(e):
-                success = True
-            st.remove_edge(e)
-            ps.sampled.append(e)
-        if success:
-            st.infect(v)
+        i = full[0]
+        _reveal_batch(ps, edges[starts[i]:starts[i] + sizes[i]].tolist())
     ps.rounds += 1
 
 
@@ -253,7 +235,7 @@ def drain(ps: ProcessState) -> None:
     """Reveal open edges (deterministic order) until none remain."""
     st = ps.state
     while st.open_count:
-        ps._reveal(st.open_list[-1])
+        _reveal_batch(ps, [st.open_list[-1]])
 
 
 def run_to_quiescence(H: Hypergraph, infected0, coins: CoinOracle,
@@ -310,7 +292,7 @@ def full_pipeline(H: Hypergraph, params: ModelParams, seed: int,
     vertex_stream = rng_mod.substream(seed, rng_mod.VERTEX_DRAW)
     choice_stream = rng_mod.substream(seed, rng_mod.PROCESS_CHOICE)
     coins = CoinOracle(bound.q, seed, rng_mod.EDGE_COIN)
-    init = np.flatnonzero(vertex_stream.random(H.n) < bound.p).astype(np.int64)
+    init = sample_vertex_set(H, bound.p, vertex_stream)
     ps = ProcessState(H, init, coins, choice_stream, bound)
     if observe is not None:
         observe(ps)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_lists, random_hypergraph
+from conftest import assert_open_by_vertex, edge_lists, random_hypergraph
 from hyperboot.builders import complete_uniform
 from hyperboot.engine import (InfectionState, closure, percolates,
                               sample_edge_set, sample_vertex_set)
@@ -92,6 +92,14 @@ def test_infect_opens_downstream_edge():
     assert set(st0.open_edges()) == {1}
     assert st0.unique_healthy_vertex(1) == 3
     assert st0.open_at(3) == {1}
+    assert st0.open_at(0) == set()      # infected vertices have no open edges
+
+
+def test_unique_healthy_vertex_fails_loudly_without_one():
+    st0 = InfectionState(PATH_HOST, [1, 2])
+    st0.infected[0] = True      # corrupt the state behind the engine's back
+    with pytest.raises(AssertionError):
+        st0.unique_healthy_vertex(0)
 
 
 def test_infect_rejects_repeat_and_remove_rejects_dead():
@@ -109,9 +117,7 @@ def _assert_state_matches_scratch(st0: InfectionState, edges) -> None:
     want_open = open_edges_oracle(edges, infected, live)
     assert set(st0.open_edges()) == want_open
     assert st0.open_count == len(want_open)
-    by_vertex = open_by_vertex_oracle(edges, infected, live)
-    got = {v: set(s) for v, s in st0.per_vertex_open.items()}
-    assert got == by_vertex
+    assert_open_by_vertex(st0, open_by_vertex_oracle(edges, infected, live))
     assert st0.infected_count == len(infected)
     for e in live:
         healthy = len(set(edges[e]) - infected)

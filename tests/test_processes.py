@@ -7,17 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import edge_lists, random_hypergraph
+from conftest import assert_open_by_vertex, edge_lists, random_hypergraph
 from hyperboot import rng as rng_mod
 from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
 from hyperboot.engine import closure
 from hyperboot.hypergraph import build_hypergraph
 from hyperboot.processes import (PHASE1, PHASE2_SUB, PHASE2_SUPER, QUIESCENT,
                                  TRACE_HEADER, CoinOracle, ProcessState,
-                                 drain, full_pipeline, phase1_run,
-                                 run_to_quiescence, saturation_threshold,
-                                 subcritical_round, supercritical_budget,
-                                 supercritical_round, write_trace_csv)
+                                 _reveal_batch, drain, full_pipeline,
+                                 phase1_run, run_to_quiescence,
+                                 saturation_threshold, subcritical_round,
+                                 supercritical_budget, supercritical_round,
+                                 write_trace_csv)
 from hyperboot.theory import ModelParams
 from oracles import open_by_vertex_oracle, open_edges_oracle
 
@@ -297,13 +298,13 @@ def test_open_set_bookkeeping_during_process_run():
     checks = 0
     while ps.state.open_count:
         k = int(ps.choice.integers(ps.state.open_count))
-        ps._reveal(ps.state.open_list[k])
+        _reveal_batch(ps, [ps.state.open_list[k]])
         infected = {int(v) for v in np.flatnonzero(ps.state.infected)}
         live = [int(e) for e in np.flatnonzero(ps.state.live)]
         assert set(ps.state.open_edges()) == open_edges_oracle(
             edges, infected, live)
-        assert ({v: set(s) for v, s in ps.state.per_vertex_open.items()}
-                == open_by_vertex_oracle(edges, infected, live))
+        assert_open_by_vertex(ps.state,
+                              open_by_vertex_oracle(edges, infected, live))
         checks += 1
     assert checks > 0
 
@@ -327,9 +328,11 @@ PIPELINE_DIGESTS = {
     (40, 0.1, 0): "eeb7221d9f8929a562c9c927d5595039baaba2944f3e0f1d254e66eac6df02a1",
     (40, 0.1, 1): "a8bab48b3bc8539adff242b38d7f2e088237f14a04d2bd762d969dddd97bd569",
     (40, 0.1, 2): "60d99674bfa5aecdd6043551340ec2ab625e5b9d3c2e35aa55dd43d12e314be1",
-    # these two reach supercritical rounds; the K_80 one percolates
+    # these reach supercritical rounds; the K_80 one percolates after one
+    # saturation sweep, the K_100 one stops short after 63 sweeps
     (60, 0.5, 1): "c1e508ac66349ffc857d9178a5f150442a5d99e35c735a0860eae4e40f8da8b6",
     (80, 0.5, 0): "d617a3b9b02eae708e38b6907e2f61bbea2a0db73e0e42841cd453c87262db86",
+    (100, 0.5, 1): "ae4a0f3b524735aa037ca90bb715e725818f70e2c3eac08d6aa19e086fd949b4",
 }
 
 
