@@ -2,7 +2,10 @@
 
 closure() computes the least fixed point of the infection rule: a healthy
 vertex becomes infected as soon as some (active) edge has it as its unique
-healthy vertex.  InfectionState supports the incremental operations the
+healthy vertex.  It runs in numpy rounds over the compacted active edges and
+their vertex-to-edge CSR: every edge with one healthy vertex left infects it
+in the same round, and only the edges around the new vertices are
+recounted.  InfectionState supports the incremental operations the
 revelation processes need: O(1) uniform sampling from the open-edge set
 (swap-remove array plus position index) and infect/remove updates
 proportional to the degree of the touched vertex.  The open edges of a
@@ -12,52 +15,42 @@ demand from the healthy counts.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, as_mask
+from .hypergraph import Hypergraph, as_mask, csr_incidence
 
 
 def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> set:
     """Infected set after exhausting the infection rule over active edges.
 
     active restricts the rule to a sub-edge-set (mask or id list); edges
-    outside it are ignored entirely.  Runs on a compacted copy of the active
-    edges so sparse filters cost what they select, not what exists.
+    outside it are ignored entirely.  Works on a compacted copy of the
+    active edges, so sparse filters cost what they select, not what exists.
+    Each round infects the healthy vertex of every edge with healthy count 1
+    at once and recounts only the edges around the new vertices; the least
+    fixed point does not depend on the order of infections.  The input
+    masks are not written to.
     """
     act = as_mask(active, H.num_edges, "active edge")
     E = H.edges_array if act is None else H.edges_array[np.flatnonzero(act)]
-    n = H.n
-    infected = as_mask(infected0, n, "infected vertex")
-    if E.shape[0] == 0:
-        return set(int(v) for v in np.flatnonzero(infected))
-    counts = (H.r - infected[E].sum(axis=1)).astype(np.int64).tolist()
-    rows = E.tolist()
-    inc: list = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for x in row:
-            inc[x].append(i)
-    inf = infected.tolist()
-    queue = deque(i for i, c in enumerate(counts) if c == 1)
-    while queue:
-        i = queue.popleft()
-        if counts[i] != 1:
-            continue
-        u = -1
-        for x in rows[i]:
-            if not inf[x]:
-                u = x
-                break
-        if u < 0:
-            continue
-        inf[u] = True
-        for j in inc[u]:
-            counts[j] -= 1
-            if counts[j] == 1:
-                queue.append(j)
-    return set(i for i, f in enumerate(inf) if f)
+    infected = as_mask(infected0, H.n, "infected vertex").copy()
+    indptr, incident = csr_incidence(H.n, E)
+    counts = H.r - infected[E].sum(axis=1)
+    frontier = np.flatnonzero(counts == 1)
+    while frontier.size:
+        rows = E[frontier]
+        new = np.unique(rows[~infected[rows]])
+        infected[new] = True
+        # the CSR slices of the new vertices, gathered as one index array
+        deg = indptr[new + 1] - indptr[new]
+        shift = indptr[new] - (np.cumsum(deg) - deg)
+        slots = np.arange(deg.sum()) + np.repeat(shift, deg)
+        touched, hits = np.unique(incident[slots], return_counts=True)
+        counts[touched] -= hits
+        frontier = touched[counts[touched] == 1]
+    return set(np.flatnonzero(infected).tolist())
 
 
 def percolates(H: Hypergraph, infected0: Iterable[int], active=None) -> bool:

@@ -77,7 +77,7 @@ class Hypergraph:
                 keep[1:] = (np.diff(rows.view(np.int32).reshape(rows.shape), axis=0)
                             != 0).any(axis=1)
                 rows = rows[keep]
-        indptr, incident = _csr_incidence(n, rows)
+        indptr, incident = csr_incidence(n, rows)
         return Hypergraph(n, r, rows, indptr, incident)
 
     # -- basic queries -----------------------------------------------------
@@ -222,16 +222,18 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, r={self.r}, m={self.num_edges})"
 
 
-def _csr_incidence(n: int, rows: np.ndarray):
+def csr_incidence(n: int, rows: np.ndarray):
+    """Vertex-to-row CSR of an (m, r) row array: (indptr, row ids)."""
     flat = rows.ravel()
     counts = np.bincount(flat, minlength=n) if flat.size else np.zeros(n, dtype=np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     # stable argsort of the flattened vertex column keeps edge ids ascending
-    # within each vertex bucket
-    order = np.argsort(flat, kind="stable")
-    incident = (order // rows.shape[1]).astype(np.int32) if flat.size else \
-        np.zeros(0, dtype=np.int32)
+    # within each vertex bucket; 16-bit keys sort the same way, by radix
+    order = np.argsort(flat.astype(np.uint16) if n <= 1 << 16 else flat,
+                       kind="stable")
+    order //= rows.shape[1]
+    incident = order.astype(np.int32)
     return indptr, incident
 
 

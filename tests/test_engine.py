@@ -64,19 +64,56 @@ def test_closure_idempotent_and_monotone():
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_closure_matches_rescan_oracle(data):
-    n = data.draw(st.integers(3, 12))
+    r = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(r, 12))
     m = data.draw(st.integers(0, 20))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    H = random_hypergraph(rng, n, 3, m) if m else build_hypergraph(n, 3, [])
+    H = random_hypergraph(rng, n, r, m) if m else build_hypergraph(n, r, [])
     k = data.draw(st.integers(0, n))
     infected0 = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
     edges = edge_lists(H)
     assert closure(H, infected0) == closure_oracle(edges, infected0)
     if H.num_edges:
-        keep = [i for i in range(H.num_edges) if rng.random() < 0.5]
-        assert (closure(H, infected0, active=keep)
-                == closure_oracle(edges, infected0, keep))
+        mask = rng.random(H.num_edges) < 0.5
+        keep = [int(i) for i in np.flatnonzero(mask)]
+        want = closure_oracle(edges, infected0, keep)
+        assert closure(H, infected0, active=keep) == want
+        assert closure(H, infected0, active=mask) == want
+
+
+def test_closure_deep_cascade_takes_one_round_per_vertex():
+    # a tight path: each edge opens only after the previous one infected
+    n = 300
+    edges = [(i, i + 1, i + 2) for i in range(n - 2)]
+    H = build_hypergraph(n, 3, edges)
+    assert closure(H, [0, 1]) == closure_oracle(edges, [0, 1]) == set(range(n))
+    # a missing edge stops the cascade there
+    keep = [i for i in range(n - 2) if i != 150]
+    assert (closure(H, [0, 1], active=keep)
+            == closure_oracle(edges, [0, 1], keep) == set(range(152)))
+
+
+def test_closure_two_edges_opening_one_vertex_in_one_round():
+    # edges 0 and 1 both open vertex 4; edge 2 must lose one healthy vertex
+    # for 4, not two, and then open 5
+    edges = [(0, 1, 4), (2, 3, 4), (0, 4, 5)]
+    H = build_hypergraph(7, 3, edges)
+    want = closure_oracle(edges, [0, 1, 2, 3])
+    assert want == {0, 1, 2, 3, 4, 5}
+    assert closure(H, [0, 1, 2, 3]) == want
+
+
+def test_closure_leaves_input_masks_unchanged():
+    H = complete_uniform(6, 3)
+    infected0 = np.zeros(H.n, dtype=bool)
+    infected0[[0, 1]] = True
+    active = np.ones(H.num_edges, dtype=bool)
+    active[0] = False
+    inf_before, act_before = infected0.copy(), active.copy()
+    assert closure(H, infected0, active) == set(range(H.n))
+    assert np.array_equal(infected0, inf_before)
+    assert np.array_equal(active, act_before)
 
 
 def test_initial_open_set_example():

@@ -124,6 +124,18 @@ def test_handshake_identity():
         assert sum(H.degree(v) for v in range(H.n)) == H.r * H.num_edges
 
 
+def test_incident_edges_ascending_on_both_sides_of_16_bit_ids():
+    # ids up to 2^16 - 1 are sorted as 16-bit keys, larger hosts as they are
+    rng = np.random.default_rng(5)
+    for n in (40, 1 << 16, (1 << 16) + 1):
+        H = random_hypergraph(rng, n, 3, 60)
+        H = build_hypergraph(n, 3, edge_lists(H) + [(0, n - 2, n - 1)])
+        edges = edge_lists(H)
+        for v in {0, n - 2, n - 1} | {x for e in edges[:20] for x in e}:
+            assert H.incident_edges(v).tolist() == [
+                i for i, e in enumerate(edges) if v in e]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_statistics_match_brute_force(data):
