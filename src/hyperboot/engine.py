@@ -6,10 +6,14 @@ healthy vertex.  It runs in numpy rounds over the compacted active edges and
 their vertex-to-edge CSR: every edge with one healthy vertex left infects it
 in the same round, and only the edges around the new vertices are
 recounted.  InfectionState supports the incremental operations the
-revelation processes need: O(1) uniform sampling from the open-edge set
-(swap-remove array plus position index) and infect/remove updates
-proportional to the degree of the touched vertex.  The open edges of a
-vertex, or all of them grouped by their healthy vertex, are derived on
+revelation processes need: O(1) uniform sampling from the open-edge set (a
+swap-remove list plus a numpy position index), scalar reads and removals of
+one edge, and checks and removals of a whole batch of open edges with array
+operations.  infect updates the healthy counts of the touched vertex's
+edges in one array step, then applies the open-list appends and swap-removes
+they cause in incidence order in one loop, writing the position index once.
+The open-list order is exactly that of one edge at a time.  The open edges
+of a vertex, or all of them grouped by their healthy vertex, are derived on
 demand from the healthy counts.
 """
 
@@ -78,7 +82,7 @@ class InfectionState:
     has exactly one healthy vertex.  The open set supports O(1) uniform
     sampling; open_at and open_by_vertex group it by the healthy vertex on
     demand.  An edge whose healthy count reaches 0 stays live (closed)
-    unless removed.
+    unless removed.  open_list is updated in place, never rebound.
     """
 
     def __init__(self, H: Hypergraph, infected0: Iterable[int], active=None):
@@ -104,24 +108,40 @@ class InfectionState:
         self.open_list: list = opened.tolist()
         self.open_pos = np.full(m, -1, dtype=np.int64)
         self.open_pos[opened] = np.arange(len(opened))
+        # open degree per vertex as of the last lowest_saturated call (None
+        # before the first), and the edges opened, or removed while open,
+        # since then
+        self._degrees = None
+        self._opened: list = []
+        self._removed: list = []
 
-    def _healthy_of(self, edges) -> np.ndarray:
-        """Healthy vertices of one edge id or of an array of edges; for
-        edges with exactly one each, the healthy vertex of every edge."""
+    def _healthy_of(self, edges: np.ndarray) -> np.ndarray:
+        """Healthy vertices of an array of edges; for edges with exactly one
+        each, the healthy vertex of every edge."""
         rows = self._rows[edges]
         return rows[~self.infected[rows]]
 
-    def _open_add(self, e: int) -> None:
-        self.open_pos[e] = len(self.open_list)
-        self.open_list.append(e)
-
-    def _open_discard(self, e: int) -> None:
-        pos = self.open_pos[e]
-        last = self.open_list[-1]
-        self.open_list[pos] = last
-        self.open_pos[last] = pos
-        self.open_list.pop()
-        self.open_pos[e] = -1
+    def _toggle_open(self, edges: np.ndarray) -> None:
+        """For each edge in turn, append it to open_list if it is not open,
+        else swap-remove it; open_pos is written once, at the end."""
+        ol, pos = self.open_list, self.open_pos
+        before = pos[edges]
+        where = {}      # current position of each edge appended or moved here
+        for e, p in zip(edges.tolist(), before.tolist()):
+            if p < 0:
+                where[e] = len(ol)
+                ol.append(e)
+            else:
+                p = where.pop(e, p)
+                last = ol.pop()
+                if last != e:
+                    ol[p] = last
+                    where[last] = p
+        pos[edges[before >= 0]] = -1
+        if where:
+            k = len(where)
+            pos[np.fromiter(where, np.int64, k)] = np.fromiter(
+                where.values(), np.int64, k)
 
     @property
     def open_count(self) -> int:
@@ -131,12 +151,15 @@ class InfectionState:
         """Current open-edge ids (sampling order, not sorted)."""
         return list(self.open_list)
 
+    def _open_at(self, v: int) -> np.ndarray:
+        inc = self.H.incident_edges(v)
+        return inc[self.healthy_count[inc] == 1]
+
     def open_at(self, v: int) -> set:
         """Open edges whose unique healthy vertex is v."""
         if self.infected[v]:
             return set()
-        inc = self.H.incident_edges(v)
-        return set(inc[self.healthy_count[inc] == 1].tolist())
+        return set(self._open_at(v).tolist())
 
     def open_by_vertex(self) -> tuple:
         """(vertices, edges): every open edge and its healthy vertex, sorted
@@ -146,14 +169,63 @@ class InfectionState:
         order = np.lexsort((edges, vertices))
         return vertices[order], edges[order]
 
+    def lowest_saturated(self, threshold: int):
+        """(v, edges) for the lowest healthy vertex v with at least threshold
+        open edges, its open edges ascending; None when no vertex has."""
+        if threshold < 1:
+            raise ValueError(f"saturation threshold {threshold} below 1")
+        if self._degrees is None:
+            edges = np.array(self.open_list, dtype=np.int64)
+            degrees = np.bincount(self._healthy_of(edges), minlength=self.H.n)
+        else:
+            # an edge opened or removed since has the healthy vertex it had
+            # then, unless that vertex was infected since: then it has none,
+            # and the vertex's degree is 0
+            degrees = self._degrees
+            for log, sign in ((self._opened, 1), (self._removed, -1)):
+                edges = np.array(log, dtype=np.int64)
+                degrees += sign * np.bincount(self._healthy_of(edges),
+                                              minlength=self.H.n)
+                log.clear()
+            degrees[self.infected] = 0
+        self._degrees = degrees
+        full = np.flatnonzero(degrees >= threshold)
+        if not full.size:
+            return None
+        v = int(full[0])
+        return v, self._open_at(v)
+
     def unique_healthy_vertex(self, e: int) -> int:
         if self.open_pos[e] < 0:
             raise ValueError(f"edge {e} is not open")
-        healthy = self._healthy_of(e)
-        if healthy.size != 1:
-            raise AssertionError(f"open edge {e} has {healthy.size} healthy "
+        infected = self.infected
+        healthy = [v for v in self._rows[e].tolist() if not infected[v]]
+        if len(healthy) != 1:
+            raise AssertionError(f"open edge {e} has {len(healthy)} healthy "
                                  "vertices")
-        return int(healthy[0])
+        return healthy[0]
+
+    def unique_healthy_vertices(self, edges) -> np.ndarray:
+        """The healthy vertex of each edge of a batch (list or array) of
+        distinct open edges, in batch order; fails as unique_healthy_vertex
+        does, and on a repeated edge."""
+        edges = np.asarray(edges, dtype=np.int64)
+        pos = self.open_pos[edges]
+        if (pos < 0).any():
+            raise ValueError(f"edge {edges[np.argmin(pos)]} is not open")
+        # distinct open edges hold distinct open-list positions
+        taken = np.zeros(len(self.open_list), dtype=bool)
+        taken[pos] = True
+        if np.count_nonzero(taken) != edges.size:
+            raise ValueError("batch repeats an edge")
+        rows = self._rows[edges]
+        healthy = ~self.infected[rows]
+        counts = np.count_nonzero(healthy, axis=1)
+        bad = np.flatnonzero(counts != 1)
+        if bad.size:
+            raise AssertionError(f"open edge {edges[bad[0]]} has "
+                                 f"{counts[bad[0]]} healthy vertices")
+        return rows[healthy]
 
     def infect(self, v: int) -> None:
         """Infect a healthy vertex and update all live edges containing it."""
@@ -169,20 +241,41 @@ class InfectionState:
         # before 2: the edge opens.  Applied in incidence order, which fixes
         # the order of open_list.
         moved = before <= 2
-        for e, c in zip(inc[moved].tolist(), before[moved].tolist()):
-            if c == 1:
-                self._open_discard(e)
-            else:
-                self._open_add(e)
+        if self._degrees is not None:
+            self._opened.extend(inc[before == 2].tolist())
+        self._toggle_open(inc[moved])
 
     def remove_edge(self, e: int) -> None:
         """Delete a live edge (consumed by sampling)."""
         if not self.live[e]:
             raise ValueError(f"edge {e} is not live")
         self.live[e] = False
-        if self.open_pos[e] >= 0:
-            self._open_discard(e)
         self.healthy_count[e] = -1
+        pos = self.open_pos
+        p = pos[e]
+        if p >= 0:
+            if self._degrees is not None:
+                self._removed.append(e)
+            last = self.open_list.pop()
+            if last != e:
+                self.open_list[p] = last
+                pos[last] = p
+            pos[e] = -1
+
+    def remove_open_edges(self, edges) -> None:
+        """Delete a batch (list or array) of distinct open edges, as
+        unique_healthy_vertices checks them.  The open_list discards run in batch order; a batch of
+        the whole open set empties it at once."""
+        edges = np.asarray(edges, dtype=np.int64)
+        self.live[edges] = False
+        self.healthy_count[edges] = -1
+        if self._degrees is not None:
+            self._removed.extend(edges.tolist())
+        if edges.size == len(self.open_list):
+            self.open_list.clear()
+            self.open_pos[edges] = -1
+        else:
+            self._toggle_open(edges)
 
     def infected_set(self) -> set:
         return set(int(v) for v in np.flatnonzero(self.infected))

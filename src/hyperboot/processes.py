@@ -43,9 +43,10 @@ class CoinOracle:
 
     outcome(e) is value_at(key, e) < q, a function of (key, e) alone; a miss
     reads the whole aligned COIN_BLOCK of coins holding e in one call and
-    keeps it.  drawn records exactly the coins revealed so far.  success_mask
-    computes every coin at once without revealing any, which is how the
-    closure oracle recovers the exact edge subset the process was coupled to.
+    keeps it.  outcomes reveals the coins of a list of edges at once.  drawn
+    records exactly the coins revealed so far.  success_mask computes every
+    coin at once without revealing any, which is how the closure oracle
+    recovers the exact edge subset the process was coupled to.
     """
 
     def __init__(self, q: float, master_seed: int, *path: int):
@@ -53,24 +54,41 @@ class CoinOracle:
             raise ValueError(f"probability q={q} outside [0, 1]")
         self.q = q
         self._key = rng_mod.stream_key(master_seed, *path)
+        # re-keyed by every block read instead of building a Philox per read
+        self._gen = np.random.Generator(np.random.Philox(key=self._key))
         self._blocks: dict = {}
         self.drawn: dict = {}
+
+    def _block(self, b: int) -> np.ndarray:
+        block = self._blocks.get(b)
+        if block is None:
+            block = rng_mod.value_at(self._key, b * COIN_BLOCK, COIN_BLOCK,
+                                     self._gen) < self.q
+            self._blocks[b] = block
+        return block
 
     def outcome(self, e: int) -> bool:
         got = self.drawn.get(e)
         if got is None:
             b, i = divmod(e, COIN_BLOCK)
-            block = self._blocks.get(b)
-            if block is None:
-                block = rng_mod.value_at(self._key, b * COIN_BLOCK,
-                                         COIN_BLOCK) < self.q
-                self._blocks[b] = block
-            got = bool(block[i])
+            got = bool(self._block(b)[i])
             self.drawn[e] = got
         return got
 
+    def outcomes(self, edges: list) -> np.ndarray:
+        """Coins of a list of edge ids, each equal to outcome(e); reads every
+        missing block once and records exactly these coins in drawn, keyed
+        by the given id objects."""
+        b, i = np.divmod(np.array(edges, dtype=np.int64), COIN_BLOCK)
+        needed, which = np.unique(b, return_inverse=True)
+        blocks = [self._block(k) for k in needed.tolist()]
+        got = np.stack(blocks)[which, i] if blocks else np.zeros(0, dtype=bool)
+        del b, i, which, blocks     # before drawn may grow its table
+        self.drawn.update(zip(edges, got.tolist()))
+        return got
+
     def success_mask(self, num_edges: int) -> np.ndarray:
-        return rng_mod.value_at(self._key, 0, num_edges) < self.q
+        return rng_mod.value_at(self._key, 0, num_edges, self._gen) < self.q
 
 
 @dataclass
@@ -134,13 +152,13 @@ def phase1_run(ps: ProcessState, steps: int,
     if trace_stride is not None:
         if ps.m == 0:
             ps.record(PHASE1)
+    open_list, draw = ps.state.open_list, ps.choice.integers
     for _ in range(steps):
-        if not ps.state.open_count:
+        if not open_list:
             if trace_stride is not None:
                 ps.record(QUIESCENT)
             return True
-        k = int(ps.choice.integers(ps.state.open_count))
-        _reveal_batch(ps, [ps.state.open_list[k]])
+        _reveal_batch(ps, [open_list[int(draw(len(open_list)))]])
         ps.m += 1
         if trace_stride is not None and ps.m % trace_stride == 0:
             ps.record(PHASE1)
@@ -163,25 +181,38 @@ def subcritical_round(ps: ProcessState) -> int:
 
 
 def _reveal_batch(ps: ProcessState, edges: list) -> int:
-    """Reveal a batch of open edges, then infect the vertices they hit.
+    """Reveal a batch of distinct open edges, then infect the vertices they
+    hit.
 
     Each edge's coin is revealed and the edge removed; every edge's healthy
-    vertex is read before any infection, so the batch acts simultaneously.
-    This is the only place a coin is revealed.  Returns the number of
-    successful reveals.
+    vertex is read before any infection, so the batch acts simultaneously,
+    and the hit vertices are infected one by one in batch order.  A single
+    edge (a phase-1 step, a drain step) takes a scalar path; a larger batch
+    is checked whole before anything changes, then removed and read with
+    array operations; only the open-list discards stay sequential, in batch
+    order.  This is the only
+    place a coin is revealed.  sampled and drawn keep the given id objects,
+    so a batch taken from open_list allocates no new ones.  Returns the
+    number of successful reveals.
     """
     st = ps.state
-    hits = []
-    for e in edges:
+    if len(edges) == 1:
+        e = int(edges[0])
         u = st.unique_healthy_vertex(e)
-        if ps.coins.outcome(e):
-            hits.append(u)
+        hit = ps.coins.outcome(e)
         st.remove_edge(e)
         ps.sampled.append(e)
-    for u in hits:
+        if hit:
+            st.infect(u)
+        return int(hit)
+    healthy = st.unique_healthy_vertices(edges)
+    st.remove_open_edges(edges)
+    hit = ps.coins.outcomes(edges)
+    ps.sampled.extend(edges)
+    for u in healthy[hit].tolist():
         if not st.infected[u]:
             st.infect(u)
-    return len(hits)
+    return int(hit.sum())
 
 
 def supercritical_budget(n_vertices: int, round_index: int) -> int:
@@ -219,15 +250,8 @@ def supercritical_round(ps: ProcessState) -> None:
     _reveal_batch(ps, chosen)
     # saturation sweeps, lowest qualifying vertex first
     threshold = saturation_threshold(ps.params)
-    while True:
-        vertices, edges = st.open_by_vertex()
-        _, starts, sizes = np.unique(vertices, return_index=True,
-                                     return_counts=True)
-        full = np.flatnonzero(sizes >= threshold)
-        if not len(full):
-            break
-        i = full[0]
-        _reveal_batch(ps, edges[starts[i]:starts[i] + sizes[i]].tolist())
+    while (saturated := st.lowest_saturated(threshold)) is not None:
+        _reveal_batch(ps, saturated[1].tolist())
     ps.rounds += 1
 
 

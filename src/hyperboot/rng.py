@@ -43,16 +43,26 @@ def stream_key(master_seed: int, *path: int) -> np.ndarray:
     return SeedSequence(master_seed, spawn_key=tuple(path)).generate_state(2, np.uint64)
 
 
-def value_at(key: np.ndarray, index: int, size: Optional[int] = None):
+def value_at(key: np.ndarray, index: int, size: Optional[int] = None,
+             gen: Optional[Generator] = None):
     """The uniform [0,1) variate at position ``index`` of a keyed stream.
 
     Pure function of (key, index): evaluation order cannot change it.  With
     size, an array of the variates at positions index .. index+size-1, read
-    in one call; each equals the scalar value at its position.
+    in one call; each equals the scalar value at its position.  gen, a
+    Generator over a Philox that the caller owns, is re-keyed and reused
+    instead of building a new Philox for the read.
     """
-    bg = Philox(key=key)
-    if index:
-        bg.advance(int(index))
+    if gen is None:
+        gen = Generator(Philox(key=key))
+    # Philox(key=key) advanced by index: the counter at index, no buffered
+    # words
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([index, 0, 0, 0], dtype=np.uint64),
+                  "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
     if size is None:
-        return Generator(bg).random()
-    return Generator(bg).random(4 * size)[::4]
+        return gen.random()
+    return gen.random(4 * size)[::4]

@@ -1,9 +1,11 @@
 """Slow, independent recomputations used as ground truth by the tests.
 
 Everything here is deliberately naive: plain dicts, sets, full rescans and
-subset enumeration, sharing no code with the package under test.  Where a
-closed form exists (quadratic roots, binomial means) it is spelled out from
-scratch rather than imported.
+subset enumeration, sharing no code with the package under test.  The one
+exception is reveal_batch_oracle, which replays the package's own scalar
+reveal operations edge by edge as the reference for its batch path.  Where
+a closed form exists (quadratic roots, binomial means) it is spelled out
+from scratch rather than imported.
 """
 
 import itertools
@@ -49,6 +51,45 @@ def open_by_vertex_oracle(edges, infected, live):
             (u,) = healthy
             out.setdefault(u, set()).add(i)
     return out
+
+
+def open_list_oracle(open_list, ops):
+    """open_list after (edge, opens) updates in order: an opening edge is
+    appended, a closing one is overwritten by the last entry, which is then
+    dropped from the end."""
+    out = list(open_list)
+    for e, opens in ops:
+        if opens:
+            out.append(e)
+        else:
+            i = out.index(e)
+            last = out.pop()
+            if i < len(out):
+                out[i] = last
+    return out
+
+
+def reveal_batch_oracle(ps, edges):
+    """The per-edge reveal loop that the batch path replaced.
+
+    For each edge in turn: read its healthy vertex, reveal its coin, remove
+    it and record it as sampled; then infect the hit vertices in order,
+    skipping repeats.  Built from the process state's own scalar operations
+    (unique_healthy_vertex, outcome, remove_edge, infect), so it pins the
+    batch path to the one-edge-at-a-time semantics.
+    """
+    st = ps.state
+    hits = []
+    for e in edges:
+        u = st.unique_healthy_vertex(e)
+        if ps.coins.outcome(e):
+            hits.append(u)
+        st.remove_edge(e)
+        ps.sampled.append(e)
+    for u in hits:
+        if not st.infected[u]:
+            st.infect(u)
+    return len(hits)
 
 
 # -- degrees, codegrees, links ------------------------------------------------

@@ -1,5 +1,7 @@
 """Deterministic closure and the incremental infection state."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from hyperboot.builders import complete_uniform
 from hyperboot.engine import (InfectionState, closure, percolates,
                               sample_edge_set, sample_vertex_set)
 from hyperboot.hypergraph import build_hypergraph
-from oracles import closure_oracle, open_by_vertex_oracle, open_edges_oracle
+from oracles import (closure_oracle, open_by_vertex_oracle, open_edges_oracle,
+                     open_list_oracle)
 
 PATH_HOST = build_hypergraph(5, 3, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
 
@@ -139,6 +142,93 @@ def test_unique_healthy_vertex_fails_loudly_without_one():
         st0.unique_healthy_vertex(0)
 
 
+def test_unique_healthy_vertices_checks_the_whole_batch():
+    H = complete_uniform(6, 3)
+    st0 = InfectionState(H, [0, 1, 2])
+    opened = sorted(st0.open_list)
+    batch = np.array(opened[::-1], dtype=np.int64)
+    assert st0.unique_healthy_vertices(batch).tolist() == [
+        st0.unique_healthy_vertex(e) for e in batch.tolist()]
+    closed = next(e for e in range(H.num_edges) if st0.healthy_count[e] == 0)
+    st0.remove_edge(opened[1])
+    for bad in ([opened[0], closed], [opened[1]], [opened[0], opened[0]]):
+        with pytest.raises(ValueError):
+            st0.unique_healthy_vertices(np.array(bad, dtype=np.int64))
+    e = opened[0]
+    st0.infected[st0.unique_healthy_vertex(e)] = True   # corrupt the state
+    with pytest.raises(AssertionError):
+        st0.unique_healthy_vertices(np.array([opened[2], e], dtype=np.int64))
+
+
+def _open_degrees_oracle(edges, st0: InfectionState) -> dict:
+    infected = {int(v) for v in np.flatnonzero(st0.infected)}
+    live = [int(e) for e in np.flatnonzero(st0.live)]
+    return open_by_vertex_oracle(edges, infected, live)
+
+
+def _saturated_oracle(edges, st0: InfectionState, threshold: int):
+    by_vertex = _open_degrees_oracle(edges, st0)
+    full = sorted(v for v, es in by_vertex.items() if len(es) >= threshold)
+    return (full[0], sorted(by_vertex[full[0]])) if full else None
+
+
+def _lowest_saturated_list(st0: InfectionState, threshold: int):
+    got = st0.lowest_saturated(threshold)
+    return None if got is None else (got[0], got[1].tolist())
+
+
+def test_lowest_saturated_vertex_ties_at_the_threshold():
+    # vertices 9, 12 and 15 each hold three open edges, vertex 6 two
+    rows = [[0, 1, 9], [0, 2, 9], [1, 2, 9], [3, 4, 12], [3, 5, 12],
+            [4, 5, 12], [0, 3, 15], [1, 4, 15], [2, 5, 15], [0, 4, 6],
+            [1, 5, 6]]
+    H = build_hypergraph(16, 3, rows)
+    st0 = InfectionState(H, range(6))
+    edges = edge_lists(H)
+    for threshold, v in ((1, 6), (2, 6), (3, 9), (4, None)):
+        want = _saturated_oracle(edges, st0, threshold)
+        assert _lowest_saturated_list(st0, threshold) == want
+        assert (want and want[0]) == v
+    st0.remove_edge(edges.index((0, 1, 9)))
+    assert _lowest_saturated_list(st0, 3)[0] == 12
+    with pytest.raises(ValueError):
+        st0.lowest_saturated(0)
+
+
+def test_lowest_saturated_matches_open_by_vertex_oracle():
+    rng = np.random.default_rng(17)
+    ties = 0
+    for trial in range(60):
+        n = int(rng.integers(6, 16))
+        r = 3 if trial % 2 else 4
+        H = random_hypergraph(rng, n, r, int(rng.integers(20, 80)))
+        edges = edge_lists(H)
+        infected0 = rng.choice(n, size=int(rng.integers(1, n - 1)),
+                               replace=False)
+        st0 = InfectionState(H, infected0, rng.random(H.num_edges) < 0.8)
+        for _ in range(6):
+            sizes = Counter(len(es) for es in
+                            _open_degrees_oracle(edges, st0).values())
+            # thresholds at every open degree present, ties included, and
+            # one above them all
+            ties += sum(1 for k in sizes.values() if k > 1)
+            for threshold in sorted(sizes) + [max(sizes, default=0) + 1]:
+                assert (_lowest_saturated_list(st0, threshold)
+                        == _saturated_oracle(edges, st0, threshold))
+            # between queries: infect a vertex, remove a live edge (open or
+            # not) and a batch of open edges
+            healthy = np.flatnonzero(~st0.infected)
+            if not healthy.size:
+                break
+            st0.infect(int(rng.choice(healthy)))
+            live = np.flatnonzero(st0.live)
+            if live.size:
+                st0.remove_edge(int(rng.choice(live)))
+            batch = [e for e in st0.open_list if rng.random() < 0.2]
+            st0.remove_open_edges(np.array(batch, dtype=np.int64))
+    assert ties > 20
+
+
 def test_infect_rejects_repeat_and_remove_rejects_dead():
     st0 = InfectionState(PATH_HOST, [1, 2])
     with pytest.raises(ValueError):
@@ -154,6 +244,9 @@ def _assert_state_matches_scratch(st0: InfectionState, edges) -> None:
     want_open = open_edges_oracle(edges, infected, live)
     assert set(st0.open_edges()) == want_open
     assert st0.open_count == len(want_open)
+    want_pos = np.full(len(edges), -1)
+    want_pos[st0.open_list] = np.arange(st0.open_count)
+    assert np.array_equal(st0.open_pos, want_pos)
     assert_open_by_vertex(st0, open_by_vertex_oracle(edges, infected, live))
     assert st0.infected_count == len(infected)
     for e in live:
@@ -188,10 +281,23 @@ def test_incremental_state_equals_scratch_recomputation():
             if not moves:
                 break
             move = moves[int(rng.integers(len(moves)))]
+            infected = {int(v) for v in np.flatnonzero(st0.infected)}
             if move == "infect":
-                st0.infect(int(healthy[int(rng.integers(len(healthy)))]))
+                v = int(healthy[int(rng.integers(len(healthy)))])
+                # live edges at v in ascending id order: one healthy vertex
+                # (v) closes, two opens
+                ops = [(e, len(set(edges[e]) - infected) == 2)
+                       for e in live.tolist() if v in edges[e]
+                       and len(set(edges[e]) - infected) <= 2]
+                want = open_list_oracle(st0.open_list, ops)
+                st0.infect(v)
             else:
-                st0.remove_edge(int(live[int(rng.integers(len(live)))]))
+                e = int(live[int(rng.integers(len(live)))])
+                opened = len(set(edges[e]) - infected) == 1
+                want = open_list_oracle(st0.open_list,
+                                        [(e, False)] if opened else [])
+                st0.remove_edge(e)
+            assert st0.open_list == want
             _assert_state_matches_scratch(st0, edges)
 
 

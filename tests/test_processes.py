@@ -20,7 +20,8 @@ from hyperboot.processes import (PHASE1, PHASE2_SUB, PHASE2_SUPER, QUIESCENT,
                                  supercritical_budget, supercritical_round,
                                  write_trace_csv)
 from hyperboot.theory import ModelParams
-from oracles import open_by_vertex_oracle, open_edges_oracle
+from oracles import (open_by_vertex_oracle, open_edges_oracle,
+                     reveal_batch_oracle)
 
 TWO_EDGE = build_hypergraph(5, 3, [[0, 1, 2], [2, 3, 4]])
 
@@ -61,6 +62,47 @@ def test_coin_oracle_is_a_pure_function_of_seed_and_edge():
     fresh = _coins(0.4, seed=5)
     fresh.success_mask(H.num_edges)
     assert fresh.drawn == {}
+
+
+def _fresh_read(key, start, size):
+    bg = np.random.Philox(key=key)
+    bg.advance(start)
+    gen = np.random.Generator(bg)
+    return gen.random() if size is None else gen.random(4 * size)[::4]
+
+
+def test_value_at_equals_a_fresh_advanced_philox():
+    gen = np.random.Generator(np.random.Philox(key=rng_mod.stream_key(9, 9)))
+    for seed in (5, 6):
+        key = rng_mod.stream_key(seed, rng_mod.EDGE_COIN)
+        for start in (0, 1, 256, 12_800, 280_576):
+            for size in (None, 1, 256):
+                want = _fresh_read(key, start, size)
+                assert np.array_equal(rng_mod.value_at(key, start, size), want)
+                # a reused generator, re-keyed from another stream's state
+                got = rng_mod.value_at(key, start, size, gen)
+                assert np.array_equal(got, want), (seed, start, size)
+    # a partly consumed generator is re-keyed whole
+    gen.integers(7)
+    key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
+    assert rng_mod.value_at(key, 3, None, gen) == _fresh_read(key, 3, None)
+
+
+def test_coin_outcomes_match_scalar_outcomes():
+    ref = _coins(0.4, seed=5)
+    c = _coins(0.4, seed=5)
+    # across block edges, out of order
+    first = [511, 3, 255, 256, 257, 512, 1000, 0]
+    assert c.outcomes(first).tolist() == [ref.outcome(e) for e in first]
+    assert list(c.drawn.items()) == [(e, ref.outcome(e)) for e in first]
+    # already-drawn edges keep their coin and their place in drawn
+    second = [256, 2000, 3, 700, 2001]
+    assert c.outcomes(second).tolist() == [ref.outcome(e) for e in second]
+    assert list(c.drawn) == first + [2000, 700, 2001]
+    assert c.drawn == {e: ref.outcome(e) for e in c.drawn}
+    assert all(c.outcome(e) == ref.outcome(e) for e in range(1200))
+    assert c.outcomes([]).size == 0
+    assert len(c.drawn) == 1200 + 2
 
 
 def test_coin_oracle_rejects_bad_probability():
@@ -307,6 +349,94 @@ def test_open_set_bookkeeping_during_process_run():
                               open_by_vertex_oracle(edges, infected, live))
         checks += 1
     assert checks > 0
+
+
+def _process_pair(H, infected0, q, seed):
+    return (ProcessState(H, infected0, _coins(q, seed)),
+            ProcessState(H, infected0, _coins(q, seed)))
+
+
+def _assert_same_process_state(a: ProcessState, b: ProcessState) -> None:
+    assert a.state.open_list == b.state.open_list
+    assert np.array_equal(a.state.open_pos, b.state.open_pos)
+    assert a.sampled == b.sampled
+    assert list(a.coins.drawn.items()) == list(b.coins.drawn.items())
+    assert np.array_equal(a.state.infected, b.state.infected)
+    assert a.state.infected_count == b.state.infected_count
+    assert np.array_equal(a.state.healthy_count, b.state.healthy_count)
+    assert np.array_equal(a.state.live, b.state.live)
+
+
+def _batch(kind: str, ps: ProcessState, rng) -> list:
+    st = ps.state
+    opened = sorted(st.open_list)
+    if kind == "whole":
+        return opened if rng.random() < 0.5 else list(st.open_list)
+    if kind == "subset":
+        return [e for e in opened if rng.random() < 0.5]
+    if kind == "prefix":
+        vertices, edges = st.open_by_vertex()
+        rank = np.arange(len(edges)) - np.searchsorted(vertices, vertices)
+        return edges[rank < int(rng.integers(1, 4))].tolist()
+    if kind == "single":
+        return [opened[int(rng.integers(len(opened)))]]
+    # hits that repeat a vertex: every successful open edge of the vertex
+    # with the most of them, mixed with a few other open edges
+    win = ps.coins.success_mask(ps.H.num_edges)
+    vertices, edges = st.open_by_vertex()
+    hit = win[edges]
+    if not hit.any():
+        return [e for e in opened if rng.random() < 0.3]
+    v = np.bincount(vertices[hit]).argmax()
+    repeat = edges[hit & (vertices == v)].tolist()
+    others = [e for e in opened if e not in repeat and rng.random() < 0.3]
+    return rng.permutation(repeat + others).tolist()
+
+
+def test_reveal_batch_matches_per_edge_oracle():
+    rng = np.random.default_rng(44)
+    kinds = ["whole", "subset", "prefix", "single", "repeat"]
+    seen, repeats = set(), 0
+    for trial in range(80):
+        r = 3 if trial % 2 else 4
+        n = int(rng.integers(8, 24))
+        H = random_hypergraph(rng, n, r, int(rng.integers(20, 120)))
+        infected0 = rng.choice(n, size=int(rng.integers(r - 1, n // 2 + 1)),
+                               replace=False)
+        q = float(rng.choice([0.3, 0.7, 1.0]))
+        a, b = _process_pair(H, infected0, q, int(rng.integers(2 ** 32)))
+        while a.state.open_count:
+            kind = kinds[int(rng.integers(len(kinds)))]
+            batch = _batch(kind, a, rng)
+            if not batch:
+                continue
+            win = a.coins.success_mask(H.num_edges)
+            hit_at = [a.state.unique_healthy_vertex(e) for e in batch
+                      if win[e]]
+            repeats += len(hit_at) > len(set(hit_at))
+            hits = reveal_batch_oracle(b, batch)
+            assert _reveal_batch(a, batch) == hits
+            _assert_same_process_state(a, b)
+            seen.add(kind)
+    assert seen == set(kinds)
+    assert repeats > 20
+
+
+def test_reveal_batch_rejects_bad_batches_before_revealing():
+    H = complete_uniform(6, 3)
+    ps = ProcessState(H, [0, 1, 2], _coins(1.0))
+    opened = sorted(ps.state.open_list)
+    closed = next(e for e in range(H.num_edges)
+                  if ps.state.healthy_count[e] == 0)
+    for bad in ([opened[0], closed], [opened[1], opened[0], opened[1]]):
+        with pytest.raises(ValueError):
+            _reveal_batch(ps, bad)
+    ps.state.infected[ps.state.unique_healthy_vertex(opened[2])] = True
+    with pytest.raises(AssertionError):
+        _reveal_batch(ps, opened)
+    # nothing was revealed or removed by the rejected batches
+    assert ps.sampled == [] and ps.coins.drawn == {}
+    assert ps.state.live.all() and len(ps.state.open_list) == len(opened)
 
 
 def test_drain_reaches_quiescence():
