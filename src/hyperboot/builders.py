@@ -20,15 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .hypergraph import Hypergraph, build_hypergraph
+from .hypergraph import Hypergraph, SizeGuardError, build_hypergraph
 
 COMPLETE_EDGE_LIMIT = 50_000_000
 GENERIC_LIFT_EDGE_LIMIT = 500_000
 KBALANCE_EDGE_LIMIT = 20
-
-
-class SizeGuardError(RuntimeError):
-    """Raised when a request exceeds the intended desk scale."""
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:
@@ -46,7 +42,7 @@ def complete_uniform(n: int, k: int) -> Hypergraph:
     return Hypergraph.from_rows(n, k, rows, canonical=True)
 
 
-def _pair_index_complete(n: int, u, v):
+def _pair_rank_complete(n: int, u, v):
     # lexicographic rank of the pair (u, v), u < v, within combinations(n, 2)
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
@@ -68,9 +64,9 @@ def _triangle_lift_complete(G: Hypergraph) -> Hypergraph:
         iv, iw = np.triu_indices(len(rest), k=1)
         v = rest[iv]
         w = rest[iw]
-        e_uv = _pair_index_complete(n, u, v)
-        e_uw = _pair_index_complete(n, u, w)
-        e_vw = _pair_index_complete(n, v, w)
+        e_uv = _pair_rank_complete(n, u, v)
+        e_uw = _pair_rank_complete(n, u, w)
+        e_vw = _pair_rank_complete(n, v, w)
         blocks.append(np.column_stack([e_uv, e_uw, e_vw]).astype(np.int32))
     rows = np.vstack(blocks) if blocks else np.zeros((0, 3), dtype=np.int32)
     return Hypergraph.from_rows(G.num_edges, 3, rows, canonical=True)

@@ -264,8 +264,8 @@ class InfectionState:
 
     def remove_open_edges(self, edges) -> None:
         """Delete a batch (list or array) of distinct open edges, as
-        unique_healthy_vertices checks them.  The open_list discards run in batch order; a batch of
-        the whole open set empties it at once."""
+        unique_healthy_vertices checks them.  The open_list discards run in
+        batch order; a batch of the whole open set empties it at once."""
         edges = np.asarray(edges, dtype=np.int64)
         self.live[edges] = False
         self.healthy_count[edges] = -1

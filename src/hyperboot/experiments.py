@@ -154,6 +154,8 @@ class ExperimentSpec:
             raise ValueError("seed must fit in 64 bits")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.trace_stride is not None and self.trace_stride < 1:
+            raise ValueError("trace_stride must be at least 1")
 
     def to_dict(self) -> dict:
         out = {
@@ -188,7 +190,8 @@ class ExperimentSpec:
             mode=obj["mode"],
             grid=tuple(float(c) for c in obj.get("grid", ())),
             tol=float(obj.get("tol", 0.01)),
-            trace_stride=obj.get("trace_stride"),
+            trace_stride=(None if obj.get("trace_stride") is None
+                          else int(obj["trace_stride"])),
             star_indices=tuple(tuple(int(x) for x in ij)
                                for ij in obj.get("star_indices", ())),
             star_vertices=int(obj.get("star_vertices", 0)))

@@ -3,8 +3,8 @@
 Edges are stored as a dense (m, r) int32 array whose rows are sorted
 ascending and whose row order is lexicographic, so the representation of a
 given hypergraph is unique.  Incidence (vertex -> edge ids) is kept in CSR
-form.  The pair-codegree index is built lazily because it is only the
-regularity checker and the link queries that need it.
+form.  One stable sort-and-group of int rows, `_group_rows`, finds both the
+repeated sub-tuples that the regularity audit counts and duplicate edges.
 """
 
 from __future__ import annotations
@@ -13,17 +13,22 @@ import io
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 from typing import Iterable, Optional
 
 import numpy as np
+
+# pair events the link-intersection audit may expand; about 40 bytes each
+LINK_PAIR_LIMIT = 20_000_000
+
+
+class SizeGuardError(RuntimeError):
+    """Raised when a request exceeds the intended desk scale."""
 
 
 class Hypergraph:
     """Immutable r-uniform hypergraph on vertex set {0..n-1}."""
 
-    __slots__ = ("n", "r", "_edges", "_indptr", "_incident", "_pair_index",
-                 "_max_codegree_cache", "_link_map", "_hash")
+    __slots__ = ("n", "r", "_edges", "_indptr", "_incident", "_hash")
 
     def __init__(self, n: int, r: int, edges: np.ndarray, indptr: np.ndarray,
                  incident: np.ndarray):
@@ -33,9 +38,6 @@ class Hypergraph:
         self._edges.setflags(write=False)
         self._indptr = indptr
         self._incident = incident
-        self._pair_index: Optional[dict] = None
-        self._max_codegree_cache: dict = {}
-        self._link_map: Optional[dict] = None
         self._hash: Optional[int] = None
 
     # -- construction ------------------------------------------------------
@@ -70,13 +72,8 @@ class Hypergraph:
             if not (np.diff(rows, axis=1) > 0).all():
                 bad = int(np.flatnonzero((np.diff(rows, axis=1) <= 0).any(axis=1))[0])
                 raise ValueError(f"edge {rows[bad].tolist()} repeats a vertex")
-            order = np.lexsort(rows.T[::-1])
-            rows = rows[order]
-            if rows.shape[0] > 1:
-                keep = np.ones(rows.shape[0], dtype=bool)
-                keep[1:] = (np.diff(rows.view(np.int32).reshape(rows.shape), axis=0)
-                            != 0).any(axis=1)
-                rows = rows[keep]
+            order, starts, _ = _group_rows(rows)
+            rows = rows[order[starts]]
         indptr, incident = csr_incidence(n, rows)
         return Hypergraph(n, r, rows, indptr, incident)
 
@@ -127,12 +124,6 @@ class Hypergraph:
             self._check_vertex(v)
         if len(s) > self.r:
             raise ValueError(f"codegree set size {len(s)} exceeds uniformity {self.r}")
-        if not s:
-            return self.num_edges
-        if len(s) == 1:
-            return self.degree(s[0])
-        if len(s) == 2 and self._pair_index is not None:
-            return self._pair_index.get((s[0], s[1]), 0)
         return int(self.edges_containing(s).size)
 
     def edges_containing(self, S: Iterable[int]) -> np.ndarray:
@@ -152,45 +143,25 @@ class Hypergraph:
         return self.max_codegree_witness(l)[0]
 
     def max_codegree_witness(self, l: int):
-        """(max codegree over l-subsets of edges, witness subset)."""
+        """(max codegree over l-subsets of edges, witness subset).
+
+        Ties go to the lowest vertex for l = 1, otherwise to the subset seen
+        first in the edge rows, each row's l-subsets in combinations order.
+        """
         if not 1 <= l <= self.r:
             raise ValueError(f"subset size l={l} must be in 1..{self.r}")
-        if l in self._max_codegree_cache:
-            return self._max_codegree_cache[l]
         if self.num_edges == 0:
-            result = (0, None)
-        elif l == 1:
+            return 0, None
+        if l == 1:
             degs = self.degrees()
             v = int(degs.argmax())
-            result = (int(degs[v]), (v,))
-        elif l == 2:
-            idx = self.pair_codegree_index()
-            if not idx:
-                result = (0, None)
-            else:
-                pair = max(idx, key=idx.get)
-                result = (idx[pair], pair)
-        else:
-            counts: dict = {}
-            for row in self._edges:
-                t = tuple(int(x) for x in row)
-                for sub in combinations(t, l):
-                    counts[sub] = counts.get(sub, 0) + 1
-            sub = max(counts, key=counts.get)
-            result = (counts[sub], sub)
-        self._max_codegree_cache[l] = result
-        return result
-
-    def pair_codegree_index(self) -> dict:
-        """Lazy {(u, v): codegree} over pairs that appear inside some edge."""
-        if self._pair_index is None:
-            idx: dict = {}
-            for row in self._edges:
-                t = tuple(int(x) for x in row)
-                for pair in combinations(t, 2):
-                    idx[pair] = idx.get(pair, 0) + 1
-            self._pair_index = idx
-        return self._pair_index
+            return int(degs[v]), (v,)
+        cols = list(combinations(range(self.r), l))
+        subs = self._edges[:, cols].reshape(-1, l)
+        order, starts, counts = _group_rows(subs)
+        best = counts.max()
+        first = order[starts[counts == best]].min()
+        return int(best), tuple(int(x) for x in subs[first])
 
     # -- link queries ------------------------------------------------------
 
@@ -220,6 +191,26 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, r={self.r}, m={self.num_edges})"
+
+
+def _group_rows(keys: np.ndarray):
+    """Group the equal rows of an (M, k) int array: (order, starts, counts).
+
+    order is a stable lexicographic sort of the rows and group g is
+    keys[order[starts[g]:starts[g] + counts[g]]], members in their original
+    order, so order[starts] holds each group's first occurrence.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(keys.shape[0], dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return order, starts, np.diff(starts, append=keys.shape[0])
+
+
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """0..c-1 for each c in counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def csr_incidence(n: int, rows: np.ndarray):
@@ -294,33 +285,41 @@ def neighbourhood_intersection_size(H: Hypergraph, u: int, v: int) -> int:
 def max_neighbourhood_intersection(H: Hypergraph):
     """(max over vertex pairs of |N(u) ∩ N(v)|, witness pair).
 
-    Computed through the shared-link multimap: an (r-1)-set T contributes to
-    the pair (u, v) exactly when both T ∪ {u} and T ∪ {v} are edges, so only
-    (r-1)-sets of codegree >= 2 matter.
+    An (r-1)-set T counts for (u, v) when T ∪ {u} and T ∪ {v} are both
+    edges, so a T shared by c edges adds one to C(c, 2) pairs.  Taking the
+    T by first occurrence and each one's pairs ascending, the witness is
+    the first pair to reach the maximum.  More than LINK_PAIR_LIMIT such
+    pair events raise SizeGuardError.
     """
     if H.num_edges == 0 or H.n < 2:
         return 0, None
-    links: dict = {}
-    for row in H.edges_array:
-        t = tuple(int(x) for x in row)
-        for k in range(H.r):
-            key = t[:k] + t[k + 1:]
-            links.setdefault(key, []).append(t[k])
-    pair_counts: dict = {}
-    best = 0
-    best_pair = None
-    for ext in links.values():
-        if len(ext) < 2:
-            continue
-        ext.sort()
-        for a, b in combinations(ext, 2):
-            key = (a, b)
-            c = pair_counts.get(key, 0) + 1
-            pair_counts[key] = c
-            if c > best:
-                best = c
-                best_pair = key
-    return best, best_pair
+    rows, r = H.edges_array, H.r
+    # key k of edge e is row e without column k; its extension is rows[e, k]
+    drop = [[j for j in range(r) if j != k] for k in range(r)]
+    order, starts, counts = _group_rows(rows[:, drop].reshape(-1, r - 1))
+    shared = counts >= 2
+    starts, counts = starts[shared], counts[shared]
+    events = int((counts * (counts - 1) // 2).sum())
+    if events > LINK_PAIR_LIMIT:
+        raise SizeGuardError(f"link intersection needs {events} pair events, "
+                             f"above {LINK_PAIR_LIMIT}")
+    if events == 0:
+        return 0, None
+    # extensions of the shared keys, keys by first occurrence, each ascending
+    by_first = np.argsort(order[starts])
+    starts, counts = starts[by_first], counts[by_first]
+    group = np.repeat(np.arange(counts.size), counts)
+    local = _ragged_arange(counts)
+    ext = rows.ravel()[order[starts[group] + local]]
+    ext = ext[np.lexsort((ext, group))]
+    # each extension pairs with every later one of its key, in that order
+    later = counts[group] - 1 - local
+    first = np.repeat(np.arange(ext.size), later)
+    pairs = np.stack([ext[first], ext[first + 1 + _ragged_arange(later)]], axis=1)
+    order, starts, counts = _group_rows(pairs)
+    top = counts == counts.max()
+    last = order[starts[top] + counts[top] - 1].min()
+    return int(counts.max()), (int(pairs[last, 0]), int(pairs[last, 1]))
 
 
 # -- regularity report -----------------------------------------------------

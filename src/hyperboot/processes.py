@@ -150,6 +150,8 @@ def phase1_run(ps: ProcessState, steps: int,
     if ps.choice is None:
         raise ValueError("phase 1 needs a choice stream")
     if trace_stride is not None:
+        if trace_stride < 1:
+            raise ValueError(f"trace stride {trace_stride} must be at least 1")
         if ps.m == 0:
             ps.record(PHASE1)
     open_list, draw = ps.state.open_list, ps.choice.integers

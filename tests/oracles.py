@@ -111,6 +111,49 @@ def max_codegree_oracle(edges, size):
     return best
 
 
+def max_codegree_witness_oracle(edges, size):
+    """(max codegree over size-subsets, witness) by one dict count.
+
+    Ties go to the lowest vertex for size 1 and otherwise to the subset
+    counted first, scanning the edges in order and each edge's subsets in
+    combinations order.
+    """
+    counts = {}
+    for e in edges:
+        for sub in itertools.combinations(sorted(e), size):
+            counts[sub] = counts.get(sub, 0) + 1
+    if not counts:
+        return 0, None
+    if size == 1:
+        sub = min(counts, key=lambda s: (-counts[s], s))
+    else:
+        sub = max(counts, key=counts.get)
+    return counts[sub], sub
+
+
+def max_nbhd_intersection_oracle(edges):
+    """(max |N(u) ∩ N(v)|, witness pair) through a shared-link multimap.
+
+    Each (r-1)-set T, in order of first occurrence, adds one to every pair
+    of its extension vertices, taken ascending; the witness is the first
+    pair whose count passes the running maximum.
+    """
+    links = {}
+    for e in edges:
+        t = tuple(sorted(e))
+        for k in range(len(t)):
+            links.setdefault(t[:k] + t[k + 1:], []).append(t[k])
+    pair_counts = {}
+    best, best_pair = 0, None
+    for ext in links.values():
+        for pair in itertools.combinations(sorted(ext), 2):
+            c = pair_counts.get(pair, 0) + 1
+            pair_counts[pair] = c
+            if c > best:
+                best, best_pair = c, pair
+    return best, best_pair
+
+
 def link_family_oracle(edges, u):
     return {frozenset(e) - {u} for e in edges if u in e}
 

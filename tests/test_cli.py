@@ -1,11 +1,15 @@
 """End-to-end command-line checks: artifacts on stdout, logs on stderr."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hyperboot
+from hyperboot import hypergraph
 from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
 from hyperboot.cli import main
 from hyperboot.hypergraph import loads, to_json
@@ -89,6 +93,26 @@ def test_check_round_trip(capsys, lift_file):
         "abcde")
 
 
+def test_check_link_budget_exit_code(capsys, k4_file, monkeypatch):
+    monkeypatch.setattr(hypergraph, "LINK_PAIR_LIMIT", 0)
+    code, out, err = run_cli(capsys, "check", "--in", k4_file,
+                             "--d", "3", "--rho", "1", "--nu", "4")
+    assert code == 3
+    assert out == ""
+    assert "size guard" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "trajectory"])
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_stride_below_one_exits_2(capsys, lift_file, command, stride):
+    code, out, err = run_cli(capsys, command, "--in", lift_file,
+                             "--c", "0.4", "--alpha", "1.0", "--d", "10",
+                             "--stride", stride)
+    assert code == 2
+    assert out == ""
+    assert "stride" in err
+
+
 def test_simulate_splits_artifact_and_log(capsys, lift_file):
     code, out, err = run_cli(capsys, "simulate", "--in", lift_file,
                              "--c", "0.4", "--alpha", "1.0", "--d", "10",
@@ -147,6 +171,14 @@ def test_scan_formats_and_prediction(capsys, lift_file):
     assert lines[0] == "c,p,q,trials,successes,fraction,ci_low,ci_high,predicted"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "0.125"
+
+
+def test_scan_rejects_empty_grid(capsys, lift_file):
+    code, out, err = run_cli(capsys, "scan", "--in", lift_file, "--grid", "",
+                             "--alpha", "1.0", "--d", "10")
+    assert code == 2
+    assert out == ""
+    assert "grid" in err
 
 
 def test_trajectory_directory_output(capsys, lift_file, tmp_path):
@@ -250,9 +282,16 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+# child interpreters import the same hyperboot as this one, installed or not
+SCRIPT_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(hyperboot.__file__).parents[1])]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def _run_script(args):
     return subprocess.run([sys.executable, "-m", "hyperboot.cli"] + args,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=SCRIPT_ENV)
 
 
 def test_byte_identical_across_runs_and_threads(lift_file):
@@ -271,6 +310,7 @@ def test_stdin_input(lift_file):
     proc = subprocess.run(
         [sys.executable, "-m", "hyperboot.cli", "closure",
          "--infected", "0,1,2"],
-        input=text, capture_output=True, text=True, timeout=120)
+        input=text, capture_output=True, text=True, timeout=120,
+        env=SCRIPT_ENV)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] >= 3

@@ -266,6 +266,16 @@ def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(model=model, params=params, trials=10, seed=0,
                        mode="scan", grid=())
+    for stride in (0, -1):
+        with pytest.raises(ValueError):
+            ExperimentSpec(model=model, params=params, trials=10, seed=0,
+                           mode="trajectory", trace_stride=stride)
+    spec = ExperimentSpec(model=model, params=params, trials=10, seed=0,
+                          mode="trajectory", trace_stride=5)
+    blob = dict(spec.to_dict(), trace_stride="5")
+    assert ExperimentSpec.from_dict(blob).trace_stride == 5
+    with pytest.raises(ValueError):
+        ExperimentSpec.from_dict(dict(blob, trace_stride="x"))
     spec = ExperimentSpec(model=model, params=params, trials=10, seed=3,
                           mode="percolation_prob")
     again = ExperimentSpec.from_dict(spec.to_dict())

@@ -1,5 +1,6 @@
 """Core hypergraph container: degrees, codegrees, links, checks, round trips."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import edge_lists, random_hypergraph
-from hyperboot.builders import bootstrap_lift, complete_uniform
-from hyperboot.hypergraph import (Hypergraph, build_hypergraph,
+from hyperboot import hypergraph
+from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
+from hyperboot.hypergraph import (Hypergraph, SizeGuardError, build_hypergraph,
                                   check_well_behaved, from_json, from_text,
                                   loads, max_neighbourhood_intersection,
                                   neighbourhood_intersection_size, to_json,
                                   to_text)
 from oracles import (codegree_oracle, degree_oracle, max_codegree_oracle,
+                     max_codegree_witness_oracle, max_nbhd_intersection_oracle,
                      nbhd_intersection_oracle)
 
 PATH_HYPERGRAPH = [[0, 1, 2], [0, 2, 3], [0, 3, 4]]
@@ -149,6 +152,9 @@ def test_statistics_match_brute_force(data):
         assert H.degree(v) == degree_oracle(edges, v)
     for l in range(1, r + 1):
         assert H.max_codegree(l) == max_codegree_oracle(edges, l)
+        assert H.max_codegree_witness(l) == max_codegree_witness_oracle(edges, l)
+    assert (max_neighbourhood_intersection(H)
+            == max_nbhd_intersection_oracle(edges))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for u, v in pairs[:12]:
         assert H.codegree([u, v]) == codegree_oracle(edges, [u, v])
@@ -165,6 +171,51 @@ def test_max_neighbourhood_intersection_matches_pair_scan():
                 for u in range(9) for v in range(u + 1, 9))
     assert best == brute
     assert nbhd_intersection_oracle(edges, *pair) == best
+
+
+def test_link_intersection_pair_budget(monkeypatch):
+    # each 2-set of K_4^(3) extends to two edges: one pair event apiece
+    H = complete_uniform(4, 3)
+    assert max_neighbourhood_intersection(H) == (1, (0, 3))
+    monkeypatch.setattr(hypergraph, "LINK_PAIR_LIMIT", 5)
+    with pytest.raises(SizeGuardError):
+        max_neighbourhood_intersection(H)
+    with pytest.raises(SizeGuardError):
+        check_well_behaved(H, d=3, rho=1.0, nu=4)
+    monkeypatch.setattr(hypergraph, "LINK_PAIR_LIMIT", 6)
+    assert max_neighbourhood_intersection(H) == (1, (0, 3))
+
+
+# sha256 of check_well_behaved(...).to_dict() as sorted-key JSON, witnesses
+# included, pinned before the audit moved from dict counts to sort-and-group
+CHECK_DIGESTS = {
+    "k3_lift_20":
+        "80c0d53bfbd8dc1c74fc4c9d4ff0c8689e8caee0619072b1b0f6ef628c93ebd1",
+    "k3_lift_40":
+        "17d48cfba6814a7803a6a07d4400fdfde14f6ca7e097a52d3e3182a8c2548aae",
+    "loose_triangle_lift_12":
+        "c4c8a112465f3c0804d211a324e3d298b2d39a6d191c68d60c435f8336313ee5",
+    "complete_9_4":
+        "19b150a5ffdaf93c06d7b71ff0df968ce902c51d48cfd5f513fa37f468fc5bc3",
+}
+
+
+def _audit_hosts():
+    for n in (20, 40):
+        H = bootstrap_lift(complete_uniform(n, 2), load_pattern("k3"))
+        yield f"k3_lift_{n}", H, (n - 2, (n - 2) ** -0.5, H.n)
+    H = bootstrap_lift(complete_uniform(12, 3), load_pattern("loose_triangle_3"))
+    yield "loose_triangle_lift_12", H, (H.max_degree(), 0.25, H.n)
+    # every l-set and every vertex pair ties
+    H = complete_uniform(9, 4)
+    yield "complete_9_4", H, (H.max_degree(), 1.0, 9)
+
+
+def test_check_report_digests_pinned():
+    for name, H, (d, rho, nu) in _audit_hosts():
+        report = check_well_behaved(H, d=float(d), rho=rho, nu=float(nu))
+        blob = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == CHECK_DIGESTS[name]
 
 
 def test_json_round_trip_is_bit_exact():
