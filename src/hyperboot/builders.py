@@ -2,10 +2,11 @@
 
 The bootstrap lift of a pattern F over a host G has one vertex per edge of
 G and one hyperedge per copy of F in G (a copy is an edge subset of G that
-forms a subhypergraph isomorphic to F).  Copies are enumerated by a
-backtracking search over F's edges in connectivity order; triangle patterns
-over 2-uniform hosts take a listing fast path because they are the workhorse
-instance at scale.
+forms a subhypergraph isomorphic to F).  match_copies is the one copy
+matcher: a level-wise numpy join over F's edges in connectivity order, used
+for generic lifts and, with roots, marks and edge filters, for every census
+count.  Triangle lifts of complete graphs, the workhorse instance at scale,
+are generated directly in canonical order.
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ from typing import Optional
 
 import numpy as np
 
-from .hypergraph import Hypergraph, SizeGuardError, build_hypergraph
+from .hypergraph import (Hypergraph, SizeGuardError, _group_rows,
+                         _ragged_arange, build_hypergraph)
 
 COMPLETE_EDGE_LIMIT = 50_000_000
 GENERIC_LIFT_EDGE_LIMIT = 500_000
 KBALANCE_EDGE_LIMIT = 20
+# candidate edges one pass of the copy join may gather, about 60 bytes each
+COPY_CANDIDATE_LIMIT = 1 << 16
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:
@@ -72,25 +76,6 @@ def _triangle_lift_complete(G: Hypergraph) -> Hypergraph:
     return Hypergraph.from_rows(G.num_edges, 3, rows, canonical=True)
 
 
-def _triangle_lift(G: Hypergraph) -> Hypergraph:
-    """Triangles of an arbitrary graph via sorted common-neighbour listing."""
-    if _is_complete_graph(G):
-        return _triangle_lift_complete(G)
-    pair_id = {G.edge(i): i for i in range(G.num_edges)}
-    nbrs = [set() for _ in range(G.n)]
-    for u, v in G.edges():
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    rows = []
-    for eid in range(G.num_edges):
-        u, v = G.edge(eid)
-        for w in sorted(nbrs[u] & nbrs[v]):
-            if w > v:
-                rows.append((eid, pair_id[(u, w)], pair_id[(v, w)]))
-    arr = np.array(rows, dtype=np.int32) if rows else np.zeros((0, 3), dtype=np.int32)
-    return Hypergraph.from_rows(G.num_edges, 3, arr)
-
-
 def _edge_order(F: Hypergraph, covered=()) -> list:
     """Edge processing order: greedy, maximizing overlap with covered vertices."""
     remaining = list(range(F.num_edges))
@@ -106,59 +91,127 @@ def _edge_order(F: Hypergraph, covered=()) -> list:
 
 
 def match_copies(G: Hypergraph, F: Hypergraph, roots=(), images=(),
-                 marked=frozenset(), infected=None, active=None) -> set:
-    """Copies of F in G, each a sorted tuple of G-edge ids, under constraints.
+                 marked=frozenset(), infected=None, active=None) -> np.ndarray:
+    """Copies of F in G under constraints, as unique rows of G-edge ids.
 
     Every bijection of the pattern vertices `roots` onto the host vertices
     `images` is tried; a copy must then map every `marked` pattern vertex to
     a vertex where the bool mask `infected` is set, and use only edges where
-    the bool mask `active` is set (all edges when None).  Backtracks over
-    F's edges in connectivity order from the roots; copies reached through
-    several witness maps collapse because the result is a set.
+    the bool mask `active` is set (all edges when None).  Rows are sorted.
+
+    A level-wise join (generic join, Ngo, Porat, Re and Rudra, PODS 2012):
+    each row holds a partial map's vertex images, then its edges so far,
+    and each level adds one pattern edge in _edge_order to every row.  The
+    free vertices take each ordering of the new edge's unassigned vertices,
+    except that twins (same role, same edges) take ascending images only.
+    Passes of at most COPY_CANDIDATE_LIMIT candidates go depth first.
     """
     if F.r != G.r:
         raise ValueError(
             f"pattern uniformity {F.r} does not match host uniformity {G.r}")
-    f_edges = [F.edge(i) for i in _edge_order(F, roots)]
-    found: set = set()
-    phi: dict = {}
-    used: set = set()
-    chosen: list = []
+    roots, k = list(roots), F.n
+    role = [(F.incident_edges(x).tolist(), x in marked) for x in range(k)]
+    levels, assigned = [], list(roots)
+    for e in _edge_order(F, roots):
+        free = [x for x in F.edge(e) if x not in assigned]
+        twins = [(s, t) for s, t in combinations(range(len(free)), 2)
+                 if role[free[s]] == role[free[t]]]
+        perms = [p for p in permutations(range(len(free)))
+                 if all(p[s] < p[t] for s, t in twins)]
+        levels.append((list(assigned), [x for x in F.edge(e) if x in assigned],
+                       free, np.array(perms, np.intp).reshape(len(perms), -1),
+                       [t for t, x in enumerate(free) if x in marked]))
+        assigned += free
+    seeds = np.array(list(permutations(images)), dtype=np.int32)
+    phi = np.full((len(seeds), k + len(levels)), -1, dtype=np.int32)
+    phi[:, roots] = seeds.reshape(len(seeds), len(roots))
+    stack, found = [(0, phi, None)], []
+    while stack:
+        level, phi, lookup = stack.pop()
+        if level == len(levels) or not len(phi):
+            found.append(_unique_rows(np.sort(phi[:, k:], axis=1)))
+            continue
+        used, anchors, free, perms, marks = levels[level]
+        lookup = lookup or _candidates(G, phi, anchors, roots, marks,
+                                       infected, active)
+        if lookup is None:
+            # the anchor slices are too many edges for one pass: halve
+            stack += [(level, phi[len(phi) // 2:], None),
+                      (level, phi[:len(phi) // 2], None)]
+            continue
+        # extend rows up to the limit (one at least); the rest wait their turn
+        base, lo, deg = lookup
+        b = max(1, int(np.searchsorted(np.cumsum(deg), COPY_CANDIDATE_LIMIT,
+                                       side="right")))
+        stack.append((level, phi[b:], (base, lo[b:], deg[b:])))
+        src = np.repeat(np.arange(b), deg[:b])
+        cand = base[_ragged_arange(deg[:b]) + np.repeat(lo[:b], deg[:b])]
+        edge = G.edges_array[cand]
+        hit = np.zeros(edge.shape, dtype=bool)
+        ok = np.ones(cand.size, dtype=bool)
+        for x in used:
+            eq = edge == phi[src, x][:, None]
+            hit |= eq
+            if x in anchors:
+                ok &= eq.any(axis=1)
+        ok &= hit.sum(axis=1) == len(anchors)
+        src, cand = src[ok], cand[ok]
+        rest = edge[ok][~hit[ok]].reshape(cand.size, len(free))
+        fits = (infected[rest][:, perms[:, marks]].all(axis=2) if marks
+                else np.ones((cand.size, len(perms)), dtype=bool))
+        ci, pi = np.nonzero(fits)
+        phi = phi[src[ci]]
+        phi[:, free] = rest[ci[:, None], perms[pi]]
+        phi[:, k + level] = cand[ci]
+        stack.append((level + 1, phi, None))
+    return _unique_rows(np.concatenate(found))
 
-    def assign(pos: int):
-        if pos == len(f_edges):
-            found.add(tuple(sorted(chosen)))
-            return
-        fe = f_edges[pos]
-        anchors = [phi[x] for x in fe if x in phi]
-        free = [x for x in fe if x not in phi]
-        cand = G.edges_containing(anchors) if anchors else range(G.num_edges)
-        for gid in cand:
-            gid = int(gid)
-            if gid in chosen or (active is not None and not active[gid]):
-                continue
-            rem = [y for y in G.edge(gid) if y not in anchors]
-            if len(rem) != len(free) or any(y in used for y in rem):
-                continue
-            for perm in permutations(rem):
-                if marked and any(x in marked and not infected[y]
-                                  for x, y in zip(free, perm)):
-                    continue
-                phi.update(zip(free, perm))
-                used.update(perm)
-                chosen.append(gid)
-                assign(pos + 1)
-                chosen.pop()
-                for x in free:
-                    used.discard(phi.pop(x))
 
-    for perm in permutations(images):
-        phi.update(zip(roots, perm))
-        used.update(perm)
-        assign(0)
-        phi.clear()
-        used.clear()
-    return found
+def _candidates(G: Hypergraph, phi: np.ndarray, anchors: list, roots: list,
+                marks: list, infected, active):
+    """Row i's candidate edges of a join level are edges[lo[i]:][:deg[i]];
+    (edges, lo, deg), or None if the anchor slices are over the limit.
+
+    Rows grouped by their least varied anchor's image gather its CSR slice
+    once; with a second anchor, a sorted lookup keeps the edges holding it.
+    """
+    if not anchors or set(anchors) == set(roots):
+        # every row has the same anchor images: one candidate group
+        inv, ahead = np.zeros(len(phi), dtype=np.intp), []
+        base = G.edges_containing(phi[0, anchors])
+        group = np.zeros(base.size, dtype=np.intp)
+    else:
+        indptr, incident = G.incidence
+        x0 = min(anchors, key=lambda x: np.unique(phi[:, x]).size)
+        ua, inv = np.unique(phi[:, x0], return_inverse=True)
+        ahead = [x for x in anchors if x != x0]
+        deg = indptr[ua + 1] - indptr[ua]
+        if len(phi) > 1 and deg.sum() > COPY_CANDIDATE_LIMIT:
+            return None
+        group = np.repeat(np.arange(ua.size), deg)
+        base = incident[_ragged_arange(deg) + np.repeat(indptr[ua], deg)]
+    keep = np.ones(base.size, dtype=bool) if active is None else active[base]
+    if marks:
+        keep &= infected[G.edges_array[base]].sum(axis=1) >= len(marks)
+    base, group = base[keep], group[keep]
+    if ahead:
+        # sorted (group, vertex) keys, one per vertex of each group edge
+        keys = group.repeat(G.r) * G.n + G.edges_array[base].ravel()
+        want, base = inv * G.n + phi[:, ahead[0]], base.repeat(G.r)
+    else:
+        keys, want = group, inv
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    lo = np.searchsorted(keys, want)
+    return base[order], lo, np.searchsorted(keys, want, side="right") - lo
+
+
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of an int array, in lexicographic order."""
+    if a.shape[1] == 0:
+        return a[:1]
+    order, starts, _ = _group_rows(a)
+    return a[order[starts]]
 
 
 def enumerate_copies(G: Hypergraph, F: Hypergraph):
@@ -168,8 +221,9 @@ def enumerate_copies(G: Hypergraph, F: Hypergraph):
     exactly on an edge of G; the result is deduplicated at the
     subhypergraph level, so automorphisms of F do not inflate the count.
     """
-    copies = match_copies(G, F)
-    return copies if F.num_edges else set()
+    if not F.num_edges:
+        return set()
+    return set(map(tuple, match_copies(G, F).tolist()))
 
 
 def bootstrap_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:
@@ -180,8 +234,8 @@ def bootstrap_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:
     """
     if F.num_edges < 2:
         raise ValueError("pattern needs at least 2 edges to produce a lift")
-    if _is_triangle(F):
-        return _triangle_lift(G)
+    if _is_triangle(F) and _is_complete_graph(G):
+        return _triangle_lift_complete(G)
     if G.num_edges > GENERIC_LIFT_EDGE_LIMIT:
         raise SizeGuardError(
             f"generic lift over {G.num_edges} host edges exceeds desk scale")

@@ -8,12 +8,10 @@ qualifying subhypergraph is counted once, no matter how many witness
 isomorphisms it has.  Neutral vertices are unconstrained: their images may
 or may not be infected.
 
-Besides the generic counter there are direct counters for the three pattern
-families the trajectory theory tracks: single saturated edges, pendant stars
-(disjoint pendants touching the central edge once), and general stars
-(pendants may overlap anywhere except at the attachment points).  The
-enumerate_secondary generator lists the small overlap patterns whose counts
-must stay subdominant for the trajectory to concentrate.
+The families the trajectory theory tracks (saturated edges, pendant stars
+and general stars) are named configurations counted by the same matcher.
+enumerate_secondary lists the small overlap patterns whose counts must stay
+subdominant for the trajectory to concentrate.
 """
 
 from __future__ import annotations
@@ -22,8 +20,10 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable
 
+import numpy as np
+
 from .builders import match_copies
-from .hypergraph import Hypergraph, as_mask, build_hypergraph
+from .hypergraph import Hypergraph, _group_rows, as_mask, build_hypergraph
 
 SECONDARY_MIN_R = 3
 SECONDARY_MAX_R = 6
@@ -70,15 +70,9 @@ class Configuration:
             frozenset(int(v) for v in obj["marked"]))
 
 
-def rooted_copies(H: Hypergraph, infected, config: Configuration,
-                  root_images: Iterable[int], active=None) -> set:
-    """The set of copies, each a sorted tuple of host edge ids.
-
-    Tries every bijection of roots onto the requested images; copies found
-    through different witnesses collapse because the result is a set.
-    """
-    inf = as_mask(infected, H.n, "infected vertex")
-    act = as_mask(active, H.num_edges, "active edge")
+def _copies(H: Hypergraph, infected, config: Configuration,
+            root_images: Iterable[int], active=None) -> np.ndarray:
+    """The copies as unique rows of host edge ids, arguments validated."""
     S = sorted(set(int(v) for v in root_images))
     for v in S:
         if not 0 <= v < H.n:
@@ -86,8 +80,18 @@ def rooted_copies(H: Hypergraph, infected, config: Configuration,
     if len(S) != len(config.roots):
         raise ValueError(
             f"{len(S)} root images for {len(config.roots)} roots")
-    return match_copies(H, config.pattern, sorted(config.roots), S,
-                        config.marked, inf, act)
+    return match_copies(
+        H, config.pattern, sorted(config.roots), S, config.marked,
+        as_mask(infected, H.n, "infected vertex"),
+        as_mask(active, H.num_edges, "active edge"))
+
+
+def rooted_copies(H: Hypergraph, infected, config: Configuration,
+                  root_images: Iterable[int], active=None) -> set:
+    """The set of copies, each a sorted tuple of host edge ids; copies found
+    through different root bijections or witnesses count once."""
+    return set(map(tuple, _copies(H, infected, config, root_images,
+                                  active).tolist()))
 
 
 def count_rooted_copies(H: Hypergraph, infected, config: Configuration,
@@ -95,36 +99,15 @@ def count_rooted_copies(H: Hypergraph, infected, config: Configuration,
     return len(rooted_copies(H, infected, config, root_images, active))
 
 
-# -- specialized counters ----------------------------------------------------
+# -- the configurations the trajectory theory tracks --------------------------
 
 def count_saturated_edges(H: Hypergraph, infected, S: Iterable[int],
                           active=None) -> int:
-    """Edges containing S whose remaining vertices are all infected."""
-    inf = as_mask(infected, H.n, "infected vertex")
-    act = as_mask(active, H.num_edges, "active edge")
+    """Edges containing S whose remaining vertices are all infected: the
+    copies of saturated_edge_config(r, |S|) rooted at S."""
     s = set(int(v) for v in S)
-    for v in s:
-        if not 0 <= v < H.n:
-            raise ValueError(f"vertex {v} outside host")
-    if len(s) > H.r:
-        raise ValueError(f"root set size {len(s)} exceeds uniformity {H.r}")
-    total = 0
-    for eid in H.edges_containing(sorted(s)):
-        eid = int(eid)
-        if act is not None and not act[eid]:
-            continue
-        if all(inf[x] for x in H.edge(eid) if x not in s):
-            total += 1
-    return total
-
-
-def _check_star_indices(H: Hypergraph, v: int, i: int, j: int) -> None:
-    if not 0 <= v < H.n:
-        raise ValueError(f"vertex {v} outside host")
-    if not 0 <= i <= H.r - 1:
-        raise ValueError(f"marked count i={i} outside 0..{H.r - 1}")
-    if not 0 <= j <= H.r - 1 - i:
-        raise ValueError(f"pendant count j={j} outside 0..{H.r - 1 - i}")
+    return len(_copies(H, infected, saturated_edge_config(H.r, len(s)), s,
+                       active))
 
 
 def count_pendant_stars(H: Hypergraph, infected, v: int, i: int, j: int,
@@ -137,53 +120,8 @@ def count_pendant_stars(H: Hypergraph, infected, v: int, i: int, j: int,
     infected vertices besides v; the i condition is a lower bound because a
     copy may contain infected vertices beyond the images of marked ones.
     """
-    inf = as_mask(infected, H.n, "infected vertex")
-    act = as_mask(active, H.num_edges, "active edge")
-    _check_star_indices(H, v, i, j)
-    total = 0
-    for eid in H.incident_edges(v):
-        eid = int(eid)
-        if act is not None and not act[eid]:
-            continue
-        e = H.edge(eid)
-        others = [x for x in e if x != v]
-        if j == 0:
-            if sum(1 for x in others if inf[x]) >= i:
-                total += 1
-            continue
-        e_set = set(e)
-        pend = {}
-        for w in others:
-            cands = []
-            for fid in H.incident_edges(w):
-                fid = int(fid)
-                if fid == eid or (act is not None and not act[fid]):
-                    continue
-                f = H.edge(fid)
-                if sum(1 for y in f if y in e_set) != 1:
-                    continue
-                if all(inf[y] for y in f if y != w):
-                    cands.append((fid, f))
-            if cands:
-                pend[w] = cands
-        for W in combinations([w for w in others if w in pend], j):
-            w_set = set(W)
-            if sum(1 for x in others if inf[x] and x not in w_set) < i:
-                continue
-            total += _count_disjoint_selections(W, pend, 0, set())
-    return total
-
-
-def _count_disjoint_selections(W, pend, k, used_vertices) -> int:
-    if k == len(W):
-        return 1
-    total = 0
-    for fid, f in pend[W[k]]:
-        if any(y in used_vertices for y in f):
-            continue
-        total += _count_disjoint_selections(W, pend, k + 1,
-                                            used_vertices | set(f))
-    return total
+    return len(_copies(H, infected, pendant_star_config(H.r, i, j), [v],
+                       active))
 
 
 def count_general_stars(H: Hypergraph, infected, v: int, i: int, j: int,
@@ -194,71 +132,13 @@ def count_general_stars(H: Hypergraph, infected, v: int, i: int, j: int,
     lies on the central edge and in no other pendant; overlap vertices on the
     central edge count toward its marked budget of exactly i, so a copy needs
     the overlap to fit inside i and at least i infected non-attachment
-    vertices on the central edge.  Counted at the subhypergraph level: an
-    edge set reachable through several attachment choices counts once.
+    vertices on the central edge.  Counted at the subhypergraph level, over
+    the union of the copies of the members of general_star_family(r, i, j):
+    an edge set reachable through several attachment choices counts once.
     """
-    inf = as_mask(infected, H.n, "infected vertex")
-    act = as_mask(active, H.num_edges, "active edge")
-    _check_star_indices(H, v, i, j)
-    total = 0
-    for eid in H.incident_edges(v):
-        eid = int(eid)
-        if act is not None and not act[eid]:
-            continue
-        e = H.edge(eid)
-        others = [x for x in e if x != v]
-        if j == 0:
-            if sum(1 for x in others if inf[x]) >= i:
-                total += 1
-            continue
-        e_set = set(e)
-        pend = {}
-        for w in others:
-            cands = []
-            for fid in H.incident_edges(w):
-                fid = int(fid)
-                if fid == eid or (act is not None and not act[fid]):
-                    continue
-                f = H.edge(fid)
-                if v in f:
-                    continue
-                if all(inf[y] for y in f if y != w):
-                    cands.append((fid, f))
-            if cands:
-                pend[w] = cands
-        seen: set = set()
-        for W in combinations([w for w in others if w in pend], j):
-            w_set = set(W)
-            free_infected = sum(1 for x in others if inf[x] and x not in w_set)
-            if free_infected < i:
-                continue
-            _general_star_rec(W, pend, 0, w_set, [], e_set, i, seen)
-        total += len(seen)
-    return total
-
-
-def _general_star_rec(W, pend, k, w_set, picked, e_set, i, seen) -> None:
-    if k == len(W):
-        overlap = set()
-        for fid, f in picked:
-            for y in f:
-                if y in e_set and y not in w_set:
-                    overlap.add(y)
-        if len(overlap) <= i:
-            seen.add(frozenset(fid for fid, _ in picked))
-        return
-    w = W[k]
-    taken = {fid for fid, _ in picked}
-    for fid, f in pend[w]:
-        if fid in taken:
-            continue
-        if w not in f:
-            continue
-        if any(y in w_set and y != w for y in f):
-            continue
-        picked.append((fid, f))
-        _general_star_rec(W, pend, k + 1, w_set, picked, e_set, i, seen)
-        picked.pop()
+    copies = np.concatenate([_copies(H, infected, cfg, [v], active)
+                             for cfg in general_star_family(H.r, i, j)])
+    return len(_group_rows(copies)[1])
 
 
 # -- named configurations ----------------------------------------------------
@@ -300,8 +180,8 @@ def general_star_family(r: int, i: int, j: int) -> list:
     Each member has a central edge (one root, exactly i marked) and j
     pendant edges with exactly r-1 marked vertices whose unique neutral
     vertex sits on the central edge; pendants may share marked vertices
-    with the central edge and with each other.  The list is what the fast
-    general-star counter implicitly sums over (as a union of copy sets).
+    with the central edge and with each other.  count_general_stars counts
+    the union of their copy sets.
     """
     if not 0 <= i <= r - 1:
         raise ValueError(f"marked count i={i} outside 0..{r - 1}")

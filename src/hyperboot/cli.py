@@ -157,6 +157,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
+    if args.traces < 1:
+        raise ValueError("--traces must be at least 1")
     H = _read_host(args)
     params = _params_from(args, H.r)
     star_indices = tuple(

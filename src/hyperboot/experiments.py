@@ -156,6 +156,8 @@ class ExperimentSpec:
             raise ValueError("tol must be positive")
         if self.trace_stride is not None and self.trace_stride < 1:
             raise ValueError("trace_stride must be at least 1")
+        if self.star_vertices < 0:
+            raise ValueError("star_vertices must be nonnegative")
 
     def to_dict(self) -> dict:
         out = {
@@ -523,6 +525,8 @@ def record_trajectory(H: Hypergraph, params: ModelParams, seed: int,
     are taken against the live (not yet revealed) edges at the start and at
     the end of the single-reveal phase.
     """
+    if star_vertices < 0:
+        raise ValueError(f"star_vertices={star_vertices} must be nonnegative")
     trial_seed = pipeline_seed(seed, index)
     stars: list = []
     observe = None

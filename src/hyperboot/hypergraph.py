@@ -100,6 +100,11 @@ class Hypergraph:
         self._check_vertex(v)
         return self._incident[self._indptr[v]:self._indptr[v + 1]]
 
+    @property
+    def incidence(self):
+        """Vertex-to-edge CSR: (indptr, edge ids ascending per vertex)."""
+        return self._indptr, self._incident
+
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return int(self._indptr[v + 1] - self._indptr[v])

@@ -99,7 +99,6 @@ class TraceRow:
     infected_count: int
     gamma_pred: float
     phase: str
-    extra: Optional[dict] = None   # configuration-count samples, not in CSV
 
 
 def write_trace_csv(rows: Iterable[TraceRow], fh) -> None:
@@ -286,10 +285,6 @@ class PipelineResult:
     constants: DerivedConstants
     coins: CoinOracle
     sampled_count: int
-
-    @property
-    def infected_fraction(self) -> float:
-        return self.infected_count / self.constants.params.n_vertices
 
 
 def full_pipeline(H: Hypergraph, params: ModelParams, seed: int,

@@ -291,3 +291,72 @@ def count_copies_oracle(host_edges, pattern_edges, roots, marked,
         if ok:
             count += 1
     return count
+
+
+# -- direct counts of the three star-shaped configurations ------------------------
+#
+# These walk the host edge lists the way the trajectory theory describes the
+# configurations, with no pattern matching: the edges at a root, then for
+# each attachment vertex the pendant edges it could carry.
+
+def saturated_edges_oracle(edges, infected, S):
+    """Edges containing S whose remaining vertices are all infected."""
+    s, inf = set(S), set(infected)
+    return sum(1 for e in edges
+               if s <= set(e) and all(x in inf for x in e if x not in s))
+
+
+def _star_pendants(edges, e, v, inf, may_touch):
+    """For each vertex w of e other than v, the fully infected (apart from w)
+    edges at w that are not e, do not hold v and pass may_touch(f, e)."""
+    return {w: [f for f in edges
+                if w in f and f != e and v not in f and may_touch(set(f), set(e))
+                and all(y in inf for y in f if y != w)]
+            for w in e if w != v}
+
+
+def pendant_stars_oracle(edges, infected, v, i, j):
+    """Central edges at v with at least i infected vertices off the
+    attachments, times the choices of j pairwise disjoint pendants meeting
+    the central edge only at j distinct attachment vertices."""
+    inf = set(infected)
+    total = 0
+    for e in edges:
+        if v not in e:
+            continue
+        pend = _star_pendants(edges, e, v, inf,
+                              lambda f, c: len(f & c) == 1)
+        for W in itertools.combinations([w for w in pend if pend[w]], j):
+            if sum(1 for x in e if x != v and x in inf and x not in W) < i:
+                continue
+            for pick in itertools.product(*(pend[w] for w in W)):
+                if len(set().union(*map(set, pick))) == len(e) * len(pick):
+                    total += 1
+    return total
+
+
+def general_stars_oracle(edges, infected, v, i, j):
+    """Central edges at v with j distinct pendants at distinct attachment
+    vertices; a pendant holds no other attachment vertex, and the pendants
+    meet the central edge off the attachments in at most i vertices.  Each
+    central edge counts its distinct pendant sets once."""
+    inf = set(infected)
+    total = 0
+    for e in edges:
+        if v not in e:
+            continue
+        pend = _star_pendants(edges, e, v, inf, lambda f, c: True)
+        seen = set()
+        for W in itertools.combinations([w for w in pend if pend[w]], j):
+            ws = set(W)
+            if sum(1 for x in e if x != v and x in inf and x not in ws) < i:
+                continue
+            for pick in itertools.product(*(pend[w] for w in W)):
+                if len(set(pick)) < j or any(
+                        y in ws and y != w for w, f in zip(W, pick) for y in f):
+                    continue
+                overlap = {y for f in pick for y in f if y in e and y not in ws}
+                if len(overlap) <= i:
+                    seen.add(frozenset(pick))
+        total += len(seen)
+    return total

@@ -1,6 +1,8 @@
 """Complete hosts, lifted instances, balance analysis, pattern library."""
 
+import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -59,6 +61,18 @@ def test_triangle_lift_fast_path_matches_generic():
     assert {frozenset(e) for e in fast.edges()} == copies
 
 
+def test_triangle_lift_of_incomplete_graph():
+    # hosts other than complete graphs go through the generic matcher
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        G = random_hypergraph(rng, 12, 2, 30)
+        ids = {e: i for i, e in enumerate(edge_lists(G))}
+        want = [(ids[a, b], ids[a, c], ids[b, c])
+                for a, b, c in combinations(range(12), 3)
+                if {(a, b), (a, c), (b, c)} <= ids.keys()]
+        assert edge_lists(bootstrap_lift(G, K3)) == want
+
+
 def test_lift_with_overlapping_triples_pattern():
     G = complete_uniform(5, 3)
     F = build_hypergraph(4, 3, [[0, 1, 2], [1, 2, 3]])
@@ -68,6 +82,51 @@ def test_lift_with_overlapping_triples_pattern():
     assert {frozenset(e) for e in H.edges()} == copies
     # each copy is a pair of triples sharing exactly two vertices
     assert all(len(c) == 2 for c in copies)
+
+
+# sha256 of edges_array for the generic lifts of K_8..K_14, and of the
+# loose-triangle lift of complete_uniform(8, 3), pinned on the recursive
+# matcher that the level-wise join replaced
+LIFT_DIGESTS = {
+    ("c4", 8): "38bd7a2455a8cde7cc36dd849472017f7ec84157a57ec43aa082fef025d5ba3d",
+    ("c4", 9): "a33a04fab59d9a069c484d7aa92360c72d90a9c231b4b2a19fbaffdf60925d0a",
+    ("c4", 10): "ab90dc421f61051f1ff64b77e6d183807ed74114943d93aaa82f755c5dd49146",
+    ("c4", 11): "2a5fed7739122e80c7e2335b3d50deac9e26cdf64d81e619ad2eaee23ae7d21b",
+    ("c4", 12): "c06f8e1e532c182e8c89f4943799f73ae2c6b37018624b839e4a3c4f617dbf8b",
+    ("c4", 13): "db157cbede0c8363f2a911ffe9f10dc429e962692f5b7e82e56b697b3b76ddb3",
+    ("c4", 14): "c872f6c9c66810cff4d36e0cfc7e322504e415ecb31d7b909d7cf81689a8191a",
+    ("k4", 8): "675646562f54806c36b2cc45a9224d95c992c8983d5d556bac4f1945f94c72d6",
+    ("k4", 9): "6cf36ec0f6d9342777b10270011ca135dfb83f3b1563c085e3b8cce73e249aca",
+    ("k4", 10): "e71d43401cd5a2508ba66b8d52d0f278b751ceb92ae017690af210c79f746028",
+    ("k4", 11): "183aff1fa858acc82306a807a1d54445a1e1a214d3c9242c75c00622628926ec",
+    ("k4", 12): "023b179260d3f0ac36d599056e6eb42005992794c8f1b7f3358888fb6c74f3c5",
+    ("k4", 13): "475a55235cc36681904f1a0155e8ef983a17b6d4ebecb33e2f16aa54bf959948",
+    ("k4", 14): "8afc49c0075bb71f7e3c885c993f25a11b4cc9dcebaf81d6f7c88947fbbb2ba4",
+    ("triangle_pendant", 8):
+        "892cac9e33cc9334cc79c4c17bbdf51f1d317d34cc1a4cb26bf0942e9d40b0a5",
+    ("triangle_pendant", 9):
+        "9f02fdb4f69f63eaef4708cba183d6f1a7b5d52db9da686ad5c3876cb1130990",
+    ("triangle_pendant", 10):
+        "fccab4357cee716a0cdaac1ac62e9064544acad86ed121e55f1f8e9d8e4ccf21",
+    ("triangle_pendant", 11):
+        "3305de416056c153510000ad0ed23efd2289b58a73073aee6db5d9e91a34c230",
+    ("triangle_pendant", 12):
+        "d9d1ed59eb056f7d917df2541e35dffe4d726db6aaed487f343b4775217368d9",
+    ("triangle_pendant", 13):
+        "72c1254ff4b6ab351feb13c4ce9a4cdc7540ba42fc3ecb32cd1cc615b902e5c3",
+    ("triangle_pendant", 14):
+        "52f00bccf4b35774a7463baa229310602adfe8bf4f2057dc8d8a9ec8b7dde8c2",
+    ("loose_triangle_3", 8):
+        "05c7923f46545e14a4c4d3234d95c3acce84bad38e786bac9c29b7f1c825744b",
+}
+
+
+def test_generic_lift_digests_pinned():
+    for (name, n), want in LIFT_DIGESTS.items():
+        k = 3 if name == "loose_triangle_3" else 2
+        L = bootstrap_lift(complete_uniform(n, k), load_pattern(name))
+        got = hashlib.sha256(L.edges_array.tobytes()).hexdigest()
+        assert got == want, (name, n)
 
 
 def test_lift_regular_degree_examples():

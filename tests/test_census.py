@@ -1,10 +1,14 @@
 """Configuration copy counting: generic matcher, fast counters, secondaries."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from conftest import edge_lists, random_hypergraph
-from hyperboot.builders import complete_uniform, enumerate_copies, load_pattern
+from hyperboot.builders import (bootstrap_lift, complete_uniform,
+                                enumerate_copies, load_pattern)
 from hyperboot.census import (Configuration, canonical_config_key,
                               count_general_stars, count_pendant_stars,
                               count_rooted_copies, count_saturated_edges,
@@ -12,7 +16,8 @@ from hyperboot.census import (Configuration, canonical_config_key,
                               pendant_star_config, rooted_copies,
                               saturated_edge_config)
 from hyperboot.hypergraph import build_hypergraph
-from oracles import count_copies_oracle
+from oracles import (count_copies_oracle, general_stars_oracle,
+                     pendant_stars_oracle, saturated_edges_oracle)
 
 PATH_HOST = build_hypergraph(5, 3, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
 TWO_EDGE = build_hypergraph(5, 3, [[0, 1, 2], [2, 3, 4]])
@@ -136,6 +141,9 @@ def test_counts_monotone_in_infections():
 
 
 def test_fast_counters_match_generic_matcher():
+    # each counter against its direct reference over the (active) edge
+    # list, against the generic matcher on its named configuration, and on
+    # small patterns against subset enumeration
     rng = np.random.default_rng(15)
     for trial in range(60):
         r = 3 if trial % 2 == 0 else 4
@@ -146,20 +154,75 @@ def test_fast_counters_match_generic_matcher():
         v = int(rng.integers(n))
         ssize = int(rng.integers(1, r + 1))
         S = sorted(int(x) for x in rng.choice(n, ssize, replace=False))
-        assert (count_saturated_edges(H, infected, S)
-                == count_rooted_copies(H, infected,
-                                       saturated_edge_config(r, ssize), S))
+        active = rng.random(H.num_edges) < 0.7 if trial % 4 >= 2 else None
+        edges = [e for e, a in zip(edge_lists(H), active if active is not None
+                                   else [True] * H.num_edges) if a]
+        cfg = saturated_edge_config(r, ssize)
+        got = count_saturated_edges(H, infected, S, active)
+        assert got == saturated_edges_oracle(edges, infected, S)
+        assert got == count_rooted_copies(H, infected, cfg, S, active)
+        assert got == count_copies_oracle(
+            edges, [list(e) for e in cfg.pattern.edges()], cfg.roots,
+            cfg.marked, S, infected)
         for i in range(r):
             for j in range(r - i):
                 cfg = pendant_star_config(r, i, j)
-                assert (count_pendant_stars(H, infected, v, i, j)
-                        == count_rooted_copies(H, infected, cfg, [v]))
+                got = count_pendant_stars(H, infected, v, i, j, active)
+                assert got == pendant_stars_oracle(edges, infected, v, i, j)
+                assert got == count_rooted_copies(H, infected, cfg, [v], active)
                 family = general_star_family(r, i, j)
-                copies = [rooted_copies(H, infected, m, [v]) for m in family]
+                copies = [rooted_copies(H, infected, m, [v], active)
+                          for m in family]
                 total = sum(len(s) for s in copies)
                 union = set().union(*copies) if copies else set()
                 assert len(union) == total     # family members are disjoint
-                assert count_general_stars(H, infected, v, i, j) == total
+                got = count_general_stars(H, infected, v, i, j, active)
+                assert got == total
+                assert got == general_stars_oracle(edges, infected, v, i, j)
+                for m, found in zip(family, copies):
+                    if m.pattern.n <= 5:
+                        assert len(found) == count_copies_oracle(
+                            edges, [list(e) for e in m.pattern.edges()],
+                            m.roots, m.marked, [v], infected)
+
+
+# sha256 of every counter at 5 vertices of the K_30 triangle lift, as a
+# JSON list, pinned on the recursive matcher and the hand-written counters
+# that the level-wise join replaced
+COUNTER_DIGESTS = {
+    "sparse": "b96a616b9a52d3cc3e6d428a8cea7eb8b07f30ba991f371967ea192b1713fa9c",
+    "dense": "d89b600cf11b9b222acebf80ce7932f635d65101ca59424e6bdb0e1a2a1d31c3",
+}
+
+
+def test_counter_digests_pinned_on_k30_lift():
+    H = bootstrap_lift(complete_uniform(30, 2), load_pattern("k3"))
+    rng = np.random.default_rng(30)
+    sparse = rng.random(H.n) < 0.05
+    dense = rng.random(H.n) < 0.3
+    live = rng.random(H.num_edges) < 0.8
+    vertices = [int(v) for v in rng.choice(H.n, size=5, replace=False)]
+    configs = [pendant_star_config(3, i, j)
+               for i in range(3) for j in range(3 - i)]
+    configs += [c for c in enumerate_secondary(3) if len(c.roots) == 1]
+    states = {"sparse": (sparse, None), "dense": (dense, live)}
+    for name, (infected, active) in states.items():
+        counts = []
+        for v in vertices:
+            e = H.edge(int(H.incident_edges(v)[0]))
+            for S in ([v], [v, next(x for x in e if x != v)], list(e)):
+                counts.append(count_saturated_edges(H, infected, S, active))
+            for i in range(3):
+                for j in range(3 - i):
+                    counts.append(count_pendant_stars(H, infected, v, i, j,
+                                                      active))
+                    counts.append(count_general_stars(H, infected, v, i, j,
+                                                      active))
+            for cfg in configs:
+                counts.append(count_rooted_copies(H, infected, cfg, [v],
+                                                  active))
+        digest = hashlib.sha256(json.dumps(counts).encode()).hexdigest()
+        assert digest == COUNTER_DIGESTS[name], name
 
 
 def test_generic_matcher_against_subset_oracle():
@@ -292,7 +355,6 @@ def test_secondary_subdominance_on_large_lift():
     # one-root, fully neutral secondaries stay an order of magnitude under
     # the d^((|V|-1)/(r-1)) primary scale; the lift is vertex-transitive,
     # so a couple of sampled roots already speak for all of them
-    from hyperboot.builders import bootstrap_lift, load_pattern
     H = bootstrap_lift(complete_uniform(500, 2), load_pattern("k3"))
     d = 498.0
     fam = [c for c in enumerate_secondary(3)

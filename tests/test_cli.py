@@ -203,6 +203,22 @@ def test_trajectory_multi_trace_needs_directory(capsys, lift_file):
     assert "DIRECTORY" in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--traces", "0"), "--traces"), (("--traces", "-2"), "--traces"),
+    (("--stars", "0,0", "--star-vertices", "-3"), "star_vertices")])
+def test_trajectory_rejects_bad_counts(capsys, lift_file, tmp_path, flags,
+                                       message):
+    outdir = tmp_path / "traces"
+    for out in ([], ["--out", str(outdir)]):
+        code, stdout, err = run_cli(capsys, "trajectory", "--in", lift_file,
+                                    "--c", "0.4", "--alpha", "1.0",
+                                    "--d", "10", *flags, *out)
+        assert code == 2
+        assert stdout == ""
+        assert message in err
+        assert not outdir.exists()
+
+
 def test_kbalance_library_pattern(capsys):
     code, out, _ = run_cli(capsys, "kbalance", "--pattern", "k4")
     assert code == 0

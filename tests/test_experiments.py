@@ -270,6 +270,10 @@ def test_experiment_spec_validation():
         with pytest.raises(ValueError):
             ExperimentSpec(model=model, params=params, trials=10, seed=0,
                            mode="trajectory", trace_stride=stride)
+    with pytest.raises(ValueError):
+        ExperimentSpec(model=model, params=params, trials=10, seed=0,
+                       mode="trajectory", star_indices=((0, 0),),
+                       star_vertices=-3)
     spec = ExperimentSpec(model=model, params=params, trials=10, seed=0,
                           mode="trajectory", trace_stride=5)
     blob = dict(spec.to_dict(), trace_stride="5")

@@ -8,9 +8,18 @@ PARENT_DIR and CHANGE_DIR are two checkouts (e.g. made with ``git archive``).
 Pair k runs ``python3 perfbench/run.py --workload W --seed first_seed + k``
 once in each checkout, the parent first on even k and the change first on odd
 k, one process at a time.  For every end-to-end metric the file gives each
-side's median, quartiles and runs, and the pairs the change won (ties count
-for neither side).  Each workload named by --traced also gets one
-``--trace 1`` run per side with its per-layer metrics.
+side's median, quartiles and runs, the pairs the change won (ties count
+for neither side) and a no-regression verdict against the metric's relative
+``bound`` in BENCHMARK.json:
+
+- ``regressed``: the change's median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: the parent's quartile spread, relative to its median,
+  exceeds the bound, and not every change run beats every parent run;
+- ``ok`` otherwise.
+
+Each workload named by --traced also gets one ``--trace 1`` run per side
+with its per-layer metrics.
 """
 
 from __future__ import annotations
@@ -44,6 +53,18 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(parent: dict, change: dict, sign: int, bound: float) -> str:
+    """regressed, unresolved or ok; sign is +1 when higher is better."""
+    base = parent["median"]
+    if sign * (base - change["median"]) > bound * abs(base):
+        return "regressed"
+    beats_all = (min(sign * y for y in change["runs"])
+                 > max(sign * x for x in parent["runs"]))
+    if parent["q3"] - parent["q1"] > bound * abs(base) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -54,9 +75,11 @@ def main() -> None:
     ap.add_argument("--traced", nargs="*", default=[])
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: quartiles need two runs a side")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
 
     command = (f"python3 tools/bench_pairs.py PARENT CHANGE --pairs "
@@ -76,13 +99,15 @@ def main() -> None:
                 print(w, k, side, values["requests_per_s"],
                       file=sys.stderr, flush=True)
         rows = {}
-        for metric, direction in better.items():
-            a = [r[metric] for r in runs["parent"]]
-            b = [r[metric] for r in runs["change"]]
+        for metric, (direction, bound) in better.items():
+            a = summary([r[metric] for r in runs["parent"]])
+            b = summary([r[metric] for r in runs["change"]])
             sign = 1 if direction == "higher" else -1
-            rows[metric] = {"parent": summary(a), "change": summary(b),
-                            "change_wins": sum(sign * (y - x) > 0
-                                               for x, y in zip(a, b))}
+            rows[metric] = {"parent": a, "change": b,
+                            "change_wins": sum(sign * (y - x) > 0 for x, y
+                                               in zip(a["runs"], b["runs"])),
+                            "bound": bound,
+                            "verdict": verdict(a, b, sign, bound)}
         report["workloads"][w] = rows
     for w in args.traced:
         report["traced"][w] = {side: run(path, w, args.first_seed, 1)[0]
