@@ -228,6 +228,22 @@ def test_json_round_trip_is_bit_exact():
     assert again == blob
 
 
+def test_json_bytes_pinned():
+    assert to_json(complete_uniform(4, 3)) == (
+        '{"n": 4, "r": 3, "edges": '
+        '[[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}\n')
+    assert to_json(build_hypergraph(3, 2, [])) == (
+        '{"n": 3, "r": 2, "edges": []}\n')
+
+
+@pytest.mark.parametrize("key", ["n", "r", "edges"])
+def test_from_json_names_a_missing_key(key):
+    obj = {"n": 3, "r": 2, "edges": [[0, 1]]}
+    del obj[key]
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        from_json(json.dumps(obj))
+
+
 def test_text_round_trip_and_header():
     H = build_hypergraph(5, 3, PATH_HYPERGRAPH)
     blob = to_text(H)
