@@ -11,7 +11,6 @@ are generated directly in canonical order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .hypergraph import (Hypergraph, SizeGuardError, _group_rows,
-                         _ragged_arange, build_hypergraph)
+                         _ragged_arange, from_json)
 
 COMPLETE_EDGE_LIMIT = 50_000_000
 GENERIC_LIFT_EDGE_LIMIT = 500_000
@@ -344,6 +343,5 @@ def load_pattern(name: str) -> Hypergraph:
     """Load a named pattern from the bundled library."""
     if name not in _PATTERNS:
         raise ValueError(f"unknown pattern {name!r}; available: {pattern_names()}")
-    data = resources.files("hyperboot").joinpath(f"patterns/{name}.json").read_text()
-    obj = json.loads(data)
-    return build_hypergraph(int(obj["n"]), int(obj["r"]), obj["edges"])
+    return from_json(resources.files("hyperboot").joinpath(
+        f"patterns/{name}.json").read_text())

@@ -22,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import hypergraph
 from .builders import match_copies
 from .hypergraph import Hypergraph, _group_rows, as_mask, build_hypergraph
 
@@ -55,17 +56,15 @@ class Configuration:
 
     def to_dict(self) -> dict:
         return {
-            "pattern": {"n": self.pattern.n, "r": self.pattern.r,
-                        "edges": [list(e) for e in self.pattern.edges()]},
+            "pattern": hypergraph.to_dict(self.pattern),
             "roots": sorted(self.roots),
             "marked": sorted(self.marked),
         }
 
     @staticmethod
     def from_dict(obj: dict) -> "Configuration":
-        pat = obj["pattern"]
         return Configuration(
-            build_hypergraph(int(pat["n"]), int(pat["r"]), pat["edges"]),
+            hypergraph.from_dict(obj["pattern"]),
             frozenset(int(v) for v in obj["roots"]),
             frozenset(int(v) for v in obj["marked"]))
 

@@ -1,9 +1,10 @@
 """Command-line front door: builders, checkers, processes, experiments.
 
-All randomness flows from the single --seed flag; nothing reads the clock,
-so a fixed seed gives byte-identical output across runs and thread counts.
-stdout carries the requested artifact, stderr carries logs.  Exit codes:
-0 success, 2 validation error, 3 size-guard violation.
+Each command takes only the flags it reads.  All randomness flows from
+--seed (experiment reads the seed of its spec instead); nothing reads the
+clock, so a fixed seed gives byte-identical output across runs and thread
+counts.  stdout carries the requested artifact, stderr carries logs.  Exit
+codes: 0 success, 2 validation error, 3 size-guard violation.
 """
 
 from __future__ import annotations
@@ -40,6 +41,21 @@ def _emit(text: str, path: str) -> None:
         Path(path).write_text(text)
 
 
+def _emit_trace(rows, path: str) -> None:
+    buf = io.StringIO()
+    write_trace_csv(rows, buf)
+    _emit(buf.getvalue(), path)
+
+
+def _write_traces(traces, directory: str) -> Path:
+    """One trace_{index:03d}.csv per trace in `directory`, made if missing."""
+    outdir = Path(directory)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for tr in traces:
+        _emit_trace(tr.rows, str(outdir / f"trace_{tr.index:03d}.csv"))
+    return outdir
+
+
 def _read_host(args) -> Hypergraph:
     return loads(_read_text(args.input))
 
@@ -71,10 +87,6 @@ def _load_pattern_arg(spec: str) -> Hypergraph:
         f"({', '.join(pattern_names())}) nor an existing file")
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _params_from(args, r: int) -> ModelParams:
     return ModelParams(r=r, c=args.c, alpha=args.alpha, d=args.d, K=args.K)
 
@@ -97,7 +109,7 @@ def _cmd_build(args) -> int:
 def _cmd_check(args) -> int:
     H = _read_host(args)
     report = check_well_behaved(H, d=args.d, rho=args.rho, nu=args.nu)
-    _emit(_dump_json(report.to_dict()), args.out)
+    _emit(render_report(report.to_dict()), args.out)
     return 0
 
 
@@ -107,9 +119,8 @@ def _cmd_closure(args) -> int:
     active = (_id_list(args.active, "--active")
               if args.active is not None else None)
     final = closure(H, infected0, active)
-    _emit(_dump_json({"infected": sorted(final),
-                      "count": len(final),
-                      "percolates": len(final) == H.n}), args.out)
+    _emit(render_report({"infected": sorted(final), "count": len(final),
+                         "percolates": len(final) == H.n}), args.out)
     return 0
 
 
@@ -118,9 +129,7 @@ def _cmd_simulate(args) -> int:
     params = _params_from(args, H.r)
     result = full_pipeline(H, params, pipeline_seed(args.seed, 0),
                            trace_stride=args.stride)
-    buf = io.StringIO()
-    write_trace_csv(result.trace, buf)
-    _emit(buf.getvalue(), args.out)
+    _emit_trace(result.trace, args.out)
     print(json.dumps({"percolated": result.percolated,
                       "infected_count": result.infected_count,
                       "sampled_count": result.sampled_count},
@@ -133,7 +142,7 @@ def _cmd_pc(args) -> int:
     est = estimate_pc_bisection(H, args.q, args.seed, trials=args.trials,
                                 tol=args.tol, d=args.d,
                                 workers=args.threads)
-    _emit(_dump_json(est.to_dict()), args.out)
+    _emit(render_report(est.to_dict()), args.out)
     return 0
 
 
@@ -152,13 +161,16 @@ def _cmd_scan(args) -> int:
                 f"{d['ci_low']:.17g},{d['ci_high']:.17g},{d['predicted']}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump_json({"rows": [row.to_dict() for row in rows]}), args.out)
+        _emit(render_report({"rows": [row.to_dict() for row in rows]}),
+              args.out)
     return 0
 
 
 def _cmd_trajectory(args) -> int:
     if args.traces < 1:
         raise ValueError("--traces must be at least 1")
+    if args.traces > 1 and args.out == "-":
+        raise ValueError("--traces above 1 needs --out DIRECTORY")
     H = _read_host(args)
     params = _params_from(args, H.r)
     star_indices = tuple(
@@ -177,29 +189,21 @@ def _cmd_trajectory(args) -> int:
         "percolated": tr.percolated,
         "infected_count": tr.infected_count,
         "stars": [s.to_dict() for s in tr.stars]} for tr in traces]}
-    if args.out != "-":
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for tr in traces:
-            with open(outdir / f"trace_{tr.index:03d}.csv", "w") as fh:
-                write_trace_csv(tr.rows, fh)
-        (outdir / "summary.json").write_text(_dump_json(summary))
+    if args.out == "-":
+        _emit_trace(traces[0].rows, "-")
+        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+    else:
+        outdir = _write_traces(traces, args.out)
+        _emit(render_report(summary), str(outdir / "summary.json"))
         print(json.dumps({"written": str(outdir),
                           "traces": len(traces)}, sort_keys=True))
-    else:
-        if args.traces != 1:
-            raise ValueError("--traces above 1 needs --out DIRECTORY")
-        buf = io.StringIO()
-        write_trace_csv(traces[0].rows, buf)
-        sys.stdout.write(buf.getvalue())
-        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return 0
 
 
 def _cmd_kbalance(args) -> int:
     F = _load_pattern_arg(args.pattern)
     report = k_balance_analysis(F, k=args.k)
-    _emit(_dump_json(report.to_dict()), args.out)
+    _emit(render_report(report.to_dict()), args.out)
     return 0
 
 
@@ -212,7 +216,7 @@ def _cmd_census(args) -> int:
     if args.format == "csv":
         _emit(f"{count}\n", args.out)
     else:
-        _emit(_dump_json({"count": count}), args.out)
+        _emit(render_report({"count": count}), args.out)
     return 0
 
 
@@ -221,30 +225,29 @@ def _cmd_experiment(args) -> int:
     outcome = run_experiment(spec, workers=args.threads)
     _emit(render_report(outcome.report), args.out)
     if outcome.traces and args.trace_dir is not None:
-        outdir = Path(args.trace_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for tr in outcome.traces:
-            with open(outdir / f"trace_{tr.index:03d}.csv", "w") as fh:
-                write_trace_csv(tr.rows, fh)
+        _write_traces(outcome.traces, args.trace_dir)
     return 0
 
 
 # -- parser --------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="master seed, 64-bit unsigned (default 0)")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker process count (default: all cores)")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="tabular output format (default json)")
-    common.add_argument("--out", default="-",
-                        help="output path (default stdout)")
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for the commands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
-    hostarg = argparse.ArgumentParser(add_help=False)
-    hostarg.add_argument("--in", dest="input", default="-",
-                         help="hypergraph file, JSON or text (default stdin)")
+
+def _build_parser() -> argparse.ArgumentParser:
+    out = _flag("--out", default="-", help="output path (default stdout)")
+    host = _flag("--in", dest="input", default="-",
+                 help="hypergraph file, JSON or text (default stdin)")
+    seed = _flag("--seed", type=int, default=0,
+                 help="master seed, 64-bit unsigned (default 0)")
+    threads = _flag("--threads", type=int, default=os.cpu_count() or 1,
+                    help="worker process count (default: all cores)")
+    fmt = _flag("--format", choices=("json", "csv"), default="json",
+                help="tabular output format (default json)")
 
     parser = argparse.ArgumentParser(
         prog="hyperboot",
@@ -253,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "configuration censuses and threshold experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", parents=[common],
+    p = sub.add_parser("build", parents=[out],
                        help="construct a hypergraph and emit it as JSON")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--complete", nargs=2, type=int, metavar=("N", "K"),
@@ -263,14 +266,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", help="pattern: library name or file")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("check", parents=[common, hostarg],
+    p = sub.add_parser("check", parents=[out, host],
                        help="regularity/codegree report for a hypergraph")
     p.add_argument("--d", type=float, required=True, help="degree scale")
     p.add_argument("--rho", type=float, required=True, help="slack factor")
     p.add_argument("--nu", type=float, required=True, help="vertex cap")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("closure", parents=[common, hostarg],
+    p = sub.add_parser("closure", parents=[out, host],
                        help="deterministic infection closure")
     p.add_argument("--infected", required=True,
                    help="initially infected vertices, comma-separated")
@@ -278,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict the rule to these edge ids")
     p.set_defaults(func=_cmd_closure)
 
-    p = sub.add_parser("simulate", parents=[common, hostarg],
+    p = sub.add_parser("simulate", parents=[out, host, seed],
                        help="run the two-phase process, emit the trace CSV")
     p.add_argument("--c", type=float, required=True,
                    help="initial-density constant")
@@ -291,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="trace row stride in steps")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("pc", parents=[common, hostarg],
+    p = sub.add_parser("pc", parents=[out, host, seed, threads],
                        help="bisect the critical initial density")
     p.add_argument("--q", type=float, required=True,
                    help="edge success probability")
@@ -304,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: max degree)")
     p.set_defaults(func=_cmd_pc)
 
-    p = sub.add_parser("scan", parents=[common, hostarg],
+    p = sub.add_parser("scan", parents=[out, host, seed, threads, fmt],
                        help="percolation fraction across a grid of c values")
     p.add_argument("--grid", required=True,
                    help="comma-separated c values")
@@ -314,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("trajectory", parents=[common, hostarg],
+    p = sub.add_parser("trajectory", parents=[out, host, seed],
                        help="record process traces with trajectory predictions")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -329,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="how many vertices to sample star counts at")
     p.set_defaults(func=_cmd_trajectory)
 
-    p = sub.add_parser("kbalance", parents=[common],
+    p = sub.add_parser("kbalance", parents=[out],
                        help="exact k-density balance report for a pattern")
     p.add_argument("--pattern", required=True,
                    help="pattern: library name or file")
@@ -337,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="density offset k (default: pattern uniformity)")
     p.set_defaults(func=_cmd_kbalance)
 
-    p = sub.add_parser("census", parents=[common, hostarg],
+    p = sub.add_parser("census", parents=[out, host, fmt],
                        help="count rooted configuration copies")
     p.add_argument("--config", required=True,
                    help="configuration JSON file")
@@ -347,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="infected vertices, comma-separated")
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment", parents=[out, threads],
                        help="run a full experiment spec file")
     p.add_argument("--spec", required=True, help="ExperimentSpec JSON file")
     p.add_argument("--trace-dir", default=None,
@@ -360,14 +363,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not 0 <= args.seed < 2 ** 64:
-        print("hyperboot: --seed must fit in 64 unsigned bits",
-              file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("hyperboot: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
+        # only the commands that read --seed or --threads have them
+        if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
+            raise ValueError("--seed must fit in 64 unsigned bits")
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("--threads must be at least 1")
         return args.func(args)
     except SizeGuardError as exc:
         print(f"hyperboot: size guard: {exc}", file=sys.stderr)

@@ -57,10 +57,6 @@ def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> set:
     return set(np.flatnonzero(infected).tolist())
 
 
-def percolates(H: Hypergraph, infected0: Iterable[int], active=None) -> bool:
-    return len(closure(H, infected0, active)) == H.n
-
-
 def sample_vertex_set(H: Hypergraph, p: float, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli(p) vertex sample, ascending ids; one uniform per vertex."""
     if not 0.0 <= p <= 1.0:

@@ -20,12 +20,12 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__
+from . import __version__, hypergraph
 from . import rng as rng_mod
 from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pattern
 from .census import count_pendant_stars
 from .engine import closure, sample_edge_set, sample_vertex_set
-from .hypergraph import Hypergraph, build_hypergraph
+from .hypergraph import Hypergraph
 from .processes import ProcessState, full_pipeline
 from .theory import (BoundaryError, ModelParams, classify_criticality,
                      derive_constants, star_density)
@@ -53,8 +53,8 @@ def wilson_interval(successes: int, trials: int,
 
 # -- model recipes and experiment specs ---------------------------------------
 
-def _hypergraph_from_dict(obj: dict) -> Hypergraph:
-    return build_hypergraph(int(obj["n"]), int(obj["r"]), obj["edges"])
+def _int_or_none(value) -> Optional[int]:
+    return None if value is None else int(value)
 
 
 @dataclass(frozen=True)
@@ -102,25 +102,22 @@ class ModelRecipe:
             out["k"] = self.k
         if isinstance(self.pattern, str):
             out["pattern"] = self.pattern
-        elif isinstance(self.pattern, Hypergraph):
-            out["pattern"] = {"n": self.pattern.n, "r": self.pattern.r,
-                              "edges": [list(e) for e in self.pattern.edges()]}
+        elif self.pattern is not None:
+            out["pattern"] = hypergraph.to_dict(self.pattern)
         if self.hypergraph is not None:
-            out["hypergraph"] = {
-                "n": self.hypergraph.n, "r": self.hypergraph.r,
-                "edges": [list(e) for e in self.hypergraph.edges()]}
+            out["hypergraph"] = hypergraph.to_dict(self.hypergraph)
         return out
 
     @staticmethod
     def from_dict(obj: dict) -> "ModelRecipe":
         pattern = obj.get("pattern")
         if isinstance(pattern, dict):
-            pattern = _hypergraph_from_dict(pattern)
+            pattern = hypergraph.from_dict(pattern)
         hg = obj.get("hypergraph")
         return ModelRecipe(
-            kind=obj["kind"],
-            n=obj.get("n"), k=obj.get("k"), pattern=pattern,
-            hypergraph=_hypergraph_from_dict(hg) if hg is not None else None)
+            kind=obj["kind"], n=_int_or_none(obj.get("n")),
+            k=_int_or_none(obj.get("k")), pattern=pattern,
+            hypergraph=None if hg is None else hypergraph.from_dict(hg))
 
 
 @dataclass(frozen=True)
@@ -192,8 +189,7 @@ class ExperimentSpec:
             mode=obj["mode"],
             grid=tuple(float(c) for c in obj.get("grid", ())),
             tol=float(obj.get("tol", 0.01)),
-            trace_stride=(None if obj.get("trace_stride") is None
-                          else int(obj["trace_stride"])),
+            trace_stride=_int_or_none(obj.get("trace_stride")),
             star_indices=tuple(tuple(int(x) for x in ij)
                                for ij in obj.get("star_indices", ())),
             star_vertices=int(obj.get("star_vertices", 0)))
@@ -223,9 +219,6 @@ class MCResult:
                 "ci_low": lo, "ci_high": hi}
 
 
-_MC_CTX: dict = {}
-
-
 def _trial_percolates(H: Hypergraph, p: float, q: float, seed: int,
                       trial: int) -> bool:
     init = sample_vertex_set(H, p, rng_mod.substream(
@@ -240,12 +233,21 @@ def pipeline_seed(seed: int, index: int) -> int:
     return int(rng_mod.stream_key(seed, rng_mod.TRIAL, index)[0])
 
 
-def _mc_chunk(bounds: tuple) -> int:
-    lo, hi = bounds
-    ctx = _MC_CTX
-    return sum(_trial_percolates(ctx["H"], ctx["p"], ctx["q"],
-                                 ctx["seed"], k)
-               for k in range(lo, hi))
+def _count_percolating(bounds: tuple, H: Hypergraph, p: float, q: float,
+                       seed: int) -> int:
+    return sum(_trial_percolates(H, p, q, seed, k) for k in range(*bounds))
+
+
+_WORKER_TRIAL: tuple = ()    # (H, p, q, seed), set only in pool workers
+
+
+def _start_worker(*trial: object) -> None:
+    global _WORKER_TRIAL
+    _WORKER_TRIAL = trial
+
+
+def _worker_count(bounds: tuple) -> int:
+    return _count_percolating(bounds, *_WORKER_TRIAL)
 
 
 def _chunk_bounds(trials: int, parts: int) -> list:
@@ -274,16 +276,17 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"probability {name}={val} outside [0, 1]")
-    global _MC_CTX
-    _MC_CTX = {"H": H, "p": p, "q": q, "seed": seed}
     bounds = _chunk_bounds(trials, workers)
     if len(bounds) == 1:
-        successes = _mc_chunk(bounds[0])
+        successes = _count_percolating(bounds[0], H, p, q, seed)
     else:
-        # fork inherits _MC_CTX; no per-task pickling of the host
+        # fork hands each worker the initializer's arguments in memory; the
+        # host is never pickled, and the pool drops it when it shuts down
         with ProcessPoolExecutor(max_workers=len(bounds),
-                                 mp_context=get_context("fork")) as pool:
-            successes = sum(pool.map(_mc_chunk, bounds))
+                                 mp_context=get_context("fork"),
+                                 initializer=_start_worker,
+                                 initargs=(H, p, q, seed)) as pool:
+            successes = sum(pool.map(_worker_count, bounds))
     return MCResult(p=p, q=q, trials=trials, successes=int(successes))
 
 

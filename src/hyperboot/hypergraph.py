@@ -9,7 +9,6 @@ repeated sub-tuples that the regularity audit counts and duplicate edges.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -421,26 +420,25 @@ def check_well_behaved(H: Hypergraph, d: float, rho: float, nu: float
 
 # -- serialization ---------------------------------------------------------
 
-def to_json(H: Hypergraph) -> str:
-    """Canonical JSON: keys n, r, edges; edges in canonical order; newline end."""
-    buf = io.StringIO()
-    buf.write(f'{{"n": {H.n}, "r": {H.r}, "edges": [')
-    first = True
-    for row in H.edges_array:
-        if not first:
-            buf.write(", ")
-        buf.write("[" + ", ".join(str(int(x)) for x in row) + "]")
-        first = False
-    buf.write("]}\n")
-    return buf.getvalue()
+def to_dict(H: Hypergraph) -> dict:
+    """The hypergraph record: keys n, r, edges; edges in canonical order."""
+    return {"n": H.n, "r": H.r, "edges": H.edges_array.tolist()}
 
 
-def from_json(text: str) -> Hypergraph:
-    obj = json.loads(text)
+def from_dict(obj: dict) -> Hypergraph:
     for key in ("n", "r", "edges"):
         if key not in obj:
             raise ValueError(f"hypergraph JSON missing key {key!r}")
     return build_hypergraph(int(obj["n"]), int(obj["r"]), obj["edges"])
+
+
+def to_json(H: Hypergraph) -> str:
+    """Canonical JSON of the record, newline-terminated."""
+    return json.dumps(to_dict(H)) + "\n"
+
+
+def from_json(text: str) -> Hypergraph:
+    return from_dict(json.loads(text))
 
 
 def to_text(H: Hypergraph) -> str:

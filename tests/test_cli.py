@@ -1,7 +1,10 @@
 """End-to-end command-line checks: artifacts on stdout, logs on stderr."""
 
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +14,11 @@ import pytest
 import hyperboot
 from hyperboot import hypergraph
 from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
-from hyperboot.cli import main
+from hyperboot.cli import _build_parser, main
 from hyperboot.hypergraph import loads, to_json
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -255,12 +261,86 @@ def test_census_counts_degree(capsys, k4_file, tmp_path):
 
 
 def test_seed_and_threads_validation(capsys, k4_file):
-    code, _, err = run_cli(capsys, "closure", "--in", k4_file,
-                           "--infected", "0", "--seed", "-1")
+    scan = ("scan", "--in", k4_file, "--grid", "0.5", "--alpha", "1.0",
+            "--d", "3")
+    code, _, err = run_cli(capsys, *scan, "--seed", "-1")
     assert code == 2 and "--seed" in err
-    code, _, err = run_cli(capsys, "closure", "--in", k4_file,
-                           "--infected", "0", "--threads", "0")
+    code, _, err = run_cli(capsys, *scan, "--threads", "0")
     assert code == 2 and "--threads" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--infected", "0", "--seed", "5"),
+    ("experiment", "--spec", "spec.json", "--seed", "99"),
+    ("pc", "--q", "0.5", "--format", "csv"),
+    ("simulate", "--c", "0.4", "--alpha", "1", "--d", "10", "--threads", "7"),
+    ("build", "--complete", "4", "3", "--threads", "2")])
+def test_flags_a_command_does_not_read_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+# the shared flags each command reads; every other pair is refused
+SHARED_FLAGS = {
+    "build": {"--out"},
+    "check": {"--out"},
+    "closure": {"--out"},
+    "simulate": {"--out", "--seed"},
+    "pc": {"--out", "--seed", "--threads"},
+    "scan": {"--out", "--seed", "--threads", "--format"},
+    "trajectory": {"--out", "--seed"},
+    "kbalance": {"--out"},
+    "census": {"--out", "--format"},
+    "experiment": {"--out", "--threads"},
+}
+
+
+def _subcommands() -> dict:
+    parser = _build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_shared_flags_only_where_read():
+    shared = {"--out", "--seed", "--threads", "--format"}
+    got = {name: shared & set(p._option_string_actions)
+           for name, p in _subcommands().items()}
+    assert got == SHARED_FLAGS
+    assert sum(map(len, got.values())) == 19
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text()
+    start = text.index(f"## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else len(text)]
+
+
+def test_readme_command_lines_parse():
+    section = _readme_section("Command line")
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("hyperboot ")]
+    assert {shlex.split(ln)[1] for ln in lines} == set(_subcommands())
+    parser = _build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        if ">" in argv:
+            argv = argv[:argv.index(">")]
+        parser.parse_args(argv)
+
+
+def test_readme_flag_table_matches_parser():
+    rows = [ln for ln in _readme_section("Command line").splitlines()
+            if ln.startswith("| `")]
+    table = {}
+    for row in rows:
+        command, flags = (cell.strip() for cell in row.strip("|").split("|"))
+        table[command.strip("`")] = set(re.findall(r"--[A-Za-z-]+", flags))
+    want = {name: set(p._option_string_actions) - {"-h", "--help"}
+            for name, p in _subcommands().items()}
+    assert table == want
 
 
 def test_missing_input_file(capsys):
@@ -284,6 +364,23 @@ def test_experiment_spec_file(capsys, tmp_path):
     report = json.loads(out)
     assert report["environment"]["seed"] == 9
     assert report["result"]["trials"] == 40
+
+
+def test_experiment_spec_integer_fields(capsys, tmp_path):
+    spec = {"model": {"kind": "complete", "n": 6, "k": 3},
+            "params": {"r": 3, "c": 0.5, "alpha": 1.0, "d": 10.0},
+            "trials": 20, "seed": 2, "mode": "percolation_prob"}
+    reports = []
+    for n in (6, "6", "six"):
+        spec["model"]["n"] = n
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        reports.append(run_cli(capsys, "experiment", "--spec", str(path),
+                               "--threads", "1"))
+    assert reports[0][0] == 0 and reports[1] == reports[0]
+    code, out, err = reports[2]
+    assert code == 2 and out == ""
+    assert "six" in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import assert_open_by_vertex, edge_lists, random_hypergraph
 from hyperboot.builders import complete_uniform
-from hyperboot.engine import (InfectionState, closure, percolates,
-                              sample_edge_set, sample_vertex_set)
+from hyperboot.engine import (InfectionState, closure, sample_edge_set,
+                              sample_vertex_set)
 from hyperboot.hypergraph import build_hypergraph
 from oracles import (closure_oracle, open_by_vertex_oracle, open_edges_oracle,
                      open_list_oracle)
@@ -21,18 +21,14 @@ PATH_HOST = build_hypergraph(5, 3, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
 def test_closure_complete_4_3():
     H = complete_uniform(4, 3)
     assert closure(H, [0, 1]) == {0, 1, 2, 3}
+    assert closure(H, [2, 3]) == {0, 1, 2, 3}
     assert closure(H, [0]) == {0}
+    assert closure(H, [3]) == {3}
     assert closure(H, []) == set()
 
 
 def test_closure_cascades_along_path_host():
     assert closure(PATH_HOST, [1, 2]) == {0, 1, 2, 3, 4}
-
-
-def test_percolates_wrapper():
-    H = complete_uniform(4, 3)
-    assert percolates(H, [2, 3])
-    assert not percolates(H, [3])
 
 
 def test_closure_respects_active_subset():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def test_mc_single_edge_close_to_half():
     lo, hi = res.ci
     assert lo <= 0.5 <= hi
     assert abs(res.fraction - 0.5) < 0.05
+
+
+def test_mc_keeps_no_reference_to_the_host():
+    H = bootstrap_lift(complete_uniform(12, 2), load_pattern("k3"))
+    before = sys.getrefcount(H)
+    results = [percolation_probability_mc(H, 0.3, 0.5, trials=12, seed=3,
+                                          workers=w) for w in (1, 2)]
+    assert sys.getrefcount(H) == before
+    assert results[0] == results[1]
 
 
 def test_mc_rejects_zero_trials():
@@ -252,6 +262,12 @@ def test_model_recipe_round_trip():
         H1, H2 = recipe.build(), again.build()
         assert edge_lists(H1) == edge_lists(H2)
         assert (H1.n, H1.r) == (H2.n, H2.r)
+
+
+def test_model_recipe_reads_integer_fields_with_int():
+    recipe = ModelRecipe.from_dict({"kind": "complete", "n": "6", "k": 3.0})
+    assert (recipe.n, recipe.k) == (6, 3)
+    assert recipe.to_dict() == {"kind": "complete", "n": 6, "k": 3}
 
 
 def test_experiment_spec_validation():
