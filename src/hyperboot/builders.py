@@ -213,16 +213,16 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
     return a[order[starts]]
 
 
-def enumerate_copies(G: Hypergraph, F: Hypergraph):
-    """All copies of F in G, each as a sorted tuple of G-edge ids.
+def enumerate_copies(G: Hypergraph, F: Hypergraph) -> np.ndarray:
+    """All copies of F in G: match_copies' unique sorted rows of G-edge ids.
 
     A copy is an injective vertex map under which every edge of F lands
     exactly on an edge of G; the result is deduplicated at the
     subhypergraph level, so automorphisms of F do not inflate the count.
     """
     if not F.num_edges:
-        return set()
-    return set(map(tuple, match_copies(G, F).tolist()))
+        return np.zeros((0, 0), dtype=np.int32)
+    return match_copies(G, F)
 
 
 def bootstrap_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:
@@ -238,10 +238,8 @@ def bootstrap_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:
     if G.num_edges > GENERIC_LIFT_EDGE_LIMIT:
         raise SizeGuardError(
             f"generic lift over {G.num_edges} host edges exceeds desk scale")
-    copies = enumerate_copies(G, F)
-    arr = (np.array(sorted(copies), dtype=np.int32) if copies
-           else np.zeros((0, F.num_edges), dtype=np.int32))
-    return Hypergraph.from_rows(G.num_edges, F.num_edges, arr, canonical=True)
+    return Hypergraph.from_rows(G.num_edges, F.num_edges,
+                                enumerate_copies(G, F), canonical=True)
 
 
 def lift_regular_degree(G: Hypergraph, F: Hypergraph,
@@ -295,12 +293,10 @@ def k_balance_analysis(F: Hypergraph, k: Optional[int] = None) -> KBalanceReport
     if F.num_edges > KBALANCE_EDGE_LIMIT:
         raise SizeGuardError(
             f"balance analysis over {F.num_edges} edges exceeds desk scale")
-    spanned = set()
-    for e in F.edges():
-        spanned.update(e)
-    if len(spanned) <= k:
-        raise ValueError(f"pattern spans {len(spanned)} vertices, needs more than k={k}")
-    density = Fraction(F.num_edges - 1, len(spanned) - k)
+    spanned = np.unique(F.edges_array).size
+    if spanned <= k:
+        raise ValueError(f"pattern spans {spanned} vertices, needs more than k={k}")
+    density = Fraction(F.num_edges - 1, spanned - k)
     edges = [F.edge(i) for i in range(F.num_edges)]
     worst: Optional[Fraction] = None
     worst_sub: Optional[list] = None

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import hypergraph
 from .builders import match_copies
-from .hypergraph import Hypergraph, _group_rows, as_mask, build_hypergraph
+from .hypergraph import Hypergraph, _group_rows, as_mask, record_field
 
 SECONDARY_MIN_R = 3
 SECONDARY_MAX_R = 6
@@ -38,14 +38,10 @@ class Configuration:
     marked: frozenset
 
     def __post_init__(self):
-        F = self.pattern
-        covered = set()
-        for e in F.edges():
-            covered.update(e)
-        if covered != set(range(F.n)):
+        if (self.pattern.degrees() == 0).any():
             raise ValueError("every pattern vertex must lie in some edge")
         for v in self.roots | self.marked:
-            if not 0 <= v < F.n:
+            if not 0 <= v < self.pattern.n:
                 raise ValueError(f"role vertex {v} outside pattern")
         if self.roots & self.marked:
             raise ValueError("roots and marked must be disjoint")
@@ -63,10 +59,11 @@ class Configuration:
 
     @staticmethod
     def from_dict(obj: dict) -> "Configuration":
-        return Configuration(
-            hypergraph.from_dict(obj["pattern"]),
-            frozenset(int(v) for v in obj["roots"]),
-            frozenset(int(v) for v in obj["marked"]))
+        def vertex_set(ids):
+            return frozenset(int(v) for v in ids)
+        return Configuration(record_field(obj, "pattern", hypergraph.from_dict),
+                             record_field(obj, "roots", vertex_set),
+                             record_field(obj, "marked", vertex_set))
 
 
 def _copies(H: Hypergraph, infected, config: Configuration,
@@ -86,15 +83,15 @@ def _copies(H: Hypergraph, infected, config: Configuration,
 
 
 def rooted_copies(H: Hypergraph, infected, config: Configuration,
-                  root_images: Iterable[int], active=None) -> set:
-    """The set of copies, each a sorted tuple of host edge ids; copies found
+                  root_images: Iterable[int], active=None) -> np.ndarray:
+    """match_copies' unique sorted rows of host edge ids; copies found
     through different root bijections or witnesses count once."""
-    return set(map(tuple, _copies(H, infected, config, root_images,
-                                  active).tolist()))
+    return _copies(H, infected, config, root_images, active)
 
 
 def count_rooted_copies(H: Hypergraph, infected, config: Configuration,
                         root_images: Iterable[int], active=None) -> int:
+    # via rooted_copies, which a traced run counts; the counters call _copies
     return len(rooted_copies(H, infected, config, root_images, active))
 
 
@@ -146,7 +143,7 @@ def saturated_edge_config(r: int, i: int) -> Configuration:
     """Single edge with i roots; the other r-i vertices marked."""
     if not 0 <= i <= r:
         raise ValueError(f"root count i={i} outside 0..{r}")
-    F = build_hypergraph(r, r, [list(range(r))])
+    F = Hypergraph.from_rows(r, r, [list(range(r))])
     return Configuration(F, frozenset(range(i)), frozenset(range(i, r)))
 
 
@@ -169,7 +166,7 @@ def pendant_star_config(r: int, i: int, j: int) -> Configuration:
         marked.update(body)
         nxt += r - 1
         edges.append([attach] + body)
-    F = build_hypergraph(nxt, r, edges)
+    F = Hypergraph.from_rows(nxt, r, edges)
     return Configuration(F, frozenset([0]), frozenset(marked))
 
 
@@ -193,7 +190,7 @@ def general_star_family(r: int, i: int, j: int) -> list:
 
     def rec(k: int, edges: list, marked: set, nxt: int):
         if k == j:
-            F = build_hypergraph(nxt, r, edges)
+            F = Hypergraph.from_rows(nxt, r, edges)
             cfg = Configuration(F, frozenset([0]), frozenset(marked))
             shapes.setdefault(canonical_config_key(cfg), cfg)
             return
@@ -273,7 +270,7 @@ def _config_from_regions(r: int, regions: list) -> Configuration:
                     roots.append(v)
                 elif kind == "m":
                     marked.append(v)
-    F = build_hypergraph(nxt, r, edges)
+    F = Hypergraph.from_rows(nxt, r, edges)
     return Configuration(F, frozenset(roots), frozenset(marked))
 
 

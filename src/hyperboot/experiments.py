@@ -25,7 +25,7 @@ from . import rng as rng_mod
 from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pattern
 from .census import count_pendant_stars
 from .engine import closure, sample_edge_set, sample_vertex_set
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, record_field
 from .processes import ProcessState, full_pipeline
 from .theory import (BoundaryError, ModelParams, classify_criticality,
                      derive_constants, star_density)
@@ -52,10 +52,6 @@ def wilson_interval(successes: int, trials: int,
 
 
 # -- model recipes and experiment specs ---------------------------------------
-
-def _int_or_none(value) -> Optional[int]:
-    return None if value is None else int(value)
-
 
 @dataclass(frozen=True)
 class ModelRecipe:
@@ -110,14 +106,15 @@ class ModelRecipe:
 
     @staticmethod
     def from_dict(obj: dict) -> "ModelRecipe":
-        pattern = obj.get("pattern")
-        if isinstance(pattern, dict):
-            pattern = hypergraph.from_dict(pattern)
-        hg = obj.get("hypergraph")
+        def pattern(value):   # a library name or an inline hypergraph record
+            return value if isinstance(value, str) else hypergraph.from_dict(value)
         return ModelRecipe(
-            kind=obj["kind"], n=_int_or_none(obj.get("n")),
-            k=_int_or_none(obj.get("k")), pattern=pattern,
-            hypergraph=None if hg is None else hypergraph.from_dict(hg))
+            kind=record_field(obj, "kind"),
+            n=record_field(obj, "n", int, None),
+            k=record_field(obj, "k", int, None),
+            pattern=record_field(obj, "pattern", pattern, None),
+            hypergraph=record_field(obj, "hypergraph", hypergraph.from_dict,
+                                    None))
 
 
 @dataclass(frozen=True)
@@ -176,23 +173,28 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentSpec":
-        par = obj["params"]
-        params = ModelParams(
-            r=int(par["r"]), c=float(par["c"]), alpha=float(par["alpha"]),
-            d=float(par["d"]), K=float(par.get("K", 100.0)),
-            n_vertices=par.get("n_vertices"))
+        def params(par):
+            return ModelParams(
+                r=record_field(par, "r", int), c=record_field(par, "c", float),
+                alpha=record_field(par, "alpha", float),
+                d=record_field(par, "d", float),
+                K=record_field(par, "K", float, 100.0),
+                n_vertices=record_field(par, "n_vertices", int, None))
+
+        def star_indices(pairs):
+            return tuple(tuple(int(x) for x in ij) for ij in pairs)
         return ExperimentSpec(
-            model=ModelRecipe.from_dict(obj["model"]),
-            params=params,
-            trials=int(obj["trials"]),
-            seed=int(obj["seed"]),
-            mode=obj["mode"],
-            grid=tuple(float(c) for c in obj.get("grid", ())),
-            tol=float(obj.get("tol", 0.01)),
-            trace_stride=_int_or_none(obj.get("trace_stride")),
-            star_indices=tuple(tuple(int(x) for x in ij)
-                               for ij in obj.get("star_indices", ())),
-            star_vertices=int(obj.get("star_vertices", 0)))
+            model=record_field(obj, "model", ModelRecipe.from_dict),
+            params=record_field(obj, "params", params),
+            trials=record_field(obj, "trials", int),
+            seed=record_field(obj, "seed", int),
+            mode=record_field(obj, "mode"),
+            grid=record_field(obj, "grid",
+                              lambda cs: tuple(float(c) for c in cs), ()),
+            tol=record_field(obj, "tol", float, 0.01),
+            trace_stride=record_field(obj, "trace_stride", int, None),
+            star_indices=record_field(obj, "star_indices", star_indices, ()),
+            star_vertices=record_field(obj, "star_vertices", int, 0))
 
 
 # -- Monte Carlo percolation probability --------------------------------------

@@ -42,10 +42,10 @@ class Hypergraph:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_rows(n: int, r: int, rows: np.ndarray, *, canonical: bool = False
+    def from_rows(n: int, r: int, rows, *, canonical: bool = False
                   ) -> "Hypergraph":
-        """Build from an (m, r) array of vertex ids.
-
+        """The one constructor, from an (m, r) int array or a list of rows of
+        vertex ids (empty: no edges); an error names the offending edge.
         With canonical=True the caller asserts rows are already sorted within
         rows, lexicographically ordered, and duplicate-free; only cheap range
         checks run.  Builders that generate edges in canonical order use this
@@ -55,17 +55,30 @@ class Hypergraph:
             raise ValueError(f"uniformity r={r} must be at least 2")
         if n < 0:
             raise ValueError(f"vertex count n={n} must be nonnegative")
-        rows = np.ascontiguousarray(rows, dtype=np.int32)
-        if rows.ndim != 2 or (rows.shape[0] and rows.shape[1] != r):
-            raise ValueError(f"edge array must have shape (m, {r})")
-        if rows.shape[0] == 0:
-            rows = rows.reshape(0, r)
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n:
-                bad = int(np.flatnonzero((rows < 0).any(axis=1)
-                                         | (rows >= n).any(axis=1))[0])
+        try:
+            arr = np.asarray(rows)
+        except ValueError:                  # ragged rows
+            arr = np.asarray(rows, dtype=object)
+        if arr.ndim != 2 or arr.shape[1] != r:
+            if arr.shape[:1] != (0,):
+                e = next((e for e in np.atleast_1d(arr).tolist()
+                          if np.shape(e) != (r,)), arr)
                 raise ValueError(
-                    f"edge {rows[bad].tolist()} has a vertex outside 0..{n - 1}")
+                    f"edge {e} has {np.size(e)} vertices, expected {r}")
+            arr = np.zeros((0, r), dtype=np.int32)
+        if arr.size:
+            if not np.issubdtype(arr.dtype, np.integer):
+                # name a row with a fractional id if there is one
+                bad = (int(np.argmax((arr != np.floor(arr)).any(axis=1)))
+                       if np.issubdtype(arr.dtype, np.floating) else 0)
+                raise ValueError(f"edge {arr[bad].tolist()}: vertex ids "
+                                 f"must be integers, got {arr.dtype}")
+            if arr.min() < 0 or arr.max() >= n:
+                bad = int(np.flatnonzero((arr < 0).any(axis=1)
+                                         | (arr >= n).any(axis=1))[0])
+                raise ValueError(
+                    f"edge {arr[bad].tolist()} has a vertex outside 0..{n - 1}")
+        rows = np.ascontiguousarray(arr, dtype=np.int32)
         if not canonical and rows.size:
             rows = np.sort(rows, axis=1)
             if not (np.diff(rows, axis=1) > 0).all():
@@ -171,12 +184,8 @@ class Hypergraph:
 
     def link(self, v: int) -> set:
         """The link of v: the set of (r-1)-sets e \\ {v} over edges e containing v."""
-        self._check_vertex(v)
-        out = set()
-        for i in self.incident_edges(v):
-            row = self._edges[i]
-            out.add(tuple(int(x) for x in row if x != v))
-        return out
+        rows = self._edges[self.incident_edges(v)]
+        return {tuple(e) for e in rows[rows != v].reshape(-1, self.r - 1).tolist()}
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -254,25 +263,6 @@ def as_mask(items, size: int, what: str) -> Optional[np.ndarray]:
     mask = np.zeros(size, dtype=bool)
     mask[ids] = True
     return mask
-
-
-def build_hypergraph(n: int, r: int, raw_edges) -> Hypergraph:
-    """Validate, canonicalize and index an edge list.
-
-    Accepts any iterable of r-element vertex collections (or an (m, r)
-    array).  Rows are sorted, duplicate edges dropped, vertices checked
-    against 0..n-1.  Error messages name the offending edge.
-    """
-    if isinstance(raw_edges, np.ndarray):
-        return Hypergraph.from_rows(n, r, raw_edges)
-    rows = []
-    for e in raw_edges:
-        t = tuple(int(x) for x in e)
-        if len(t) != r:
-            raise ValueError(f"edge {list(t)} has {len(t)} vertices, expected {r}")
-        rows.append(t)
-    arr = np.array(rows, dtype=np.int32) if rows else np.zeros((0, r), dtype=np.int32)
-    return Hypergraph.from_rows(n, r, arr)
 
 
 def neighbourhood_intersection_size(H: Hypergraph, u: int, v: int) -> int:
@@ -425,11 +415,29 @@ def to_dict(H: Hypergraph) -> dict:
     return {"n": H.n, "r": H.r, "edges": H.edges_array.tolist()}
 
 
+_REQUIRED = object()
+
+
+def record_field(obj, key: str, convert=None, default=_REQUIRED):
+    """obj[key] of a JSON record through convert; a null value counts as
+    missing.  Every way the record can fail raises ValueError naming key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with key {key!r}")
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    try:
+        return value if convert is None else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
 def from_dict(obj: dict) -> Hypergraph:
-    for key in ("n", "r", "edges"):
-        if key not in obj:
-            raise ValueError(f"hypergraph JSON missing key {key!r}")
-    return build_hypergraph(int(obj["n"]), int(obj["r"]), obj["edges"])
+    return Hypergraph.from_rows(record_field(obj, "n", int),
+                                record_field(obj, "r", int),
+                                record_field(obj, "edges"))
 
 
 def to_json(H: Hypergraph) -> str:
@@ -441,15 +449,8 @@ def from_json(text: str) -> Hypergraph:
     return from_dict(json.loads(text))
 
 
-def to_text(H: Hypergraph) -> str:
-    """Plain text: header 'r n m', then one edge per line."""
-    lines = [f"{H.r} {H.n} {H.num_edges}"]
-    for row in H.edges_array:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def from_text(text: str) -> Hypergraph:
+    """Plain text: header 'r n m', then one edge a line of vertex ids."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty hypergraph text")
@@ -460,7 +461,7 @@ def from_text(text: str) -> Hypergraph:
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = [[int(x) for x in ln.split()] for ln in lines[1:]]
-    return build_hypergraph(n, r, edges)
+    return Hypergraph.from_rows(n, r, edges)
 
 
 def loads(text: str) -> Hypergraph:

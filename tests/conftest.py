@@ -1,6 +1,6 @@
 import numpy as np
 
-from hyperboot.hypergraph import Hypergraph, build_hypergraph
+from hyperboot.hypergraph import Hypergraph
 
 
 def random_hypergraph(rng: np.random.Generator, n: int, r: int,
@@ -8,7 +8,7 @@ def random_hypergraph(rng: np.random.Generator, n: int, r: int,
     """Random r-uniform instance; duplicate draws collapse on build."""
     rows = [sorted(int(x) for x in rng.choice(n, size=r, replace=False))
             for _ in range(m)]
-    return build_hypergraph(n, r, rows)
+    return Hypergraph.from_rows(n, r, rows)
 
 
 def edge_lists(H: Hypergraph) -> list:

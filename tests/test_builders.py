@@ -12,11 +12,11 @@ from hyperboot.builders import (SizeGuardError, bootstrap_lift,
                                 complete_uniform, enumerate_copies,
                                 k_balance_analysis, lift_regular_degree,
                                 load_pattern, pattern_names)
-from hyperboot.hypergraph import build_hypergraph
+from hyperboot.hypergraph import Hypergraph
 from oracles import kbalance_oracle
 
-K3 = build_hypergraph(3, 2, [[0, 1], [0, 2], [1, 2]])
-PATH3 = build_hypergraph(3, 2, [[0, 1], [1, 2]])
+K3 = Hypergraph.from_rows(3, 2, [[0, 1], [0, 2], [1, 2]])
+PATH3 = Hypergraph.from_rows(3, 2, [[0, 1], [1, 2]])
 
 
 def test_complete_4_3_shape():
@@ -75,7 +75,7 @@ def test_triangle_lift_of_incomplete_graph():
 
 def test_lift_with_overlapping_triples_pattern():
     G = complete_uniform(5, 3)
-    F = build_hypergraph(4, 3, [[0, 1, 2], [1, 2, 3]])
+    F = Hypergraph.from_rows(4, 3, [[0, 1, 2], [1, 2, 3]])
     H = bootstrap_lift(G, F)
     copies = {frozenset(c) for c in enumerate_copies(G, F)}
     assert H.n == G.num_edges
@@ -146,14 +146,14 @@ def test_lift_of_complete_graph_is_regular():
 
 def test_lift_rejects_uniformity_below_three():
     # a single-edge pattern would produce a 1-uniform lift
-    F = build_hypergraph(2, 2, [[0, 1]])
+    F = Hypergraph.from_rows(2, 2, [[0, 1]])
     with pytest.raises(ValueError):
         bootstrap_lift(complete_uniform(5, 2), F)
 
 
 def test_generic_lift_size_guard():
     G = complete_uniform(1100, 2)   # 604450 host edges, over the generic limit
-    F = build_hypergraph(4, 2, [[0, 1], [1, 2], [2, 3]])
+    F = Hypergraph.from_rows(4, 2, [[0, 1], [1, 2], [2, 3]])
     with pytest.raises(SizeGuardError):
         bootstrap_lift(G, F)
 
@@ -206,7 +206,7 @@ def test_balance_matches_subset_enumeration():
 
 def test_balance_guards():
     with pytest.raises(ValueError):
-        k_balance_analysis(build_hypergraph(3, 2, [[0, 1]]))
+        k_balance_analysis(Hypergraph.from_rows(3, 2, [[0, 1]]))
     big = complete_uniform(8, 2)   # 28 edges > analysis limit
     with pytest.raises(SizeGuardError):
         k_balance_analysis(big)

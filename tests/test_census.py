@@ -15,21 +15,21 @@ from hyperboot.census import (Configuration, canonical_config_key,
                               enumerate_secondary, general_star_family,
                               pendant_star_config, rooted_copies,
                               saturated_edge_config)
-from hyperboot.hypergraph import build_hypergraph
+from hyperboot.hypergraph import Hypergraph
 from oracles import (count_copies_oracle, general_stars_oracle,
                      pendant_stars_oracle, saturated_edges_oracle)
 
-PATH_HOST = build_hypergraph(5, 3, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
-TWO_EDGE = build_hypergraph(5, 3, [[0, 1, 2], [2, 3, 4]])
+PATH_HOST = Hypergraph.from_rows(5, 3, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
+TWO_EDGE = Hypergraph.from_rows(5, 3, [[0, 1, 2], [2, 3, 4]])
 
 
 def test_configuration_roles_validated():
-    F = build_hypergraph(3, 3, [[0, 1, 2]])
+    F = Hypergraph.from_rows(3, 3, [[0, 1, 2]])
     with pytest.raises(ValueError):
         Configuration(F, frozenset([0]), frozenset([0]))
     with pytest.raises(ValueError):
         Configuration(F, frozenset([5]), frozenset())
-    lonely = build_hypergraph(4, 3, [[0, 1, 2]])   # vertex 3 uncovered
+    lonely = Hypergraph.from_rows(4, 3, [[0, 1, 2]])   # vertex 3 uncovered
     with pytest.raises(ValueError):
         Configuration(lonely, frozenset([0]), frozenset())
 
@@ -171,7 +171,8 @@ def test_fast_counters_match_generic_matcher():
                 assert got == pendant_stars_oracle(edges, infected, v, i, j)
                 assert got == count_rooted_copies(H, infected, cfg, [v], active)
                 family = general_star_family(r, i, j)
-                copies = [rooted_copies(H, infected, m, [v], active)
+                copies = [set(map(tuple, rooted_copies(
+                              H, infected, m, [v], active).tolist()))
                           for m in family]
                 total = sum(len(s) for s in copies)
                 union = set().union(*copies) if copies else set()
@@ -246,8 +247,8 @@ def test_generic_matcher_against_subset_oracle():
                                        cfg.marked, [v], infected)
             assert count_rooted_copies(H, infected, cfg, [v], active) == want
     # unrooted, unmarked copies: the lift's enumerator
-    for F in (build_hypergraph(5, 3, [[0, 1, 2], [2, 3, 4]]),
-              build_hypergraph(4, 3, [[0, 1, 2], [1, 2, 3]]),
+    for F in (Hypergraph.from_rows(5, 3, [[0, 1, 2], [2, 3, 4]]),
+              Hypergraph.from_rows(4, 3, [[0, 1, 2], [1, 2, 3]]),
               load_pattern("loose_triangle_3")):
         pattern_edges = [list(e) for e in F.edges()]
         for _ in range(4):
@@ -278,7 +279,7 @@ def test_canonical_key_invariant_under_relabeling():
         edges = [[int(perm[x]) for x in e] for e in F.edges()]
         rng.shuffle(edges)
         relabeled = Configuration(
-            build_hypergraph(F.n, F.r, edges),
+            Hypergraph.from_rows(F.n, F.r, edges),
             frozenset(int(perm[x]) for x in cfg.roots),
             frozenset(int(perm[x]) for x in cfg.marked))
         assert canonical_config_key(relabeled) == canonical_config_key(cfg)

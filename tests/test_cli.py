@@ -260,6 +260,49 @@ def test_census_counts_degree(capsys, k4_file, tmp_path):
     assert out == "3\n"
 
 
+@pytest.mark.parametrize("edges,named", [
+    ([[0, 1, 2.7]], "edge [0.0, 1.0, 2.7]"),
+    ([[0, 1, 4294967296]], "edge [0, 1, 4294967296]"),
+    (7, "edge 7"),
+    ([[0, 1, 2], [0, 1]], "edge [0, 1] has 2 vertices, expected 3"),
+], ids=["fractional_id", "id_past_int32", "edges_not_a_list", "short_row"])
+def test_malformed_host_exits_2_naming_the_edge(capsys, tmp_path, edges,
+                                                named):
+    path = tmp_path / "host.json"
+    path.write_text(json.dumps({"n": 4, "r": 3, "edges": edges}))
+    code, out, err = run_cli(capsys, "closure", "--in", str(path),
+                             "--infected", "0")
+    assert code == 2 and out == ""
+    assert named in err
+
+
+SPEC = {"model": {"kind": "complete", "n": 6, "k": 3},
+        "params": {"r": 3, "c": 0.5, "alpha": 1.0, "d": 10.0},
+        "trials": 20, "seed": 2, "mode": "percolation_prob"}
+
+
+@pytest.mark.parametrize("flag,record,field", [
+    ("--spec", dict(SPEC, trials=None), "'trials'"),
+    ("--spec", dict(SPEC, mode="scan", grid=0.5), "'grid'"),
+    ("--spec", [1, 2], "JSON object"),
+    ("--in", {"n": None, "r": 3, "edges": [[0, 1, 2]]}, "'n'"),
+    ("--config", {"pattern": {"n": 3, "r": 3, "edges": [[0, 1, 2]]},
+                  "roots": 0, "marked": []}, "'roots'"),
+], ids=["spec_trials_null", "spec_grid_scalar", "spec_not_an_object",
+        "host_n_null", "config_roots_scalar"])
+def test_record_field_of_wrong_type_exits_2(capsys, k4_file, tmp_path, flag,
+                                            record, field):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    argv = {"--spec": ("experiment", "--spec", str(path)),
+            "--in": ("closure", "--in", str(path), "--infected", "0"),
+            "--config": ("census", "--in", k4_file, "--config", str(path),
+                         "--root", "2")}[flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert field in err
+
+
 def test_seed_and_threads_validation(capsys, k4_file):
     scan = ("scan", "--in", k4_file, "--grid", "0.5", "--alpha", "1.0",
             "--d", "3")

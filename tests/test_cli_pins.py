@@ -13,7 +13,7 @@ from hyperboot.builders import load_pattern
 from hyperboot.census import Configuration
 from hyperboot.cli import main
 from hyperboot.experiments import ModelRecipe
-from hyperboot.hypergraph import build_hypergraph
+from hyperboot.hypergraph import Hypergraph
 
 LIFT = ("--in", "lift12.json")
 PROCESS = LIFT + ("--c", "0.4", "--alpha", "1.0", "--d", "10")
@@ -33,6 +33,7 @@ CASES = {
     "closure": ("closure",) + LIFT + ("--infected", "0,1,2,3,4,5,6,7"),
     "closure_active": ("closure",) + LIFT + ("--infected", "0,1,2,3,4,5,6,7",
                                              "--active", "0,1,2,3,40,41,90"),
+    "closure_text_host": ("closure", "--in", "host.txt", "--infected", "0,1"),
     "check": ("check",) + LIFT + ("--d", "10", "--rho", "0.3163",
                                   "--nu", "70"),
     "simulate": ("simulate",) + PROCESS + ("--seed", "5", "--stride", "3"),
@@ -75,6 +76,8 @@ CLI_DIGESTS = {
         "2caca4d8c87e4bcf6852f1a55c267bc8ab302e963b9e5562012ac2d35710d07c",
     "closure_active":
         "b73a92817954cbbfd9569a852da4325717a392cf7943e25bf3d3bd671aa55a53",
+    "closure_text_host":
+        "2a134cdd1006a9d10d23ce6470483467b3c828b06a7f484f2a2981139cfbda0c",
     "check":
         "326ce69053215e0bc8237cbaedce917cd6d2e934b68fbf783871754c6c76ab45",
     "simulate":
@@ -109,6 +112,9 @@ CLI_DIGESTS = {
         "38809c8b504f4b4c0eb052e00a96be9c4f4950af4901e2112cb91f2c3a21b6b6",
 }
 
+# text format: header 'r n m', then one edge a line; one row unsorted and
+# one a repeat, so reading it sorts rows and drops the duplicate
+TEXT_HOST = "3 7 5\n0 1 2\n3 2 1\n1 2 3\n2 3 4\n5 4 3\n"
 PATTERN_FILE = {"n": 4, "r": 2, "edges": [[0, 1], [1, 2], [2, 3]]}
 CONFIG = {"pattern": {"n": 5, "r": 3, "edges": [[0, 1, 2], [0, 3, 4]]},
           "roots": [0], "marked": [1]}
@@ -148,6 +154,7 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pat.json").write_text(json.dumps(PATTERN_FILE))
     (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+    (tmp_path / "host.txt").write_text(TEXT_HOST)
     for mode, spec in SPECS.items():
         (tmp_path / f"{mode}.json").write_text(json.dumps(spec))
     digests = {}
@@ -178,7 +185,7 @@ RECORD_DIGESTS = {
 
 
 def test_records_match_pinned_digests():
-    lift_pattern = build_hypergraph(4, 2, [[0, 1], [1, 2], [2, 3], [0, 3]])
+    lift_pattern = Hypergraph.from_rows(4, 2, [[0, 1], [1, 2], [2, 3], [0, 3]])
     records = {
         "recipe_inline": ModelRecipe(kind="inline",
                                      hypergraph=load_pattern("loose_triangle_3")),

@@ -11,11 +11,11 @@ from conftest import assert_open_by_vertex, edge_lists, random_hypergraph
 from hyperboot.builders import complete_uniform
 from hyperboot.engine import (InfectionState, closure, sample_edge_set,
                               sample_vertex_set)
-from hyperboot.hypergraph import build_hypergraph
+from hyperboot.hypergraph import Hypergraph
 from oracles import (closure_oracle, open_by_vertex_oracle, open_edges_oracle,
                      open_list_oracle)
 
-PATH_HOST = build_hypergraph(5, 3, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
+PATH_HOST = Hypergraph.from_rows(5, 3, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
 
 
 def test_closure_complete_4_3():
@@ -68,7 +68,7 @@ def test_closure_matches_rescan_oracle(data):
     m = data.draw(st.integers(0, 20))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    H = random_hypergraph(rng, n, r, m) if m else build_hypergraph(n, r, [])
+    H = random_hypergraph(rng, n, r, m) if m else Hypergraph.from_rows(n, r, [])
     k = data.draw(st.integers(0, n))
     infected0 = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
     edges = edge_lists(H)
@@ -85,7 +85,7 @@ def test_closure_deep_cascade_takes_one_round_per_vertex():
     # a tight path: each edge opens only after the previous one infected
     n = 300
     edges = [(i, i + 1, i + 2) for i in range(n - 2)]
-    H = build_hypergraph(n, 3, edges)
+    H = Hypergraph.from_rows(n, 3, edges)
     assert closure(H, [0, 1]) == closure_oracle(edges, [0, 1]) == set(range(n))
     # a missing edge stops the cascade there
     keep = [i for i in range(n - 2) if i != 150]
@@ -97,7 +97,7 @@ def test_closure_two_edges_opening_one_vertex_in_one_round():
     # edges 0 and 1 both open vertex 4; edge 2 must lose one healthy vertex
     # for 4, not two, and then open 5
     edges = [(0, 1, 4), (2, 3, 4), (0, 4, 5)]
-    H = build_hypergraph(7, 3, edges)
+    H = Hypergraph.from_rows(7, 3, edges)
     want = closure_oracle(edges, [0, 1, 2, 3])
     assert want == {0, 1, 2, 3, 4, 5}
     assert closure(H, [0, 1, 2, 3]) == want
@@ -178,7 +178,7 @@ def test_lowest_saturated_vertex_ties_at_the_threshold():
     rows = [[0, 1, 9], [0, 2, 9], [1, 2, 9], [3, 4, 12], [3, 5, 12],
             [4, 5, 12], [0, 3, 15], [1, 4, 15], [2, 5, 15], [0, 4, 6],
             [1, 5, 6]]
-    H = build_hypergraph(16, 3, rows)
+    H = Hypergraph.from_rows(16, 3, rows)
     st0 = InfectionState(H, range(6))
     edges = edge_lists(H)
     for threshold, v in ((1, 6), (2, 6), (3, 9), (4, None)):

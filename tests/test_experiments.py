@@ -18,11 +18,11 @@ from hyperboot.experiments import (ExperimentSpec, ModelRecipe,
                                    record_trajectory, render_report,
                                    run_experiment, threshold_scan,
                                    wilson_interval)
-from hyperboot.hypergraph import build_hypergraph
+from hyperboot.hypergraph import Hypergraph
 from hyperboot.theory import ModelParams
 from oracles import percolation_prob_oracle, wilson_oracle
 
-SINGLE_EDGE = build_hypergraph(3, 3, [[0, 1, 2]])
+SINGLE_EDGE = Hypergraph.from_rows(3, 3, [[0, 1, 2]])
 
 
 def test_wilson_interval_matches_closed_form():

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from conftest import edge_lists, random_hypergraph
 from hyperboot import hypergraph
 from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
-from hyperboot.hypergraph import (Hypergraph, SizeGuardError, build_hypergraph,
+from hyperboot.hypergraph import (Hypergraph, SizeGuardError,
                                   check_well_behaved, from_json, from_text,
                                   loads, max_neighbourhood_intersection,
-                                  neighbourhood_intersection_size, to_json,
-                                  to_text)
+                                  neighbourhood_intersection_size, to_json)
 from oracles import (codegree_oracle, degree_oracle, max_codegree_oracle,
                      max_codegree_witness_oracle, max_nbhd_intersection_oracle,
                      nbhd_intersection_oracle)
@@ -24,24 +23,25 @@ PATH_HYPERGRAPH = [[0, 1, 2], [0, 2, 3], [0, 3, 4]]
 
 
 def test_build_sorts_vertices_within_edge():
-    H = build_hypergraph(3, 3, [[2, 0, 1]])
+    H = Hypergraph.from_rows(3, 3, [[2, 0, 1]])
     assert H.num_edges == 1
     assert H.edge(0) == (0, 1, 2)
 
 
 def test_build_collapses_duplicate_edges():
-    H = build_hypergraph(4, 3, [[0, 1, 2], [2, 1, 0], [1, 2, 3]])
+    H = Hypergraph.from_rows(4, 3, [[0, 1, 2], [2, 1, 0], [1, 2, 3]])
     assert H.num_edges == 2
     assert edge_lists(H) == [(0, 1, 2), (1, 2, 3)]
 
 
 def test_build_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        build_hypergraph(3, 3, [[0, 1, 1]])
-    with pytest.raises(ValueError):
-        build_hypergraph(3, 3, [[0, 1, 3]])
-    with pytest.raises(ValueError):
-        build_hypergraph(3, 3, [[0, 1]])
+    # ids are integers as given: no float, string or bool, and the range
+    # is checked before the int32 cast could wrap 2**32 + 2 onto 2
+    for rows in ([[0, 1, 1]], [[0, 1, 3]], [[0, 1]], [[0, 1, 2], [0, 1]], 7,
+                 [[0, 1, 2.0]], [["0", "1", "2"]], [[True, False, True]],
+                 np.array([[0, 1, 2 ** 32 + 2]])):
+        with pytest.raises(ValueError, match="edge"):
+            Hypergraph.from_rows(3, 3, rows)
 
 
 def test_complete_5_3_degrees_and_codegree():
@@ -52,17 +52,17 @@ def test_complete_5_3_degrees_and_codegree():
 
 
 def test_path_host_degree_and_max_codegree():
-    H = build_hypergraph(5, 3, PATH_HYPERGRAPH)
+    H = Hypergraph.from_rows(5, 3, PATH_HYPERGRAPH)
     assert H.degree(0) == 3
     assert H.max_codegree(2) == 2
 
 
 def test_neighbourhood_intersection_examples():
-    H = build_hypergraph(4, 3, [[0, 1, 2], [1, 2, 3]])
+    H = Hypergraph.from_rows(4, 3, [[0, 1, 2], [1, 2, 3]])
     assert neighbourhood_intersection_size(H, 0, 3) == 1
     K43 = complete_uniform(4, 3)
     assert neighbourhood_intersection_size(K43, 0, 1) == 1
-    Hd = build_hypergraph(6, 3, [[0, 1, 2], [3, 4, 5]])
+    Hd = Hypergraph.from_rows(6, 3, [[0, 1, 2], [3, 4, 5]])
     assert neighbourhood_intersection_size(Hd, 0, 3) == 0
 
 
@@ -132,7 +132,7 @@ def test_incident_edges_ascending_on_both_sides_of_16_bit_ids():
     rng = np.random.default_rng(5)
     for n in (40, 1 << 16, (1 << 16) + 1):
         H = random_hypergraph(rng, n, 3, 60)
-        H = build_hypergraph(n, 3, edge_lists(H) + [(0, n - 2, n - 1)])
+        H = Hypergraph.from_rows(n, 3, edge_lists(H) + [(0, n - 2, n - 1)])
         edges = edge_lists(H)
         for v in {0, n - 2, n - 1} | {x for e in edges[:20] for x in e}:
             assert H.incident_edges(v).tolist() == [
@@ -219,7 +219,7 @@ def test_check_report_digests_pinned():
 
 
 def test_json_round_trip_is_bit_exact():
-    H = build_hypergraph(5, 3, [[4, 3, 2], [0, 1, 2], [0, 2, 3]])
+    H = Hypergraph.from_rows(5, 3, [[4, 3, 2], [0, 1, 2], [0, 2, 3]])
     blob = to_json(H)
     assert blob.endswith("\n")
     obj = json.loads(blob)
@@ -232,7 +232,7 @@ def test_json_bytes_pinned():
     assert to_json(complete_uniform(4, 3)) == (
         '{"n": 4, "r": 3, "edges": '
         '[[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}\n')
-    assert to_json(build_hypergraph(3, 2, [])) == (
+    assert to_json(Hypergraph.from_rows(3, 2, [])) == (
         '{"n": 3, "r": 2, "edges": []}\n')
 
 
@@ -244,20 +244,24 @@ def test_from_json_names_a_missing_key(key):
         from_json(json.dumps(obj))
 
 
+# the path host in the text format: header 'r n m', then one edge a line
+PATH_TEXT = "3 5 3\n0 1 2\n0 2 3\n0 3 4\n"
+
+
 def test_text_round_trip_and_header():
-    H = build_hypergraph(5, 3, PATH_HYPERGRAPH)
-    blob = to_text(H)
-    head = blob.splitlines()[0].split()
-    assert [int(x) for x in head] == [H.r, H.n, H.num_edges]
-    H2 = from_text(blob)
-    assert edge_lists(H2) == edge_lists(H)
-    assert to_text(H2) == blob
+    H = Hypergraph.from_rows(5, 3, PATH_HYPERGRAPH)
+    assert from_text(PATH_TEXT) == H
+    assert from_text("3 5 3\n\n4 3 0\n0 1 2\n2 0 3\n") == H
+    with pytest.raises(ValueError, match="promises 4 edges, found 3"):
+        from_text(PATH_TEXT.replace("3 5 3", "3 5 4"))
+    with pytest.raises(ValueError, match="not 'r n m'"):
+        from_text("3 5\n0 1 2\n")
 
 
 def test_loads_autodetects_format():
-    H = complete_uniform(4, 3)
-    assert edge_lists(loads(to_json(H))) == edge_lists(H)
-    assert edge_lists(loads(to_text(H))) == edge_lists(H)
+    H = Hypergraph.from_rows(5, 3, PATH_HYPERGRAPH)
+    assert loads(to_json(H)) == H
+    assert loads(PATH_TEXT) == H
     with pytest.raises(ValueError):
         loads("")
 

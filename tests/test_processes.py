@@ -11,7 +11,7 @@ from conftest import assert_open_by_vertex, edge_lists, random_hypergraph
 from hyperboot import rng as rng_mod
 from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
 from hyperboot.engine import closure
-from hyperboot.hypergraph import build_hypergraph
+from hyperboot.hypergraph import Hypergraph
 from hyperboot.processes import (PHASE1, PHASE2_SUB, PHASE2_SUPER, QUIESCENT,
                                  TRACE_HEADER, CoinOracle, ProcessState,
                                  _reveal_batch, drain, full_pipeline,
@@ -23,7 +23,7 @@ from hyperboot.theory import ModelParams
 from oracles import (open_by_vertex_oracle, open_edges_oracle,
                      reveal_batch_oracle)
 
-TWO_EDGE = build_hypergraph(5, 3, [[0, 1, 2], [2, 3, 4]])
+TWO_EDGE = Hypergraph.from_rows(5, 3, [[0, 1, 2], [2, 3, 4]])
 
 
 def _coins(q, seed=0):
@@ -203,7 +203,7 @@ def test_supercritical_round_respects_budget_prefix():
     n = 60
     edges = [[0, a, a + 1] for a in range(1, 24, 2)]          # 12 at vertex 0
     edges += [[b, b + 1, 59] for b in range(25, 35, 2)]       # 5 at vertex 59
-    H = build_hypergraph(n, 3, edges)
+    H = Hypergraph.from_rows(n, 3, edges)
     infected0 = [v for v in range(1, 59)]
     params = ModelParams(r=3, c=0.5, alpha=1.0, d=64.0).bind(n)
     budget = supercritical_budget(n, 1)
