@@ -242,19 +242,6 @@ def bootstrap_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:
                                 enumerate_copies(G, F), canonical=True)
 
 
-def lift_regular_degree(G: Hypergraph, F: Hypergraph,
-                        lift: Optional[Hypergraph] = None) -> int:
-    """Common vertex degree of the lift; error if the lift is irregular."""
-    L = lift if lift is not None else bootstrap_lift(G, F)
-    if L.n == 0:
-        raise ValueError("lift has no vertices")
-    degs = L.degrees()
-    lo, hi = int(degs.min()), int(degs.max())
-    if lo != hi:
-        raise ValueError(f"lift is irregular: degrees range {lo}..{hi}")
-    return lo
-
-
 # -- density / balance -----------------------------------------------------
 
 @dataclass

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import hypergraph
 from .builders import match_copies
-from .hypergraph import Hypergraph, _group_rows, as_mask, record_field
+from .hypergraph import (Hypergraph, _group_rows, as_mask, json_int,
+                         record_field)
 
 SECONDARY_MIN_R = 3
 SECONDARY_MAX_R = 6
@@ -46,10 +47,6 @@ class Configuration:
         if self.roots & self.marked:
             raise ValueError("roots and marked must be disjoint")
 
-    @property
-    def neutral(self) -> frozenset:
-        return frozenset(range(self.pattern.n)) - self.roots - self.marked
-
     def to_dict(self) -> dict:
         return {
             "pattern": hypergraph.to_dict(self.pattern),
@@ -60,7 +57,7 @@ class Configuration:
     @staticmethod
     def from_dict(obj: dict) -> "Configuration":
         def vertex_set(ids):
-            return frozenset(int(v) for v in ids)
+            return frozenset(json_int(v) for v in ids)
         return Configuration(record_field(obj, "pattern", hypergraph.from_dict),
                              record_field(obj, "roots", vertex_set),
                              record_field(obj, "marked", vertex_set))
@@ -69,10 +66,7 @@ class Configuration:
 def _copies(H: Hypergraph, infected, config: Configuration,
             root_images: Iterable[int], active=None) -> np.ndarray:
     """The copies as unique rows of host edge ids, arguments validated."""
-    S = sorted(set(int(v) for v in root_images))
-    for v in S:
-        if not 0 <= v < H.n:
-            raise ValueError(f"root image {v} outside host")
+    S = np.flatnonzero(as_mask(root_images, H.n, "root image"))
     if len(S) != len(config.roots):
         raise ValueError(
             f"{len(S)} root images for {len(config.roots)} roots")
@@ -96,15 +90,6 @@ def count_rooted_copies(H: Hypergraph, infected, config: Configuration,
 
 
 # -- the configurations the trajectory theory tracks --------------------------
-
-def count_saturated_edges(H: Hypergraph, infected, S: Iterable[int],
-                          active=None) -> int:
-    """Edges containing S whose remaining vertices are all infected: the
-    copies of saturated_edge_config(r, |S|) rooted at S."""
-    s = set(int(v) for v in S)
-    return len(_copies(H, infected, saturated_edge_config(H.r, len(s)), s,
-                       active))
-
 
 def count_pendant_stars(H: Hypergraph, infected, v: int, i: int, j: int,
                         active=None) -> int:

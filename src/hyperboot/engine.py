@@ -13,8 +13,8 @@ operations.  infect updates the healthy counts of the touched vertex's
 edges in one array step, then applies the open-list appends and swap-removes
 they cause in incidence order in one loop, writing the position index once.
 The open-list order is exactly that of one edge at a time.  The open edges
-of a vertex, or all of them grouped by their healthy vertex, are derived on
-demand from the healthy counts.
+grouped by their healthy vertex, and the open edges of the lowest saturated
+vertex, are derived on demand from the healthy counts.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ class InfectionState:
 
     An edge is live until explicitly removed; it is open when it is live and
     has exactly one healthy vertex.  The open set supports O(1) uniform
-    sampling; open_at and open_by_vertex group it by the healthy vertex on
-    demand.  An edge whose healthy count reaches 0 stays live (closed)
-    unless removed.  open_list is updated in place, never rebound.
+    sampling; open_by_vertex groups it by the healthy vertex on demand.  An
+    edge whose healthy count reaches 0 stays live (closed) unless removed.
+    open_list is updated in place, never rebound.
     """
 
     def __init__(self, H: Hypergraph, infected0: Iterable[int], active=None):
@@ -143,19 +143,9 @@ class InfectionState:
     def open_count(self) -> int:
         return len(self.open_list)
 
-    def open_edges(self) -> list:
-        """Current open-edge ids (sampling order, not sorted)."""
-        return list(self.open_list)
-
     def _open_at(self, v: int) -> np.ndarray:
         inc = self.H.incident_edges(v)
         return inc[self.healthy_count[inc] == 1]
-
-    def open_at(self, v: int) -> set:
-        """Open edges whose unique healthy vertex is v."""
-        if self.infected[v]:
-            return set()
-        return set(self._open_at(v).tolist())
 
     def open_by_vertex(self) -> tuple:
         """(vertices, edges): every open edge and its healthy vertex, sorted

@@ -25,7 +25,7 @@ from . import rng as rng_mod
 from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pattern
 from .census import count_pendant_stars
 from .engine import closure, sample_edge_set, sample_vertex_set
-from .hypergraph import Hypergraph, record_field
+from .hypergraph import Hypergraph, json_int, record_field
 from .processes import ProcessState, full_pipeline
 from .theory import (BoundaryError, ModelParams, classify_criticality,
                      derive_constants, star_density)
@@ -110,8 +110,8 @@ class ModelRecipe:
             return value if isinstance(value, str) else hypergraph.from_dict(value)
         return ModelRecipe(
             kind=record_field(obj, "kind"),
-            n=record_field(obj, "n", int, None),
-            k=record_field(obj, "k", int, None),
+            n=record_field(obj, "n", json_int, None),
+            k=record_field(obj, "k", json_int, None),
             pattern=record_field(obj, "pattern", pattern, None),
             hypergraph=record_field(obj, "hypergraph", hypergraph.from_dict,
                                     None))
@@ -175,26 +175,27 @@ class ExperimentSpec:
     def from_dict(obj: dict) -> "ExperimentSpec":
         def params(par):
             return ModelParams(
-                r=record_field(par, "r", int), c=record_field(par, "c", float),
+                r=record_field(par, "r", json_int),
+                c=record_field(par, "c", float),
                 alpha=record_field(par, "alpha", float),
                 d=record_field(par, "d", float),
                 K=record_field(par, "K", float, 100.0),
-                n_vertices=record_field(par, "n_vertices", int, None))
+                n_vertices=record_field(par, "n_vertices", json_int, None))
 
         def star_indices(pairs):
-            return tuple(tuple(int(x) for x in ij) for ij in pairs)
+            return tuple(tuple(json_int(x) for x in ij) for ij in pairs)
         return ExperimentSpec(
             model=record_field(obj, "model", ModelRecipe.from_dict),
             params=record_field(obj, "params", params),
-            trials=record_field(obj, "trials", int),
-            seed=record_field(obj, "seed", int),
+            trials=record_field(obj, "trials", json_int),
+            seed=record_field(obj, "seed", json_int),
             mode=record_field(obj, "mode"),
             grid=record_field(obj, "grid",
                               lambda cs: tuple(float(c) for c in cs), ()),
             tol=record_field(obj, "tol", float, 0.01),
-            trace_stride=record_field(obj, "trace_stride", int, None),
+            trace_stride=record_field(obj, "trace_stride", json_int, None),
             star_indices=record_field(obj, "star_indices", star_indices, ()),
-            star_vertices=record_field(obj, "star_vertices", int, 0))
+            star_vertices=record_field(obj, "star_vertices", json_int, 0))
 
 
 # -- Monte Carlo percolation probability --------------------------------------

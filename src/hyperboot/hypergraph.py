@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -73,6 +73,11 @@ class Hypergraph:
                        if np.issubdtype(arr.dtype, np.floating) else 0)
                 raise ValueError(f"edge {arr[bad].tolist()}: vertex ids "
                                  f"must be integers, got {arr.dtype}")
+            if (isinstance(rows, list)
+                    and _holds_bool(chain.from_iterable(rows))):
+                e = next(e for e in rows if _holds_bool(e))
+                raise ValueError(f"edge {list(e)}: vertex ids must be "
+                                 "integers, got a bool")
             if arr.min() < 0 or arr.max() >= n:
                 bad = int(np.flatnonzero((arr < 0).any(axis=1)
                                          | (arr >= n).any(axis=1))[0])
@@ -103,10 +108,6 @@ class Hypergraph:
     def edge(self, i: int) -> tuple:
         return tuple(int(x) for x in self._edges[i])
 
-    def edges(self) -> Iterable[tuple]:
-        for row in self._edges:
-            yield tuple(int(x) for x in row)
-
     def incident_edges(self, v: int) -> np.ndarray:
         """Edge ids containing v, ascending."""
         self._check_vertex(v)
@@ -117,31 +118,13 @@ class Hypergraph:
         """Vertex-to-edge CSR: (indptr, edge ids ascending per vertex)."""
         return self._indptr, self._incident
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(self._indptr[v + 1] - self._indptr[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
-
-    def min_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("min_degree undefined on empty vertex set")
-        return int(self.degrees().min())
 
     def max_degree(self) -> int:
         if self.n == 0:
             raise ValueError("max_degree undefined on empty vertex set")
         return int(self.degrees().max())
-
-    def codegree(self, S: Iterable[int]) -> int:
-        """Number of edges containing every vertex of S."""
-        s = sorted(set(int(v) for v in S))
-        for v in s:
-            self._check_vertex(v)
-        if len(s) > self.r:
-            raise ValueError(f"codegree set size {len(s)} exceeds uniformity {self.r}")
-        return int(self.edges_containing(s).size)
 
     def edges_containing(self, S: Iterable[int]) -> np.ndarray:
         """Edge ids of all edges containing every vertex of S, ascending."""
@@ -154,10 +137,6 @@ class Hypergraph:
             if ids.size == 0:
                 break
         return ids
-
-    def max_codegree(self, l: int) -> int:
-        """Max codegree over l-subsets; subsets inside no edge contribute 0."""
-        return self.max_codegree_witness(l)[0]
 
     def max_codegree_witness(self, l: int):
         """(max codegree over l-subsets of edges, witness subset).
@@ -179,13 +158,6 @@ class Hypergraph:
         best = counts.max()
         first = order[starts[counts == best]].min()
         return int(best), tuple(int(x) for x in subs[first])
-
-    # -- link queries ------------------------------------------------------
-
-    def link(self, v: int) -> set:
-        """The link of v: the set of (r-1)-sets e \\ {v} over edges e containing v."""
-        rows = self._edges[self.incident_edges(v)]
-        return {tuple(e) for e in rows[rows != v].reshape(-1, self.r - 1).tolist()}
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -241,6 +213,12 @@ def csr_incidence(n: int, rows: np.ndarray):
     return indptr, incident
 
 
+def _holds_bool(values) -> bool:
+    """Whether a Python sequence of ids holds a bool, which np.asarray
+    reads as 0 or 1 when integers surround it."""
+    return not {bool, np.bool_}.isdisjoint(map(type, values))
+
+
 def as_mask(items, size: int, what: str) -> Optional[np.ndarray]:
     """Coerce a vertex or edge filter to a validated bool mask of length size.
 
@@ -249,7 +227,13 @@ def as_mask(items, size: int, what: str) -> Optional[np.ndarray]:
     """
     if items is None:
         return None
-    arr = items if isinstance(items, np.ndarray) else np.asarray(list(items))
+    if isinstance(items, np.ndarray):
+        arr = items
+    else:
+        items = list(items)
+        arr = np.asarray(items)
+        if arr.dtype != bool and _holds_bool(items):
+            raise ValueError(f"{what} ids must be integers, got a bool")
     if arr.dtype == bool:
         if arr.shape != (size,):
             raise ValueError(f"{what} mask has shape {arr.shape}, "
@@ -263,17 +247,6 @@ def as_mask(items, size: int, what: str) -> Optional[np.ndarray]:
     mask = np.zeros(size, dtype=bool)
     mask[ids] = True
     return mask
-
-
-def neighbourhood_intersection_size(H: Hypergraph, u: int, v: int) -> int:
-    """|N(u) ∩ N(v)| where N(x) is the link of x (a set of (r-1)-sets)."""
-    if u == v:
-        raise ValueError("neighbourhood intersection needs two distinct vertices")
-    lu = H.link(u)
-    lv = H.link(v)
-    if len(lv) < len(lu):
-        lu, lv = lv, lu
-    return sum(1 for t in lu if t in lv)
 
 
 def max_neighbourhood_intersection(H: Hypergraph):
@@ -418,6 +391,14 @@ def to_dict(H: Hypergraph) -> dict:
 _REQUIRED = object()
 
 
+def json_int(value) -> int:
+    """A JSON integer as it is; a bool, a string or any float, integral
+    ones included, raises ValueError rather than being truncated."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def record_field(obj, key: str, convert=None, default=_REQUIRED):
     """obj[key] of a JSON record through convert; a null value counts as
     missing.  Every way the record can fail raises ValueError naming key."""
@@ -435,8 +416,8 @@ def record_field(obj, key: str, convert=None, default=_REQUIRED):
 
 
 def from_dict(obj: dict) -> Hypergraph:
-    return Hypergraph.from_rows(record_field(obj, "n", int),
-                                record_field(obj, "r", int),
+    return Hypergraph.from_rows(record_field(obj, "n", json_int),
+                                record_field(obj, "r", json_int),
                                 record_field(obj, "edges"))
 
 

@@ -302,8 +302,6 @@ def full_pipeline(H: Hypergraph, params: ModelParams, seed: int,
     """
     if H.r != params.r:
         raise ValueError(f"hypergraph uniformity {H.r} != params.r {params.r}")
-    if H.r < 3:
-        raise ValueError("pipeline needs uniformity at least 3")
     bound = params.bind(H.n)
     if bound.p > 1.0:
         raise ValueError(f"initial density p={bound.p:.4g} exceeds 1")

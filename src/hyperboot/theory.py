@@ -184,15 +184,6 @@ def error_band(t: float, p: ModelParams) -> float:
     return (t + 1.0) ** (p.K / 10.0) / log(p.d) ** (p.K / 5.0)
 
 
-def decay_envelope(m: int, slack: float, n_vertices: int) -> float:
-    """Geometric round-decay floor: max((1-slack)^m, log(N)^-10)."""
-    if not 0 < slack < 1:
-        raise ValueError(f"slack {slack} outside (0, 1)")
-    if n_vertices < 2:
-        raise ValueError("need at least 2 vertices")
-    return max((1.0 - slack) ** m, log(n_vertices) ** -10.0)
-
-
 @dataclass(frozen=True)
 class SubcriticalConstants:
     """Contraction constants of the subcritical round phase.
@@ -206,9 +197,6 @@ class SubcriticalConstants:
     slack: float
     stop_level: float
     caps: dict = field(repr=False, default_factory=dict)
-
-    def star_cap(self, i: int, j: int) -> float:
-        return self.caps[(i, j)]
 
     def to_dict(self) -> dict:
         return {

@@ -12,15 +12,13 @@ def random_hypergraph(rng: np.random.Generator, n: int, r: int,
 
 
 def edge_lists(H: Hypergraph) -> list:
-    return [tuple(int(x) for x in e) for e in H.edges()]
+    return [tuple(e) for e in H.edges_array.tolist()]
 
 
 def assert_open_by_vertex(st, want: dict) -> None:
-    """Both per-vertex views of an InfectionState's open set equal `want`,
-    a map from healthy vertex to its set of open edges: open_at of every
-    vertex, and open_by_vertex sorted by (vertex, edge id)."""
-    for v in range(st.H.n):
-        assert st.open_at(v) == want.get(v, set())
+    """An InfectionState's open set grouped by healthy vertex equals `want`,
+    a map from healthy vertex to its set of open edges: open_by_vertex
+    sorted by (vertex, edge id)."""
     vertices, edges = st.open_by_vertex()
     assert list(zip(vertices.tolist(), edges.tolist())) == sorted(
         (v, e) for v, es in want.items() for e in es)

@@ -10,8 +10,8 @@ import pytest
 from conftest import edge_lists, random_hypergraph
 from hyperboot.builders import (SizeGuardError, bootstrap_lift,
                                 complete_uniform, enumerate_copies,
-                                k_balance_analysis, lift_regular_degree,
-                                load_pattern, pattern_names)
+                                k_balance_analysis, load_pattern,
+                                pattern_names)
 from hyperboot.hypergraph import Hypergraph
 from oracles import kbalance_oracle
 
@@ -22,7 +22,7 @@ PATH3 = Hypergraph.from_rows(3, 2, [[0, 1], [1, 2]])
 def test_complete_4_3_shape():
     H = complete_uniform(4, 3)
     assert H.num_edges == 4
-    assert all(H.degree(v) == 3 for v in range(4))
+    assert (H.degrees() == 3).all()
 
 
 def test_complete_6_3_pair_codegrees():
@@ -30,7 +30,7 @@ def test_complete_6_3_pair_codegrees():
     assert H.num_edges == 20
     for u in range(6):
         for v in range(u + 1, 6):
-            assert H.codegree([u, v]) == 4
+            assert H.edges_containing([u, v]).size == 4
 
 
 def test_complete_rejects_bad_parameters():
@@ -43,13 +43,13 @@ def test_complete_rejects_bad_parameters():
 def test_triangle_lift_of_k4():
     H = bootstrap_lift(complete_uniform(4, 2), K3)
     assert (H.n, H.num_edges) == (6, 4)
-    assert all(H.degree(v) == 2 for v in range(H.n))
+    assert (H.degrees() == 2).all()
 
 
 def test_triangle_lift_of_k5():
     H = bootstrap_lift(complete_uniform(5, 2), K3)
     assert (H.n, H.num_edges) == (10, 10)
-    assert all(H.degree(v) == 3 for v in range(H.n))
+    assert (H.degrees() == 3).all()
 
 
 def test_triangle_lift_fast_path_matches_generic():
@@ -58,7 +58,7 @@ def test_triangle_lift_fast_path_matches_generic():
     fast = bootstrap_lift(G, K3)
     copies = {frozenset(c) for c in enumerate_copies(G, K3)}
     assert fast.num_edges == len(copies)
-    assert {frozenset(e) for e in fast.edges()} == copies
+    assert {frozenset(e) for e in edge_lists(fast)} == copies
 
 
 def test_triangle_lift_of_incomplete_graph():
@@ -79,7 +79,7 @@ def test_lift_with_overlapping_triples_pattern():
     H = bootstrap_lift(G, F)
     copies = {frozenset(c) for c in enumerate_copies(G, F)}
     assert H.n == G.num_edges
-    assert {frozenset(e) for e in H.edges()} == copies
+    assert {frozenset(e) for e in edge_lists(H)} == copies
     # each copy is a pair of triples sharing exactly two vertices
     assert all(len(c) == 2 for c in copies)
 
@@ -130,9 +130,9 @@ def test_generic_lift_digests_pinned():
 
 
 def test_lift_regular_degree_examples():
-    assert lift_regular_degree(complete_uniform(4, 2), K3) == 2
-    assert lift_regular_degree(complete_uniform(20, 2), K3) == 18
-    assert lift_regular_degree(complete_uniform(5, 2), PATH3) == 6
+    for n, F, degree in ((4, K3, 2), (20, K3, 18), (5, PATH3, 6)):
+        degs = bootstrap_lift(complete_uniform(n, 2), F).degrees()
+        assert degs.min() == degs.max() == degree
 
 
 def test_lift_of_complete_graph_is_regular():
@@ -141,7 +141,6 @@ def test_lift_of_complete_graph_is_regular():
         H = bootstrap_lift(G, K3)
         degs = H.degrees()
         assert degs.min() == degs.max() == n - 2
-        assert lift_regular_degree(G, K3) == n - 2
 
 
 def test_lift_rejects_uniformity_below_three():
@@ -170,7 +169,7 @@ def test_balance_quartet():
     assert not r_tp.strictly_balanced
     assert r_tp.witness_density == Fraction(2)
     witness = {frozenset(e) for e in r_tp.witness_edges}
-    assert witness == {frozenset(e) for e in K3.edges()}
+    assert witness == {frozenset(e) for e in edge_lists(K3)}
 
     r_lt = k_balance_analysis(load_pattern("loose_triangle_3"))
     assert (r_lt.density, r_lt.strictly_balanced) == (Fraction(2, 3), True)
@@ -191,7 +190,7 @@ def test_balance_matches_subset_enumeration():
         if F.num_edges < 2:
             continue
         spanned = set()
-        for e in F.edges():
+        for e in edge_lists(F):
             spanned.update(e)
         if len(spanned) <= 2:
             continue

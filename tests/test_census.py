@@ -11,16 +11,21 @@ from hyperboot.builders import (bootstrap_lift, complete_uniform,
                                 enumerate_copies, load_pattern)
 from hyperboot.census import (Configuration, canonical_config_key,
                               count_general_stars, count_pendant_stars,
-                              count_rooted_copies, count_saturated_edges,
-                              enumerate_secondary, general_star_family,
-                              pendant_star_config, rooted_copies,
-                              saturated_edge_config)
+                              count_rooted_copies, enumerate_secondary,
+                              general_star_family, pendant_star_config,
+                              rooted_copies, saturated_edge_config)
 from hyperboot.hypergraph import Hypergraph
 from oracles import (count_copies_oracle, general_stars_oracle,
                      pendant_stars_oracle, saturated_edges_oracle)
 
 PATH_HOST = Hypergraph.from_rows(5, 3, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
 TWO_EDGE = Hypergraph.from_rows(5, 3, [[0, 1, 2], [2, 3, 4]])
+
+
+def count_saturated(H, infected, S, active=None):
+    """Edges containing S whose other vertices are all infected."""
+    return count_rooted_copies(H, infected, saturated_edge_config(H.r, len(S)),
+                               S, active)
 
 
 def test_configuration_roles_validated():
@@ -45,7 +50,7 @@ def test_single_edge_config_counts_degree():
     cfg = pendant_star_config(3, 0, 0)
     for v in range(PATH_HOST.n):
         assert (count_rooted_copies(PATH_HOST, [], cfg, [v])
-                == PATH_HOST.degree(v))
+                == PATH_HOST.degrees()[v])
 
 
 def test_pendant_star_path_example():
@@ -65,7 +70,7 @@ def test_star_with_zero_marks_is_live_degree():
     rng = np.random.default_rng(4)
     H = random_hypergraph(rng, 10, 3, 20)
     for v in range(10):
-        assert count_pendant_stars(H, [], v, 0, 0) == H.degree(v)
+        assert count_pendant_stars(H, [], v, 0, 0) == H.degrees()[v]
     live = [e for e in range(H.num_edges) if e % 2 == 0]
     for v in range(10):
         want = sum(1 for e in live if v in H.edge(e))
@@ -91,11 +96,11 @@ def test_pendant_star_with_one_pendant_example():
 
 def test_saturated_edge_examples():
     # S covering a whole edge: present or not
-    assert count_saturated_edges(PATH_HOST, [], [0, 1, 2]) == 1
-    assert count_saturated_edges(PATH_HOST, [], [1, 2, 3]) == 0
+    assert count_saturated(PATH_HOST, [], [0, 1, 2]) == 1
+    assert count_saturated(PATH_HOST, [], [1, 2, 3]) == 0
     # S={0,3}: only the edge whose free vertex is infected counts
-    assert count_saturated_edges(PATH_HOST, [4], [0, 3]) == 1
-    assert count_saturated_edges(PATH_HOST, [2, 4], [0, 3]) == 2
+    assert count_saturated(PATH_HOST, [4], [0, 3]) == 1
+    assert count_saturated(PATH_HOST, [2, 4], [0, 3]) == 2
     cfg = saturated_edge_config(3, 2)
     assert count_rooted_copies(PATH_HOST, [4], cfg, [0, 3]) == 1
 
@@ -136,8 +141,8 @@ def test_counts_monotone_in_infections():
                             >= count_pendant_stars(H, small, v, i, j))
                     assert (count_general_stars(H, big, v, i, j)
                             >= count_general_stars(H, small, v, i, j))
-            assert (count_saturated_edges(H, big, [v])
-                    >= count_saturated_edges(H, small, [v]))
+            assert (count_saturated(H, big, [v])
+                    >= count_saturated(H, small, [v]))
 
 
 def test_fast_counters_match_generic_matcher():
@@ -158,11 +163,10 @@ def test_fast_counters_match_generic_matcher():
         edges = [e for e, a in zip(edge_lists(H), active if active is not None
                                    else [True] * H.num_edges) if a]
         cfg = saturated_edge_config(r, ssize)
-        got = count_saturated_edges(H, infected, S, active)
+        got = count_rooted_copies(H, infected, cfg, S, active)
         assert got == saturated_edges_oracle(edges, infected, S)
-        assert got == count_rooted_copies(H, infected, cfg, S, active)
         assert got == count_copies_oracle(
-            edges, [list(e) for e in cfg.pattern.edges()], cfg.roots,
+            edges, cfg.pattern.edges_array.tolist(), cfg.roots,
             cfg.marked, S, infected)
         for i in range(r):
             for j in range(r - i):
@@ -183,7 +187,7 @@ def test_fast_counters_match_generic_matcher():
                 for m, found in zip(family, copies):
                     if m.pattern.n <= 5:
                         assert len(found) == count_copies_oracle(
-                            edges, [list(e) for e in m.pattern.edges()],
+                            edges, m.pattern.edges_array.tolist(),
                             m.roots, m.marked, [v], infected)
 
 
@@ -212,7 +216,7 @@ def test_counter_digests_pinned_on_k30_lift():
         for v in vertices:
             e = H.edge(int(H.incident_edges(v)[0]))
             for S in ([v], [v, next(x for x in e if x != v)], list(e)):
-                counts.append(count_saturated_edges(H, infected, S, active))
+                counts.append(count_saturated(H, infected, S, active))
             for i in range(3):
                 for j in range(3 - i):
                     counts.append(count_pendant_stars(H, infected, v, i, j,
@@ -236,7 +240,7 @@ def test_generic_matcher_against_subset_oracle():
         v = int(rng.integers(8))
         for cfg in (pendant_star_config(3, 1, 0), pendant_star_config(3, 0, 1),
                     pendant_star_config(3, 1, 1), saturated_edge_config(3, 1)):
-            pattern_edges = [list(e) for e in cfg.pattern.edges()]
+            pattern_edges = cfg.pattern.edges_array.tolist()
             want = count_copies_oracle(edges, pattern_edges, cfg.roots,
                                        cfg.marked, [v], infected)
             assert count_rooted_copies(H, infected, cfg, [v]) == want
@@ -250,7 +254,7 @@ def test_generic_matcher_against_subset_oracle():
     for F in (Hypergraph.from_rows(5, 3, [[0, 1, 2], [2, 3, 4]]),
               Hypergraph.from_rows(4, 3, [[0, 1, 2], [1, 2, 3]]),
               load_pattern("loose_triangle_3")):
-        pattern_edges = [list(e) for e in F.edges()]
+        pattern_edges = F.edges_array.tolist()
         for _ in range(4):
             H = random_hypergraph(mask_rng, 7, 3, 9)
             want = count_copies_oracle(edge_lists(H), pattern_edges, (), (),
@@ -276,7 +280,7 @@ def test_canonical_key_invariant_under_relabeling():
     for cfg in general_star_family(3, 1, 1) + enumerate_secondary(3)[:10]:
         F = cfg.pattern
         perm = rng.permutation(F.n)
-        edges = [[int(perm[x]) for x in e] for e in F.edges()]
+        edges = [[int(perm[x]) for x in e] for e in F.edges_array.tolist()]
         rng.shuffle(edges)
         relabeled = Configuration(
             Hypergraph.from_rows(F.n, F.r, edges),
@@ -295,8 +299,8 @@ def test_secondary_family_structure():
             F = cfg.pattern
             assert 1 <= F.num_edges <= 3
             # no vertex lies in three edges
-            assert all(F.degree(x) <= 2 for x in range(F.n))
-            neutral = cfg.neutral
+            assert (F.degrees() <= 2).all()
+            neutral = set(range(F.n)) - cfg.roots - cfg.marked
             # some central edge has a root and a neutral vertex and meets
             # every other edge in a neutral vertex
             def central_ok(eid):
@@ -376,14 +380,14 @@ def test_counters_validate_arguments():
     with pytest.raises(ValueError):
         count_pendant_stars(H, [], 0, 1, 2)
     with pytest.raises(ValueError):
-        count_saturated_edges(H, [], [0, 1, 2, 3])
+        count_saturated(H, [], [0, 1, 2, 3])
     with pytest.raises(ValueError):
         count_rooted_copies(H, [], pendant_star_config(4, 0, 0), [0])
     # edge and vertex filters are range-checked, not wrapped or clipped
     cfg = saturated_edge_config(3, 1)
     m = TWO_EDGE.num_edges
     for bad in (-1, m):
-        for call in (lambda: count_saturated_edges(TWO_EDGE, [3, 4], [2],
+        for call in (lambda: count_saturated(TWO_EDGE, [3, 4], [2],
                                                    active=[bad]),
                      lambda: count_pendant_stars(TWO_EDGE, [], 2, 0, 1,
                                                  active=[bad]),
@@ -395,6 +399,9 @@ def test_counters_validate_arguments():
                 call()
     for bad in (-1, TWO_EDGE.n):
         with pytest.raises(ValueError):
-            count_saturated_edges(TWO_EDGE, [bad], [2])
+            count_saturated(TWO_EDGE, [bad], [2])
         with pytest.raises(ValueError):
             count_rooted_copies(TWO_EDGE, [bad], cfg, [2])
+    # root images are vertex ids, never rounded onto one
+    with pytest.raises(ValueError):
+        count_rooted_copies(TWO_EDGE, [], cfg, [0.5])

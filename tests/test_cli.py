@@ -265,7 +265,9 @@ def test_census_counts_degree(capsys, k4_file, tmp_path):
     ([[0, 1, 4294967296]], "edge [0, 1, 4294967296]"),
     (7, "edge 7"),
     ([[0, 1, 2], [0, 1]], "edge [0, 1] has 2 vertices, expected 3"),
-], ids=["fractional_id", "id_past_int32", "edges_not_a_list", "short_row"])
+    ([[0, 2, True]], "edge [0, 2, True]"),
+], ids=["fractional_id", "id_past_int32", "edges_not_a_list", "short_row",
+        "bool_id"])
 def test_malformed_host_exits_2_naming_the_edge(capsys, tmp_path, edges,
                                                 named):
     path = tmp_path / "host.json"
@@ -288,8 +290,16 @@ SPEC = {"model": {"kind": "complete", "n": 6, "k": 3},
     ("--in", {"n": None, "r": 3, "edges": [[0, 1, 2]]}, "'n'"),
     ("--config", {"pattern": {"n": 3, "r": 3, "edges": [[0, 1, 2]]},
                   "roots": 0, "marked": []}, "'roots'"),
+    ("--spec", dict(SPEC, trials=2.5), "'trials'"),
+    ("--spec", dict(SPEC, trials=True), "'trials'"),
+    ("--in", {"n": 4.9, "r": 3, "edges": [[0, 1, 2]]}, "'n'"),
+    ("--config", {"pattern": {"n": 3, "r": 3, "edges": [[0, 1, 2]]},
+                  "roots": [0.9], "marked": []}, "'roots'"),
+    ("--spec", dict(SPEC, star_indices=[[0.7, 1]]), "'star_indices'"),
 ], ids=["spec_trials_null", "spec_grid_scalar", "spec_not_an_object",
-        "host_n_null", "config_roots_scalar"])
+        "host_n_null", "config_roots_scalar", "spec_trials_fractional",
+        "spec_trials_bool", "host_n_fractional", "config_roots_fractional",
+        "spec_star_indices_fractional"])
 def test_record_field_of_wrong_type_exits_2(capsys, k4_file, tmp_path, flag,
                                             record, field):
     path = tmp_path / "record.json"
@@ -420,10 +430,11 @@ def test_experiment_spec_integer_fields(capsys, tmp_path):
         path.write_text(json.dumps(spec))
         reports.append(run_cli(capsys, "experiment", "--spec", str(path),
                                "--threads", "1"))
-    assert reports[0][0] == 0 and reports[1] == reports[0]
-    code, out, err = reports[2]
-    assert code == 2 and out == ""
-    assert "six" in err
+    assert reports[0][0] == 0
+    # a numeric string is refused like any other string
+    for n, (code, out, err) in zip(("6", "six"), reports[1:]):
+        assert code == 2 and out == ""
+        assert f"field 'n': expected an integer, got '{n}'" in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -41,8 +41,8 @@ def test_closure_respects_active_subset():
 def test_filters_reject_bad_ids():
     H = complete_uniform(4, 3)
     for infected, active in (([-1], None), ([4], None), ([0.5], None),
-                             ([0], [-1]), ([0], [4]), ([0], [1.5]),
-                             ([0], np.ones(3, dtype=bool))):
+                             ([0, True], None), ([0], [-1]), ([0], [4]),
+                             ([0], [1.5]), ([0], np.ones(3, dtype=bool))):
         with pytest.raises(ValueError):
             closure(H, infected, active)
         with pytest.raises(ValueError):
@@ -117,18 +117,17 @@ def test_closure_leaves_input_masks_unchanged():
 
 def test_initial_open_set_example():
     st0 = InfectionState(PATH_HOST, [1, 2])
-    assert st0.open_edges() == [0]
+    assert list(st0.open_list) == [0]
     assert st0.unique_healthy_vertex(0) == 0
-    assert st0.open_at(0) == {0}
+    assert_open_by_vertex(st0, {0: {0}})
 
 
 def test_infect_opens_downstream_edge():
     st0 = InfectionState(PATH_HOST, [1, 2])
     st0.infect(0)
-    assert set(st0.open_edges()) == {1}
+    assert set(st0.open_list) == {1}
     assert st0.unique_healthy_vertex(1) == 3
-    assert st0.open_at(3) == {1}
-    assert st0.open_at(0) == set()      # infected vertices have no open edges
+    assert_open_by_vertex(st0, {3: {1}})    # none left at infected vertex 0
 
 
 def test_unique_healthy_vertex_fails_loudly_without_one():
@@ -238,7 +237,7 @@ def _assert_state_matches_scratch(st0: InfectionState, edges) -> None:
     infected = {int(v) for v in np.flatnonzero(st0.infected)}
     live = [int(e) for e in np.flatnonzero(st0.live)]
     want_open = open_edges_oracle(edges, infected, live)
-    assert set(st0.open_edges()) == want_open
+    assert set(st0.open_list) == want_open
     assert st0.open_count == len(want_open)
     want_pos = np.full(len(edges), -1)
     want_pos[st0.open_list] = np.arange(st0.open_count)

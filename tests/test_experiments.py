@@ -264,10 +264,13 @@ def test_model_recipe_round_trip():
         assert (H1.n, H1.r) == (H2.n, H2.r)
 
 
-def test_model_recipe_reads_integer_fields_with_int():
-    recipe = ModelRecipe.from_dict({"kind": "complete", "n": "6", "k": 3.0})
-    assert (recipe.n, recipe.k) == (6, 3)
-    assert recipe.to_dict() == {"kind": "complete", "n": 6, "k": 3}
+def test_model_recipe_refuses_non_integer_fields():
+    blob = {"kind": "complete", "n": 6, "k": 3}
+    assert ModelRecipe.from_dict(blob).to_dict() == blob
+    # a string, an integral float or a bool is refused, not converted
+    for key, bad in (("n", "6"), ("k", 3.0), ("n", True)):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ModelRecipe.from_dict(dict(blob, **{key: bad}))
 
 
 def test_experiment_spec_validation():
@@ -292,10 +295,11 @@ def test_experiment_spec_validation():
                        star_vertices=-3)
     spec = ExperimentSpec(model=model, params=params, trials=10, seed=0,
                           mode="trajectory", trace_stride=5)
-    blob = dict(spec.to_dict(), trace_stride="5")
+    blob = spec.to_dict()
     assert ExperimentSpec.from_dict(blob).trace_stride == 5
-    with pytest.raises(ValueError):
-        ExperimentSpec.from_dict(dict(blob, trace_stride="x"))
+    for stride in ("x", "5", 5.0):
+        with pytest.raises(ValueError, match="'trace_stride'"):
+            ExperimentSpec.from_dict(dict(blob, trace_stride=stride))
     spec = ExperimentSpec(model=model, params=params, trials=10, seed=3,
                           mode="percolation_prob")
     again = ExperimentSpec.from_dict(spec.to_dict())

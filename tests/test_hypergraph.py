@@ -1,4 +1,5 @@
-"""Core hypergraph container: degrees, codegrees, links, checks, round trips."""
+"""Core hypergraph container: degrees, codegrees, link overlaps, checks,
+round trips."""
 
 import hashlib
 import json
@@ -14,7 +15,7 @@ from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
 from hyperboot.hypergraph import (Hypergraph, SizeGuardError,
                                   check_well_behaved, from_json, from_text,
                                   loads, max_neighbourhood_intersection,
-                                  neighbourhood_intersection_size, to_json)
+                                  to_json)
 from oracles import (codegree_oracle, degree_oracle, max_codegree_oracle,
                      max_codegree_witness_oracle, max_nbhd_intersection_oracle,
                      nbhd_intersection_oracle)
@@ -47,32 +48,23 @@ def test_build_rejects_bad_edges():
 def test_complete_5_3_degrees_and_codegree():
     H = complete_uniform(5, 3)
     assert H.num_edges == 10
-    assert all(H.degree(v) == 6 for v in range(5))
-    assert H.codegree([0, 1]) == 3
+    assert (H.degrees() == 6).all()
+    assert H.edges_containing([0, 1]).size == 3
 
 
 def test_path_host_degree_and_max_codegree():
     H = Hypergraph.from_rows(5, 3, PATH_HYPERGRAPH)
-    assert H.degree(0) == 3
-    assert H.max_codegree(2) == 2
+    assert H.degrees()[0] == 3
+    assert H.max_codegree_witness(2)[0] == 2
 
 
 def test_neighbourhood_intersection_examples():
     H = Hypergraph.from_rows(4, 3, [[0, 1, 2], [1, 2, 3]])
-    assert neighbourhood_intersection_size(H, 0, 3) == 1
+    assert max_neighbourhood_intersection(H) == (1, (0, 3))
     K43 = complete_uniform(4, 3)
-    assert neighbourhood_intersection_size(K43, 0, 1) == 1
+    assert max_neighbourhood_intersection(K43)[0] == 1
     Hd = Hypergraph.from_rows(6, 3, [[0, 1, 2], [3, 4, 5]])
-    assert neighbourhood_intersection_size(Hd, 0, 3) == 0
-
-
-def test_neighbourhood_intersection_symmetry():
-    rng = np.random.default_rng(5)
-    H = random_hypergraph(rng, 9, 3, 20)
-    for u in range(4):
-        for v in range(u + 1, 9):
-            assert (neighbourhood_intersection_size(H, u, v)
-                    == neighbourhood_intersection_size(H, v, u))
+    assert max_neighbourhood_intersection(Hd) == (0, None)
 
 
 def test_well_behaved_lifted_complete_20():
@@ -116,7 +108,7 @@ def test_codegree_bound_monotone_in_level():
     rng = np.random.default_rng(17)
     for _ in range(10):
         H = random_hypergraph(rng, 10, 4, 20)
-        levels = [H.max_codegree(l) for l in range(1, 4)]
+        levels = [H.max_codegree_witness(l)[0] for l in range(1, 4)]
         assert levels == sorted(levels, reverse=True)
 
 
@@ -124,7 +116,7 @@ def test_handshake_identity():
     rng = np.random.default_rng(23)
     for _ in range(10):
         H = random_hypergraph(rng, 12, 3, 30)
-        assert sum(H.degree(v) for v in range(H.n)) == H.r * H.num_edges
+        assert H.degrees().sum() == H.r * H.num_edges
 
 
 def test_incident_edges_ascending_on_both_sides_of_16_bit_ids():
@@ -148,18 +140,16 @@ def test_statistics_match_brute_force(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     H = random_hypergraph(np.random.default_rng(seed), n, r, m)
     edges = edge_lists(H)
-    for v in range(n):
-        assert H.degree(v) == degree_oracle(edges, v)
+    assert H.degrees().tolist() == [degree_oracle(edges, v) for v in range(n)]
     for l in range(1, r + 1):
-        assert H.max_codegree(l) == max_codegree_oracle(edges, l)
+        assert H.max_codegree_witness(l)[0] == max_codegree_oracle(edges, l)
         assert H.max_codegree_witness(l) == max_codegree_witness_oracle(edges, l)
     assert (max_neighbourhood_intersection(H)
             == max_nbhd_intersection_oracle(edges))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for u, v in pairs[:12]:
-        assert H.codegree([u, v]) == codegree_oracle(edges, [u, v])
-        assert (neighbourhood_intersection_size(H, u, v)
-                == nbhd_intersection_oracle(edges, u, v))
+        assert (H.edges_containing([u, v]).size
+                == codegree_oracle(edges, [u, v]))
 
 
 def test_max_neighbourhood_intersection_matches_pair_scan():

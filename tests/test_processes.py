@@ -151,7 +151,7 @@ def test_subcritical_round_on_empty_open_set_is_noop():
 def test_subcritical_round_reveals_snapshot_simultaneously():
     # both edges are open at vertex 2 and get revealed in the same round
     st0 = ProcessState(TWO_EDGE, [0, 1, 3, 4], _coins(1.0))
-    assert set(st0.state.open_edges()) == {0, 1}
+    assert set(st0.state.open_list) == {0, 1}
     assert st0.state.unique_healthy_vertex(0) == 2
     assert st0.state.unique_healthy_vertex(1) == 2
     hits = subcritical_round(st0)
@@ -168,7 +168,7 @@ def test_subcritical_rounds_have_disjoint_open_sets():
         ps = ProcessState(H, infected0, _coins(0.6, int(rng.integers(2**32))))
         seen_before = set()
         for _ in range(6):
-            snapshot = set(ps.state.open_edges())
+            snapshot = set(ps.state.open_list)
             assert snapshot.isdisjoint(seen_before)
             subcritical_round(ps)
             seen_before |= snapshot
@@ -211,12 +211,14 @@ def test_supercritical_round_respects_budget_prefix():
     assert budget == 9 and threshold == 13
     ps = ProcessState(H, infected0, _coins(0.0, 3), params=params)
     ps.rounds = 1   # skip the full reveal of round zero
-    open_at_0 = sorted(ps.state.open_at(0))
-    open_at_59 = sorted(ps.state.open_at(59))
+    vertices, edges = ps.state.open_by_vertex()
+    open_at_0, open_at_59 = (edges[vertices == v].tolist() for v in (0, 59))
     assert len(open_at_0) == 12 and len(open_at_59) == 5
     supercritical_round(ps)
     assert ps.sampled == open_at_0[:budget] + open_at_59
-    assert sorted(ps.state.open_at(0)) == open_at_0[budget:]
+    vertices, edges = ps.state.open_by_vertex()
+    assert edges.tolist() == open_at_0[budget:]
+    assert (vertices == 0).all()
 
 
 def test_run_to_quiescence_equals_closure_under_success_set():
@@ -343,7 +345,7 @@ def test_open_set_bookkeeping_during_process_run():
         _reveal_batch(ps, [ps.state.open_list[k]])
         infected = {int(v) for v in np.flatnonzero(ps.state.infected)}
         live = [int(e) for e in np.flatnonzero(ps.state.live)]
-        assert set(ps.state.open_edges()) == open_edges_oracle(
+        assert set(ps.state.open_list) == open_edges_oracle(
             edges, infected, live)
         assert_open_by_vertex(ps.state,
                               open_by_vertex_oracle(edges, infected, live))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hyperboot.theory import (BoundaryError, Criticality, ModelParams,
                               PhaseLengths, classify_criticality,
-                              critical_initial_constant, decay_envelope,
-                              derive_constants, error_band, open_edge_density,
+                              critical_initial_constant, derive_constants,
+                              error_band, open_edge_density,
                               open_edge_density_prime, phase_lengths,
                               star_density, stationary_and_roots,
                               subcritical_constants)
@@ -136,14 +136,6 @@ def test_error_band_values():
         2 ** 5 / log(100.0) ** 10, rel=1e-12)
 
 
-def test_decay_envelope_values():
-    assert decay_envelope(0, 0.1, 1000) == pytest.approx(1.0)
-    assert decay_envelope(3, 0.1, 1000) == pytest.approx(0.9 ** 3)
-    # the floor takes over for huge round counts
-    assert decay_envelope(10 ** 6, 0.1, 1000) == pytest.approx(
-        log(1000) ** -10)
-
-
 def test_subcritical_constants_identities():
     consts = subcritical_constants(SUB)
     assert consts.contraction_gap == pytest.approx(0.774597, abs=1e-6)
@@ -155,22 +147,22 @@ def test_subcritical_constants_identities():
     for i in range(r - 1):
         want = (comb(r - 1, i) * ((1 - 4 * lam) / (a * (r - 1))) ** (i / (r - 2))
                 + lam / a)
-        assert consts.star_cap(i, 0) == pytest.approx(want, rel=1e-12)
-    assert consts.star_cap(r - 2, 0) == pytest.approx((1 - 3 * lam) / a)
+        assert consts.caps[(i, 0)] == pytest.approx(want, rel=1e-12)
+    assert consts.caps[(r - 2, 0)] == pytest.approx((1 - 3 * lam) / a)
     cap_max = max(consts.caps[(i, 0)] for i in range(r - 1))
     cap_min = min(consts.caps[(i, 0)] for i in range(r - 1))
     want_zeta = (lam ** 2 * cap_min
                  / (r ** (6 * r + 1) * (1 + a + a ** r) ** 2 * (1 + cap_max) ** 3))
     assert consts.stop_level == pytest.approx(want_zeta, rel=1e-12)
-    assert consts.star_cap(r - 2, 1) == pytest.approx(
+    assert consts.caps[(r - 2, 1)] == pytest.approx(
         (1 + cap_max) * consts.stop_level, rel=1e-12)
-    assert consts.star_cap(r - 2, 1) < 1
+    assert consts.caps[(r - 2, 1)] < 1
     for i in range(r - 2):
         for j in range(1, r - i):
-            want = (r ** (3 * r) * consts.star_cap(i, 0) * (1 + a ** j)
-                    * consts.star_cap(r - 2, 1) ** j)
-            assert consts.star_cap(i, j) == pytest.approx(want, rel=1e-12)
-            assert consts.star_cap(i, j) < lam ** 2 / (r ** (3 * r + 1) * a ** (j + 1))
+            want = (r ** (3 * r) * consts.caps[(i, 0)] * (1 + a ** j)
+                    * consts.caps[(r - 2, 1)] ** j)
+            assert consts.caps[(i, j)] == pytest.approx(want, rel=1e-12)
+            assert consts.caps[(i, j)] < lam ** 2 / (r ** (3 * r + 1) * a ** (j + 1))
 
 
 def test_subcritical_constants_refused_off_regime():
