@@ -2,11 +2,11 @@
 
 The bootstrap lift of a pattern F over a host G has one vertex per edge of
 G and one hyperedge per copy of F in G (a copy is an edge subset of G that
-forms a subhypergraph isomorphic to F).  match_copies is the one copy
-matcher: a level-wise numpy join over F's edges in connectivity order, used
-for generic lifts and, with roots, marks and edge filters, for every census
-count.  Triangle lifts of complete graphs, the workhorse instance at scale,
-are generated directly in canonical order.
+forms a subhypergraph isomorphic to F).  A complete host's lift, the
+paper's lift of K_n through F and every instance at scale, is generated in
+closed form.  match_copies is the one copy matcher: a level-wise numpy join
+over F's edges in connectivity order, used for the lifts of other hosts
+and, with roots, marks and edge filters, for every census count.
 """
 
 from __future__ import annotations
@@ -43,36 +43,6 @@ def complete_uniform(n: int, k: int) -> Hypergraph:
         (v for e in combinations(range(n), k) for v in e),
         dtype=np.int32, count=m * k).reshape(m, k)
     return Hypergraph.from_rows(n, k, rows, canonical=True)
-
-
-def _pair_rank_complete(n: int, u, v):
-    # lexicographic rank of the pair (u, v), u < v, within combinations(n, 2)
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
-def _is_complete_graph(G: Hypergraph) -> bool:
-    return G.r == 2 and G.num_edges == comb(G.n, 2)
-
-
-def _is_triangle(F: Hypergraph) -> bool:
-    return (F.r == 2 and F.n == 3 and F.num_edges == 3)
-
-
-def _triangle_lift_complete(G: Hypergraph) -> Hypergraph:
-    """Triangles of a complete graph, vectorized; rows come out canonical."""
-    n = G.n
-    blocks = []
-    for u in range(n - 2):
-        rest = np.arange(u + 1, n, dtype=np.int64)
-        iv, iw = np.triu_indices(len(rest), k=1)
-        v = rest[iv]
-        w = rest[iw]
-        e_uv = _pair_rank_complete(n, u, v)
-        e_uw = _pair_rank_complete(n, u, w)
-        e_vw = _pair_rank_complete(n, v, w)
-        blocks.append(np.column_stack([e_uv, e_uw, e_vw]).astype(np.int32))
-    rows = np.vstack(blocks) if blocks else np.zeros((0, 3), dtype=np.int32)
-    return Hypergraph.from_rows(G.num_edges, 3, rows, canonical=True)
 
 
 def _edge_order(F: Hypergraph, covered=()) -> list:
@@ -229,17 +199,56 @@ def bootstrap_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:
     """Lift of host G through pattern F.
 
     Vertices are G's edge ids (in G's canonical edge order); hyperedges are
-    the edge-id sets of copies of F in G.  Uniformity is |E(F)|.
+    the edge-id sets of copies of F in G.  Uniformity is |E(F)|.  A complete
+    host of any uniformity takes the closed form; any other, the copy join.
     """
     if F.num_edges < 2:
         raise ValueError("pattern needs at least 2 edges to produce a lift")
-    if _is_triangle(F) and _is_complete_graph(G):
-        return _triangle_lift_complete(G)
+    if G.num_edges == comb(G.n, G.r):
+        return _complete_lift(G, F)
     if G.num_edges > GENERIC_LIFT_EDGE_LIMIT:
         raise SizeGuardError(
             f"generic lift over {G.num_edges} host edges exceeds desk scale")
     return Hypergraph.from_rows(G.num_edges, F.num_edges,
                                 enumerate_copies(G, F), canonical=True)
+
+
+def _complete_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:
+    """The lift of a complete host, in closed form.
+
+    A copy of F spans v host vertices: the lift is F's shapes (K_v if F is
+    complete, else the join's copies in K_v) on every v-subset of G, in
+    lexicographic order.  Subsets grow a position at a time, and a shape edge
+    is ranked in G's edge order once its last position is placed.
+    """
+    if F.r != G.r:
+        raise ValueError(
+            f"pattern uniformity {F.r} does not match host uniformity {G.r}")
+    n, r, v = G.n, G.r, np.unique(F.edges_array).size
+    K = complete_uniform(v, r)
+    complete = F.num_edges == K.num_edges
+    shapes = np.arange(K.num_edges)[None] if complete else enumerate_copies(K, F)
+    if (m := comb(n, v) * len(shapes)) > COMPLETE_EDGE_LIMIT:
+        raise SizeGuardError(f"lift would have {m} edges")
+    # G's edge a_0 < .. < a_{r-1} has rank |E(G)| - 1 - sum comb(n-1-a_i, r-i),
+    # the sum of term[i][a_i]; a_i >= i, so the entries below that stay 0
+    term = np.array([[-comb(n - 1 - a, r - i) * (a >= i) for a in range(n)]
+                     for i in range(r)], dtype=np.int32)
+    term[0] += G.num_edges - 1
+    pos, ranks = [np.arange(n - v + 1, dtype=np.int32)], {}
+    for j in range(1, v):   # a subset's position j is pos[j-1] + 1 .. n-v+j
+        count = n - v + j - pos[-1]
+        pos = [np.repeat(p, count) for p in pos]
+        ranks = {e: np.repeat(c, count) for e, c in ranks.items()}
+        pos.append(pos[-1] + 1 + _ragged_arange(count))
+        for e in np.flatnonzero(K.edges_array[:, -1] == j):
+            ranks[e] = sum(term[i][pos[a]] for i, a in enumerate(K.edge(e)))
+    rows = np.column_stack([ranks[e] for e in range(K.num_edges)])
+    del pos, ranks   # free the columns before from_rows allocates its own
+    if not complete:   # a complete F's rows come out canonical
+        rows = rows[:, shapes].reshape(-1, F.num_edges)
+    return Hypergraph.from_rows(G.num_edges, F.num_edges, rows,
+                                canonical=complete)
 
 
 # -- density / balance -----------------------------------------------------

@@ -100,8 +100,8 @@ def _cmd_build(args) -> int:
     else:
         if args.pattern is None:
             raise ValueError("--lift needs --pattern")
-        H = bootstrap_lift(complete_uniform(args.lift, 2),
-                           _load_pattern_arg(args.pattern))
+        F = _load_pattern_arg(args.pattern)
+        H = bootstrap_lift(complete_uniform(args.lift, F.r), F)
     _emit(to_json(H), args.out)
     return 0
 
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--complete", nargs=2, type=int, metavar=("N", "K"),
                        help="complete K-uniform hypergraph on N vertices")
     group.add_argument("--lift", type=int, metavar="N",
-                       help="pattern-copy hypergraph over the complete graph K_N")
+                       help="pattern lift of the complete host on N vertices")
     p.add_argument("--pattern", help="pattern: library name or file")
     p.set_defaults(func=_cmd_build)
 

@@ -55,11 +55,11 @@ def wilson_interval(successes: int, trials: int,
 
 @dataclass(frozen=True)
 class ModelRecipe:
-    """How to obtain the host hypergraph: inline, complete, or a lift of K_n.
+    """How to obtain the host hypergraph: inline, complete, or a lift.
 
     kind "inline" embeds the hypergraph itself; "complete" is the complete
     k-uniform hypergraph on n vertices; "lift" builds the pattern-copy
-    hypergraph over the complete graph K_n (vertices are K_n's edges).
+    hypergraph of complete_uniform(n, pattern.r) (vertices are its edges).
     The pattern is a library name or an inline hypergraph.
     """
     kind: str
@@ -88,7 +88,7 @@ class ModelRecipe:
             return complete_uniform(self.n, self.k)
         pat = (load_pattern(self.pattern) if isinstance(self.pattern, str)
                else self.pattern)
-        return bootstrap_lift(complete_uniform(self.n, 2), pat)
+        return bootstrap_lift(complete_uniform(self.n, pat.r), pat)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}

@@ -53,12 +53,31 @@ def test_triangle_lift_of_k5():
 
 
 def test_triangle_lift_fast_path_matches_generic():
-    # the complete-host shortcut must agree with copy enumeration
-    G = complete_uniform(7, 2)
-    fast = bootstrap_lift(G, K3)
-    copies = {frozenset(c) for c in enumerate_copies(G, K3)}
-    assert fast.num_edges == len(copies)
-    assert {frozenset(e) for e in edge_lists(fast)} == copies
+    # the closed form on complete hosts must agree with the copy join, down
+    # to hosts with fewer vertices than the pattern spans (an empty lift)
+    cases = [(load_pattern(name), range(3, 13)) for name in pattern_names()
+             if name != "loose_triangle_3"]
+    cases.append((load_pattern("loose_triangle_3"), range(5, 10)))
+    small = range(2, 9)
+    cases += [(Hypergraph.from_rows(5, 2, [[1, 2], [1, 3], [2, 3]]), small),
+              (Hypergraph.from_rows(4, 2, [[0, 1], [2, 3]]), small)]
+    rng, drawn = np.random.default_rng(12), []
+    while len(drawn) < 40:
+        r = int(rng.integers(2, 4))
+        F = random_hypergraph(rng, int(rng.integers(r + 1, 7)), r,
+                              int(rng.integers(2, 7)))
+        if F.num_edges >= 2:
+            drawn.append(F)
+    cases += [(F, range(F.r, 9 if F.r == 2 else 8)) for F in drawn]
+    for F, hosts in cases:
+        v = np.unique(F.edges_array).size
+        for n in hosts:
+            G = complete_uniform(n, F.r)
+            L = bootstrap_lift(G, F)
+            assert (L.n, L.r) == (G.num_edges, F.num_edges)
+            assert edge_lists(L) == [tuple(c) for c in
+                                     enumerate_copies(G, F).tolist()], (F, n)
+            assert n >= v or not L.num_edges
 
 
 def test_triangle_lift_of_incomplete_graph():
@@ -153,7 +172,12 @@ def test_lift_rejects_uniformity_below_three():
 def test_generic_lift_size_guard():
     G = complete_uniform(1100, 2)   # 604450 host edges, over the generic limit
     F = Hypergraph.from_rows(4, 2, [[0, 1], [1, 2], [2, 3]])
-    with pytest.raises(SizeGuardError):
+    # the closed form guards the lift's edge count, here 12 * C(1100, 4)
+    with pytest.raises(SizeGuardError, match="lift would have"):
+        bootstrap_lift(G, F)
+    # a host that is not complete goes through the join, which guards G
+    G = Hypergraph.from_rows(G.n, 2, G.edges_array[1:], canonical=True)
+    with pytest.raises(SizeGuardError, match="604449 host edges"):
         bootstrap_lift(G, F)
 
 

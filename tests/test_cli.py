@@ -1,6 +1,7 @@
 """End-to-end command-line checks: artifacts on stdout, logs on stderr."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -15,7 +16,9 @@ import hyperboot
 from hyperboot import hypergraph
 from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
 from hyperboot.cli import _build_parser, main
+from hyperboot.experiments import ModelRecipe
 from hyperboot.hypergraph import loads, to_json
+from test_builders import LIFT_DIGESTS
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -59,6 +62,17 @@ def test_build_lift_matches_library(capsys):
     assert H.n == 45
 
 
+def test_build_lift_host_takes_the_pattern_uniformity(capsys):
+    code, out, _ = run_cli(capsys, "build", "--lift", "8",
+                           "--pattern", "loose_triangle_3")
+    assert code == 0
+    H = loads(out)
+    digest = hashlib.sha256(H.edges_array.tobytes()).hexdigest()
+    assert digest == LIFT_DIGESTS[("loose_triangle_3", 8)]
+    recipe = ModelRecipe("lift", n=8, pattern="loose_triangle_3")
+    assert to_json(recipe.build()) == out
+
+
 def test_build_requires_exactly_one_source():
     with pytest.raises(SystemExit) as exc:
         main(["build", "--complete", "4", "3", "--lift", "10"])
@@ -66,10 +80,13 @@ def test_build_requires_exactly_one_source():
 
 
 def test_build_size_guard_exit_code(capsys):
-    code, out, err = run_cli(capsys, "build", "--complete", "40", "20")
-    assert code == 3
-    assert out == ""
-    assert "size guard" in err
+    # the triangle lift of K_1000 would have C(1000, 3) = 166 M edges
+    for argv in (["--complete", "40", "20"],
+                 ["--lift", "1000", "--pattern", "k3"]):
+        code, out, err = run_cli(capsys, "build", *argv)
+        assert code == 3
+        assert out == ""
+        assert "size guard" in err
 
 
 def test_closure_round_trip(capsys, k4_file):
