@@ -186,9 +186,11 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
 def enumerate_copies(G: Hypergraph, F: Hypergraph) -> np.ndarray:
     """All copies of F in G: match_copies' unique sorted rows of G-edge ids.
 
-    A copy is an injective vertex map under which every edge of F lands
-    exactly on an edge of G; the result is deduplicated at the
-    subhypergraph level, so automorphisms of F do not inflate the count.
+    A copy is an injective map of the vertices F's edges span under which
+    every edge of F lands exactly on an edge of G.  An isolated vertex of F
+    is not mapped: it needs no vertex of G and does not multiply the count.
+    The result is deduplicated at the subhypergraph level, so automorphisms
+    of F do not inflate the count.
     """
     if not F.num_edges:
         return np.zeros((0, 0), dtype=np.int32)

@@ -11,10 +11,10 @@ swap-remove list plus a numpy position index), scalar reads and removals of
 one edge, and checks and removals of a whole batch of open edges with array
 operations.  infect updates the healthy counts of the touched vertex's
 edges in one array step, then applies the open-list appends and swap-removes
-they cause in incidence order in one loop, writing the position index once.
-The open-list order is exactly that of one edge at a time.  The open edges
-grouped by their healthy vertex, and the open edges of the lowest saturated
-vertex, are derived on demand from the healthy counts.
+they cause one edge at a time, in incidence order.  Scalar reads and writes
+of one edge or vertex go through memoryviews of the state arrays.  The open
+edges grouped by their healthy vertex, and the open edges of the lowest
+saturated vertex, are derived on demand from the healthy counts.
 """
 
 from __future__ import annotations
@@ -104,6 +104,14 @@ class InfectionState:
         self.open_list: list = opened.tolist()
         self.open_pos = np.full(m, -1, dtype=np.int64)
         self.open_pos[opened] = np.arange(len(opened))
+        # memoryviews for the scalar reads and writes of one edge or vertex:
+        # about half the cost of a numpy scalar index, and they yield Python
+        # ints and bools.  The arrays are written in place, never rebound,
+        # so each view stays on its array's buffer.
+        self._pos = memoryview(self.open_pos)
+        self._live = memoryview(self.live)
+        self._counts = memoryview(self.healthy_count)
+        self._infected = memoryview(self.infected)
         # open degree per vertex as of the last lowest_saturated call (None
         # before the first), and the edges opened, or removed while open,
         # since then
@@ -119,25 +127,19 @@ class InfectionState:
 
     def _toggle_open(self, edges: np.ndarray) -> None:
         """For each edge in turn, append it to open_list if it is not open,
-        else swap-remove it; open_pos is written once, at the end."""
-        ol, pos = self.open_list, self.open_pos
-        before = pos[edges]
-        where = {}      # current position of each edge appended or moved here
-        for e, p in zip(edges.tolist(), before.tolist()):
+        else swap-remove it."""
+        ol, pos = self.open_list, self._pos
+        for e in edges.tolist():
+            p = pos[e]
             if p < 0:
-                where[e] = len(ol)
+                pos[e] = len(ol)
                 ol.append(e)
             else:
-                p = where.pop(e, p)
                 last = ol.pop()
                 if last != e:
                     ol[p] = last
-                    where[last] = p
-        pos[edges[before >= 0]] = -1
-        if where:
-            k = len(where)
-            pos[np.fromiter(where, np.int64, k)] = np.fromiter(
-                where.values(), np.int64, k)
+                    pos[last] = p
+                pos[e] = -1
 
     @property
     def open_count(self) -> int:
@@ -182,14 +184,18 @@ class InfectionState:
         return v, self._open_at(v)
 
     def unique_healthy_vertex(self, e: int) -> int:
-        if self.open_pos[e] < 0:
+        if self._pos[e] < 0:
             raise ValueError(f"edge {e} is not open")
-        infected = self.infected
-        healthy = [v for v in self._rows[e].tolist() if not infected[v]]
-        if len(healthy) != 1:
-            raise AssertionError(f"open edge {e} has {len(healthy)} healthy "
+        infected = self._infected
+        healthy = 0
+        for v in self._rows[e].tolist():
+            if not infected[v]:
+                u = v
+                healthy += 1
+        if healthy != 1:
+            raise AssertionError(f"open edge {e} has {healthy} healthy "
                                  "vertices")
-        return healthy[0]
+        return u
 
     def unique_healthy_vertices(self, edges) -> np.ndarray:
         """The healthy vertex of each edge of a batch (list or array) of
@@ -215,9 +221,9 @@ class InfectionState:
 
     def infect(self, v: int) -> None:
         """Infect a healthy vertex and update all live edges containing it."""
-        if self.infected[v]:
+        if self._infected[v]:
             raise ValueError(f"vertex {v} is already infected")
-        self.infected[v] = True
+        self._infected[v] = True
         self.infected_count += 1
         inc = self.H.incident_edges(v)
         inc = inc[self.live[inc]]
@@ -233,18 +239,19 @@ class InfectionState:
 
     def remove_edge(self, e: int) -> None:
         """Delete a live edge (consumed by sampling)."""
-        if not self.live[e]:
+        if not self._live[e]:
             raise ValueError(f"edge {e} is not live")
-        self.live[e] = False
-        self.healthy_count[e] = -1
-        pos = self.open_pos
+        self._live[e] = False
+        self._counts[e] = -1
+        pos = self._pos
         p = pos[e]
         if p >= 0:
             if self._degrees is not None:
                 self._removed.append(e)
-            last = self.open_list.pop()
+            ol = self.open_list
+            last = ol.pop()
             if last != e:
-                self.open_list[p] = last
+                ol[p] = last
                 pos[last] = p
             pos[e] = -1
 

@@ -4,7 +4,9 @@ Each hyperedge carries a single Bernoulli(q) coin that is revealed at most
 once, when the edge is first sampled; the coin's value is a pure function of
 (seed, edge id), so no schedule can change it.  Phase 1 reveals one uniformly
 random open edge per step, stopping if the open set empties; the state is
-then absorbing.  Phase 2 reveals in rounds: subcritically every
+then absorbing.  Its index draws come from the choice stream, read only
+through the process's rng.IndexDraws, which draws exactly what
+choice.integers would.  Phase 2 reveals in rounds: subcritically every
 open edge at once, supercritically a per-vertex budgeted prefix followed by
 saturation sweeps.  Because coins are per-edge, the final infected set of any
 schedule that exhausts the open set equals the deterministic closure under
@@ -71,8 +73,10 @@ class CoinOracle:
         got = self.drawn.get(e)
         if got is None:
             b, i = divmod(e, COIN_BLOCK)
-            got = bool(self._block(b)[i])
-            self.drawn[e] = got
+            block = self._blocks.get(b)
+            if block is None:
+                block = self._block(b)
+            got = self.drawn[e] = bool(block[i])
         return got
 
     def outcomes(self, edges: list) -> np.ndarray:
@@ -124,6 +128,17 @@ class ProcessState:
         self.rounds = 0     # phase-2 rounds taken
         self.sampled: list = []
         self.trace: list = []
+        self._draws: Optional[rng_mod.IndexDraws] = None
+
+    @property
+    def index_draws(self) -> rng_mod.IndexDraws:
+        """The phase-1 index draws, made from choice on first use, so that
+        phase 1 split over several phase1_run calls draws what one would."""
+        if self._draws is None:
+            if self.choice is None:
+                raise ValueError("phase 1 needs a choice stream")
+            self._draws = rng_mod.IndexDraws(self.choice)
+        return self._draws
 
     def _gamma_pred(self, t: float) -> float:
         if self.params is None:
@@ -139,27 +154,30 @@ class ProcessState:
 
 def phase1_run(ps: ProcessState, steps: int,
                trace_stride: Optional[int] = None) -> bool:
-    """Reveal one uniform open edge per step, for at most `steps` steps.
+    """Reveal one uniform open edge per step, for at most `steps` steps, a
+    non-negative integer.
 
     Stops early, recording quiescence, the moment the open set empties; an
     empty open set is absorbing, so nothing after it could act.  Trace rows
     are emitted at step 0, every `trace_stride` steps, and at the end.
     Returns True when the run went quiescent before exhausting its budget.
     """
-    if ps.choice is None:
-        raise ValueError("phase 1 needs a choice stream")
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"step budget {steps!r} must be a non-negative "
+                         "integer")
+    draw = ps.index_draws.draw
     if trace_stride is not None:
         if trace_stride < 1:
             raise ValueError(f"trace stride {trace_stride} must be at least 1")
         if ps.m == 0:
             ps.record(PHASE1)
-    open_list, draw = ps.state.open_list, ps.choice.integers
+    open_list = ps.state.open_list
     for _ in range(steps):
         if not open_list:
             if trace_stride is not None:
                 ps.record(QUIESCENT)
             return True
-        _reveal_batch(ps, [open_list[int(draw(len(open_list)))]])
+        _reveal_one(ps, open_list[draw(len(open_list))])
         ps.m += 1
         if trace_stride is not None and ps.m % trace_stride == 0:
             ps.record(PHASE1)
@@ -181,31 +199,32 @@ def subcritical_round(ps: ProcessState) -> int:
     return successes
 
 
+def _reveal_one(ps: ProcessState, e: int) -> None:
+    """Reveal one open edge, a phase-1 or drain step: read its healthy
+    vertex, reveal its coin, remove it, and on a hit infect the vertex."""
+    st = ps.state
+    u = st.unique_healthy_vertex(e)
+    hit = ps.coins.outcome(e)
+    st.remove_edge(e)
+    ps.sampled.append(e)
+    if hit:
+        st.infect(u)
+
+
 def _reveal_batch(ps: ProcessState, edges: list) -> int:
     """Reveal a batch of distinct open edges, then infect the vertices they
     hit.
 
     Each edge's coin is revealed and the edge removed; every edge's healthy
     vertex is read before any infection, so the batch acts simultaneously,
-    and the hit vertices are infected one by one in batch order.  A single
-    edge (a phase-1 step, a drain step) takes a scalar path; a larger batch
+    and the hit vertices are infected one by one in batch order.  The batch
     is checked whole before anything changes, then removed and read with
     array operations; only the open-list discards stay sequential, in batch
-    order.  This is the only
-    place a coin is revealed.  sampled and drawn keep the given id objects,
-    so a batch taken from open_list allocates no new ones.  Returns the
-    number of successful reveals.
+    order.  With _reveal_one, the only place a coin is revealed.  sampled
+    and drawn keep the given id objects, so a batch taken from open_list
+    allocates no new ones.  Returns the number of successful reveals.
     """
     st = ps.state
-    if len(edges) == 1:
-        e = int(edges[0])
-        u = st.unique_healthy_vertex(e)
-        hit = ps.coins.outcome(e)
-        st.remove_edge(e)
-        ps.sampled.append(e)
-        if hit:
-            st.infect(u)
-        return int(hit)
     healthy = st.unique_healthy_vertices(edges)
     st.remove_open_edges(edges)
     hit = ps.coins.outcomes(edges)
@@ -260,7 +279,7 @@ def drain(ps: ProcessState) -> None:
     """Reveal open edges (deterministic order) until none remain."""
     st = ps.state
     while st.open_count:
-        _reveal_batch(ps, [st.open_list[-1]])
+        _reveal_one(ps, st.open_list[-1])
 
 
 def run_to_quiescence(H: Hypergraph, infected0, coins: CoinOracle,

@@ -11,11 +11,15 @@ offset without generating the prefix (used by the per-edge coin oracle).
 Each counter position is one 4-word Philox block whose first word gives the
 variate at that position, so a run of consecutive positions is read as one
 block: value_at(key, i, size)[j] == value_at(key, i + j) exactly.
+
+IndexDraws draws bounded indices from a sequential stream exactly as
+Generator.integers does, but from raw words read in blocks, so a long run of
+scalar draws (the process's choice stream) costs no Generator call each.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -66,3 +70,59 @@ def value_at(key: np.ndarray, index: int, size: Optional[int] = None,
     if size is None:
         return gen.random()
     return gen.random(4 * size)[::4]
+
+
+# Raw 64-bit words IndexDraws reads from its bit generator per block.
+INDEX_BLOCK = 512
+_WORD = 1 << 32
+
+
+def _uint32_words(bitgen, pending: Optional[int]) -> Iterator[int]:
+    """The 32-bit words next_uint32 would return: a buffered half word
+    first, then each raw 64-bit word split low half first."""
+    if pending is not None:
+        yield pending
+    words = np.empty(2 * INDEX_BLOCK, dtype=np.uint64)
+    while True:
+        raw = bitgen.random_raw(INDEX_BLOCK)
+        words[0::2] = raw & 0xFFFFFFFF
+        words[1::2] = raw >> 32
+        yield from words.tolist()
+
+
+class IndexDraws:
+    """Uniform indices in [0, n), equal draw for draw to gen.integers(n).
+
+    draw(n) == int(gen.integers(n)) for every 1 <= n < 2**32, in the same
+    order: numpy bounds a draw by Lemire's multiply-and-reject method on
+    32-bit words ("Fast random integer generation in an interval", ACM
+    TOMACS 2019), which is computed here on words read from the bit
+    generator in blocks.  n == 1 gives 0 without consuming a word, and a
+    word whose low product half is below (2**32 - n) % n is rejected.  The
+    stream starts from the generator's current state, a buffered half word
+    included; from then on gen must be drawn from only through this stream,
+    which is ahead of it by up to a block.  gen's bit generator must buffer
+    half words as Philox does (a has_uint32 state).
+    """
+
+    def __init__(self, gen: Generator):
+        bitgen = gen.bit_generator
+        state = bitgen.state
+        if "has_uint32" not in state:
+            raise ValueError(f"{state['bit_generator']} keeps no half-word "
+                             "buffer; index draws need one like Philox's")
+        pending = state["uinteger"] if state["has_uint32"] else None
+        self._next_word = _uint32_words(bitgen, pending).__next__
+
+    def draw(self, n: int) -> int:
+        if not 1 <= n < _WORD:
+            raise ValueError(f"index bound {n} outside [1, 2**32)")
+        if n == 1:
+            return 0
+        m = self._next_word() * n
+        if m & 0xFFFFFFFF < n:
+            # n is an upper bound of the threshold, so most draws skip the %
+            threshold = (_WORD - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next_word() * n
+        return m >> 32

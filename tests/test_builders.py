@@ -80,6 +80,15 @@ def test_triangle_lift_fast_path_matches_generic():
             assert n >= v or not L.num_edges
 
 
+def test_copies_map_only_the_vertices_edges_span():
+    # a triangle plus an isolated vertex: no injective map of all four
+    # vertices into three exists, yet the one triangle of K_3 is a copy
+    F = Hypergraph.from_rows(4, 2, [[0, 1], [1, 2], [0, 2]])
+    G = complete_uniform(3, 2)
+    assert enumerate_copies(G, F).tolist() == [[0, 1, 2]]
+    assert edge_lists(bootstrap_lift(G, F)) == [(0, 1, 2)]
+
+
 def test_triangle_lift_of_incomplete_graph():
     # hosts other than complete graphs go through the generic matcher
     rng = np.random.default_rng(21)

@@ -130,6 +130,18 @@ def test_phase1_with_dead_coins_only_removes_edges():
     assert ps2.trace[-1].phase == QUIESCENT
 
 
+def test_phase1_rejects_a_bad_step_budget_before_acting():
+    H = bootstrap_lift(complete_uniform(8, 2), load_pattern("k3"))
+    for steps in (-5, -1, 2.5, 3.0, "3", None):
+        ps = ProcessState(H, [0, 1, 2], _coins(0.5, 3), _choice(3))
+        with pytest.raises(ValueError):
+            phase1_run(ps, steps, trace_stride=2)
+        assert ps.trace == [] and ps.sampled == [] and ps.m == 0
+    ps = ProcessState(H, [0, 1, 2], _coins(0.5, 3), _choice(3))
+    assert not phase1_run(ps, np.int64(0), trace_stride=2)
+    assert [row.m for row in ps.trace] == [0]
+
+
 def test_phase1_with_sure_coins_reaches_closure():
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -439,6 +451,56 @@ def test_reveal_batch_rejects_bad_batches_before_revealing():
     # nothing was revealed or removed by the rejected batches
     assert ps.sampled == [] and ps.coins.drawn == {}
     assert ps.state.live.all() and len(ps.state.open_list) == len(opened)
+
+
+def _phase1_reference(ps: ProcessState, steps: int, trace_stride) -> bool:
+    """phase1_run as a Generator call and a one-edge batch reveal per step."""
+    if trace_stride is not None and ps.m == 0:
+        ps.record(PHASE1)
+    for _ in range(steps):
+        if not ps.state.open_list:
+            if trace_stride is not None:
+                ps.record(QUIESCENT)
+            return True
+        k = int(ps.choice.integers(len(ps.state.open_list)))
+        _reveal_batch(ps, [ps.state.open_list[k]])
+        ps.m += 1
+        if trace_stride is not None and ps.m % trace_stride == 0:
+            ps.record(PHASE1)
+    if trace_stride is not None and ps.m % trace_stride != 0:
+        ps.record(PHASE1)
+    return False
+
+
+def _trace_csv(ps: ProcessState) -> str:
+    buf = io.StringIO()
+    write_trace_csv(ps.trace, buf)
+    return buf.getvalue()
+
+
+def test_phase1_run_matches_per_step_reference():
+    rng = np.random.default_rng(71)
+    hosts = [bootstrap_lift(complete_uniform(10, 2), load_pattern("k3"))]
+    hosts += [random_hypergraph(rng, int(rng.integers(12, 30)), r,
+                                int(rng.integers(40, 200)))
+              for r in (2, 3, 4) for _ in range(4)]
+    quiet = 0
+    for trial, H in enumerate(hosts):
+        infected0 = rng.choice(H.n, size=int(rng.integers(H.r - 1, H.n // 3)),
+                               replace=False).tolist()
+        q = float(rng.choice([0.1, 0.4, 0.9]))
+        stride = [None, 1, 3, 7][trial % 4]
+        a, b = (ProcessState(H, infected0, _coins(q, trial), _choice(trial))
+                for _ in range(2))
+        # one budget split over several calls, a zero budget among them
+        for steps in [0, 1, 4, 0, 9, 30, 10 ** 4]:
+            went_quiet = phase1_run(a, steps, stride)
+            assert went_quiet == _phase1_reference(b, steps, stride)
+            quiet += went_quiet
+            _assert_same_process_state(a, b)
+            assert a.m == b.m
+            assert _trace_csv(a) == _trace_csv(b)
+    assert quiet >= len(hosts)
 
 
 def test_drain_reaches_quiescence():

@@ -3,6 +3,7 @@
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \
         --out BENCH_3.json [--workloads scan_k200 ...] [--first-seed 101]
         [--traced pipeline_k120 dieout_k200]
+        [--claim requests_per_s@pipeline_k120 ...]
 
 PARENT_DIR and CHANGE_DIR are two checkouts (e.g. made with ``git archive``).
 Pair k runs ``python3 perfbench/run.py --workload W --seed first_seed + k``
@@ -20,6 +21,11 @@ for neither side) and a no-regression verdict against the metric's relative
 
 Each workload named by --traced also gets one ``--trace 1`` run per side
 with its per-layer metrics.
+
+Each ``--claim METRIC@WORKLOAD`` records a gain verdict for that metric:
+``met`` when the change won at least nine tenths of the pairs and its median
+beats the parent's by more than the parent's quartile spread, ``not met``
+otherwise.
 """
 
 from __future__ import annotations
@@ -65,6 +71,19 @@ def verdict(parent: dict, change: dict, sign: int, bound: float) -> str:
     return "ok"
 
 
+def gain(row: dict, sign: int) -> dict:
+    """The gain verdict of one metric's row; sign is +1 when higher is
+    better."""
+    parent, change = row["parent"], row["change"]
+    pairs = len(parent["runs"])
+    gap = sign * (change["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    met = row["change_wins"] >= 0.9 * pairs and gap > spread
+    return {"change_wins": row["change_wins"], "pairs": pairs,
+            "median_gap": gap, "parent_quartile_spread": spread,
+            "verdict": "met" if met else "not met"}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -73,6 +92,8 @@ def main() -> None:
     ap.add_argument("--first-seed", type=int, default=101)
     ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--traced", nargs="*", default=[])
+    ap.add_argument("--claim", nargs="*", default=[],
+                    metavar="METRIC@WORKLOAD")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
     if args.pairs < 2:
@@ -80,14 +101,21 @@ def main() -> None:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     better = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
+    claims = [c.partition("@")[::2] for c in args.claim]
+    for metric, workload in claims:
+        if metric not in better or workload not in workloads:
+            ap.error(f"--claim {metric}@{workload}: not an end-to-end metric "
+                     "of a workload that runs")
     sides = {"parent": args.parent, "change": args.change}
 
     command = (f"python3 tools/bench_pairs.py PARENT CHANGE --pairs "
                f"{args.pairs} --first-seed {args.first_seed} --workloads "
                f"{' '.join(workloads)} --traced {' '.join(args.traced)}")
+    if args.claim:
+        command += f" --claim {' '.join(args.claim)}"
     report = {"command": command, "pairs": args.pairs,
               "seeds": [args.first_seed + k for k in range(args.pairs)],
-              "environment": {}, "workloads": {}, "traced": {}}
+              "environment": {}, "workloads": {}, "traced": {}, "claims": {}}
     for w in workloads:
         runs: dict = {"parent": [], "change": []}
         for k in range(args.pairs):
@@ -109,6 +137,10 @@ def main() -> None:
                             "bound": bound,
                             "verdict": verdict(a, b, sign, bound)}
         report["workloads"][w] = rows
+    for metric, w in claims:
+        sign = 1 if better[metric][0] == "higher" else -1
+        report["claims"][f"{metric}@{w}"] = gain(
+            report["workloads"][w][metric], sign)
     for w in args.traced:
         report["traced"][w] = {side: run(path, w, args.first_seed, 1)[0]
                                for side, path in sides.items()}
