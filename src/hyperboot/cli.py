@@ -248,6 +248,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="worker process count (default: all cores)")
     fmt = _flag("--format", choices=("json", "csv"), default="json",
                 help="tabular output format (default json)")
+    # the model constants of simulate, scan and trajectory (scan has no --c)
+    c = _flag("--c", type=float, required=True,
+              help="initial-density constant")
+    alpha = _flag("--alpha", type=float, required=True,
+                  help="edge-probability constant")
+    d = _flag("--d", type=float, required=True, help="degree scale")
+    K = _flag("--K", type=float, default=100.0,
+              help="error-band exponent (default 100)")
 
     parser = argparse.ArgumentParser(
         prog="hyperboot",
@@ -281,15 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict the rule to these edge ids")
     p.set_defaults(func=_cmd_closure)
 
-    p = sub.add_parser("simulate", parents=[out, host, seed],
+    p = sub.add_parser("simulate", parents=[out, host, seed, c, alpha, d, K],
                        help="run the two-phase process, emit the trace CSV")
-    p.add_argument("--c", type=float, required=True,
-                   help="initial-density constant")
-    p.add_argument("--alpha", type=float, required=True,
-                   help="edge-probability constant")
-    p.add_argument("--d", type=float, required=True, help="degree scale")
-    p.add_argument("--K", type=float, default=100.0,
-                   help="error-band exponent (default 100)")
     p.add_argument("--stride", type=int, default=None,
                    help="trace row stride in steps")
     p.set_defaults(func=_cmd_simulate)
@@ -307,22 +308,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: max degree)")
     p.set_defaults(func=_cmd_pc)
 
-    p = sub.add_parser("scan", parents=[out, host, seed, threads, fmt],
+    p = sub.add_parser("scan", parents=[out, host, seed, threads, fmt, alpha,
+                                        d, K],
                        help="percolation fraction across a grid of c values")
     p.add_argument("--grid", required=True,
                    help="comma-separated c values")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--K", type=float, default=100.0)
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("trajectory", parents=[out, host, seed],
+    p = sub.add_parser("trajectory", parents=[out, host, seed, c, alpha, d, K],
                        help="record process traces with trajectory predictions")
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--K", type=float, default=100.0)
     p.add_argument("--traces", type=int, default=1,
                    help="number of independent traces (default 1)")
     p.add_argument("--stride", type=int, default=None)

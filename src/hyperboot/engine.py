@@ -9,12 +9,14 @@ recounted.  InfectionState supports the incremental operations the
 revelation processes need: O(1) uniform sampling from the open-edge set (a
 swap-remove list plus a numpy position index), scalar reads and removals of
 one edge, and checks and removals of a whole batch of open edges with array
-operations.  infect updates the healthy counts of the touched vertex's
-edges in one array step, then applies the open-list appends and swap-removes
-they cause one edge at a time, in incidence order.  Scalar reads and writes
-of one edge or vertex go through memoryviews of the state arrays.  The open
-edges grouped by their healthy vertex, and the open edges of the lowest
-saturated vertex, are derived on demand from the healthy counts.
+operations.  The per-edge healthy counts are the one store of edge status.
+infect updates the counts of the touched vertex's edges in one array step,
+then applies the open-list appends and swap-removes they cause one edge at
+a time, in incidence order.  Scalar reads and writes of one edge or vertex
+go through memoryviews of the open positions, the healthy counts and the
+infected mask.  The open edges grouped by their healthy vertex, and the
+open edges of the lowest saturated vertex, are derived on demand from the
+healthy counts.
 """
 
 from __future__ import annotations
@@ -74,18 +76,15 @@ def sample_edge_set(H: Hypergraph, q: float, rng: np.random.Generator) -> np.nda
 class InfectionState:
     """Incrementally maintained infection/open-edge state over a fixed H.
 
-    An edge is live until explicitly removed; it is open when it is live and
-    has exactly one healthy vertex.  The open set supports O(1) uniform
-    sampling; open_by_vertex groups it by the healthy vertex on demand.  An
-    edge whose healthy count reaches 0 stays live (closed) unless removed.
-    open_list is updated in place, never rebound.
+    healthy_count[e] is -1 once e is removed (revealed), else its number of
+    healthy vertices: 0 closed, 1 open, 2 or more waiting.  The open set
+    supports O(1) uniform sampling; open_by_vertex groups it by the healthy
+    vertex on demand.  open_list is updated in place, never rebound.
     """
 
-    def __init__(self, H: Hypergraph, infected0: Iterable[int], active=None):
+    def __init__(self, H: Hypergraph, infected0: Iterable[int]):
         self.H = H
         n, m = H.n, H.num_edges
-        act = as_mask(active, m, "active edge")
-        self.live = np.ones(m, dtype=bool) if act is None else act.copy()
         infected = as_mask(infected0, n, "infected vertex").copy()
         # only edges touching an initially infected vertex differ from r
         incidences = np.concatenate([np.zeros(0, dtype=np.int32)] + [
@@ -93,8 +92,6 @@ class InfectionState:
         touched, hits = np.unique(incidences, return_counts=True)
         counts = np.full(m, H.r, dtype=np.int32)
         counts[touched] -= hits
-        if act is not None:
-            counts[~act] = -1
         self.infected = infected
         self.healthy_count = counts
         self.infected_count = int(infected.sum())
@@ -102,14 +99,13 @@ class InfectionState:
         # r >= 2, so an open edge has an infected vertex and is touched
         opened = touched[counts[touched] == 1]
         self.open_list: list = opened.tolist()
-        self.open_pos = np.full(m, -1, dtype=np.int64)
+        self.open_pos = np.full(m, -1, dtype=np.int32)
         self.open_pos[opened] = np.arange(len(opened))
         # memoryviews for the scalar reads and writes of one edge or vertex:
         # about half the cost of a numpy scalar index, and they yield Python
         # ints and bools.  The arrays are written in place, never rebound,
         # so each view stays on its array's buffer.
         self._pos = memoryview(self.open_pos)
-        self._live = memoryview(self.live)
         self._counts = memoryview(self.healthy_count)
         self._infected = memoryview(self.infected)
         # open degree per vertex as of the last lowest_saturated call (None
@@ -145,6 +141,11 @@ class InfectionState:
     def open_count(self) -> int:
         return len(self.open_list)
 
+    @property
+    def live(self) -> np.ndarray:
+        """Mask of the edges not yet removed."""
+        return self.healthy_count >= 0
+
     def _open_at(self, v: int) -> np.ndarray:
         inc = self.H.incident_edges(v)
         return inc[self.healthy_count[inc] == 1]
@@ -163,20 +164,18 @@ class InfectionState:
         if threshold < 1:
             raise ValueError(f"saturation threshold {threshold} below 1")
         if self._degrees is None:
-            edges = np.array(self.open_list, dtype=np.int64)
-            degrees = np.bincount(self._healthy_of(edges), minlength=self.H.n)
-        else:
-            # an edge opened or removed since has the healthy vertex it had
-            # then, unless that vertex was infected since: then it has none,
-            # and the vertex's degree is 0
-            degrees = self._degrees
-            for log, sign in ((self._opened, 1), (self._removed, -1)):
-                edges = np.array(log, dtype=np.int64)
-                degrees += sign * np.bincount(self._healthy_of(edges),
-                                              minlength=self.H.n)
-                log.clear()
-            degrees[self.infected] = 0
-        self._degrees = degrees
+            self._degrees = np.zeros(self.H.n, dtype=np.int64)
+            self._opened.extend(self.open_list)
+        # an edge opened or removed since has the healthy vertex it had
+        # then, unless that vertex was infected since: then it has none,
+        # and the vertex's degree is 0
+        degrees = self._degrees
+        for log, sign in ((self._opened, 1), (self._removed, -1)):
+            edges = np.array(log, dtype=np.int64)
+            degrees += sign * np.bincount(self._healthy_of(edges),
+                                          minlength=self.H.n)
+            log.clear()
+        degrees[self.infected] = 0
         full = np.flatnonzero(degrees >= threshold)
         if not full.size:
             return None
@@ -220,29 +219,29 @@ class InfectionState:
         return rows[healthy]
 
     def infect(self, v: int) -> None:
-        """Infect a healthy vertex and update all live edges containing it."""
+        """Infect a healthy vertex and update the edges holding it."""
         if self._infected[v]:
             raise ValueError(f"vertex {v} is already infected")
         self._infected[v] = True
         self.infected_count += 1
         inc = self.H.incident_edges(v)
-        inc = inc[self.live[inc]]
         before = self.healthy_count[inc]
-        self.healthy_count[inc] = before - 1
-        # before 1: v was the unique healthy vertex, the edge closes;
-        # before 2: the edge opens.  Applied in incidence order, which fixes
-        # the order of open_list.
-        moved = before <= 2
+        after = before - (before >= 0)      # a removed edge stays at -1
+        self.healthy_count[inc] = after
+        # after 0: v was the unique healthy vertex, the edge closes; after 1:
+        # it opens.  Read as unsigned, -1 is above both.  Applied in
+        # incidence order, which fixes the order of open_list.
+        moved = after.view(np.uint32) <= 1
         if self._degrees is not None:
-            self._opened.extend(inc[before == 2].tolist())
+            self._opened.extend(inc[after == 1].tolist())
         self._toggle_open(inc[moved])
 
     def remove_edge(self, e: int) -> None:
-        """Delete a live edge (consumed by sampling)."""
-        if not self._live[e]:
-            raise ValueError(f"edge {e} is not live")
-        self._live[e] = False
-        self._counts[e] = -1
+        """Delete an edge not yet removed (consumed by sampling)."""
+        counts = self._counts
+        if counts[e] < 0:
+            raise ValueError(f"edge {e} is already removed")
+        counts[e] = -1
         pos = self._pos
         p = pos[e]
         if p >= 0:
@@ -260,7 +259,6 @@ class InfectionState:
         unique_healthy_vertices checks them.  The open_list discards run in
         batch order; a batch of the whole open set empties it at once."""
         edges = np.asarray(edges, dtype=np.int64)
-        self.live[edges] = False
         self.healthy_count[edges] = -1
         if self._degrees is not None:
             self._removed.extend(edges.tolist())

@@ -25,7 +25,7 @@ from . import rng as rng_mod
 from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pattern
 from .census import count_pendant_stars
 from .engine import closure, sample_edge_set, sample_vertex_set
-from .hypergraph import Hypergraph, json_int, record_field
+from .hypergraph import Hypergraph, json_float, json_int, record_field
 from .processes import ProcessState, full_pipeline
 from .theory import (BoundaryError, ModelParams, classify_criticality,
                      derive_constants, star_density)
@@ -146,8 +146,8 @@ class ExperimentSpec:
             raise ValueError("scan mode needs a nonempty grid")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol={self.tol} must be positive and finite")
         if self.trace_stride is not None and self.trace_stride < 1:
             raise ValueError("trace_stride must be at least 1")
         if self.star_vertices < 0:
@@ -176,10 +176,10 @@ class ExperimentSpec:
         def params(par):
             return ModelParams(
                 r=record_field(par, "r", json_int),
-                c=record_field(par, "c", float),
-                alpha=record_field(par, "alpha", float),
-                d=record_field(par, "d", float),
-                K=record_field(par, "K", float, 100.0),
+                c=record_field(par, "c", json_float),
+                alpha=record_field(par, "alpha", json_float),
+                d=record_field(par, "d", json_float),
+                K=record_field(par, "K", json_float, 100.0),
                 n_vertices=record_field(par, "n_vertices", json_int, None))
 
         def star_indices(pairs):
@@ -191,8 +191,8 @@ class ExperimentSpec:
             seed=record_field(obj, "seed", json_int),
             mode=record_field(obj, "mode"),
             grid=record_field(obj, "grid",
-                              lambda cs: tuple(float(c) for c in cs), ()),
-            tol=record_field(obj, "tol", float, 0.01),
+                              lambda cs: tuple(json_float(c) for c in cs), ()),
+            tol=record_field(obj, "tol", json_float, 0.01),
             trace_stride=record_field(obj, "trace_stride", json_int, None),
             star_indices=record_field(obj, "star_indices", star_indices, ()),
             star_vertices=record_field(obj, "star_vertices", json_int, 0))
@@ -411,8 +411,8 @@ def estimate_pc_bisection(H: Hypergraph, q: float, seed: int,
         raise ValueError("bisection needs at least 20 trials per evaluation")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"probability q={q} outside [0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol={tol} must be positive and finite")
     if d is None:
         d = float(H.max_degree())
     lo, hi = 0.0, 1.0
@@ -499,7 +499,6 @@ class StarSample:
 @dataclass(frozen=True)
 class TrajectoryTrace:
     index: int
-    seed: int
     percolated: bool
     infected_count: int
     rows: tuple
@@ -548,7 +547,7 @@ def record_trajectory(H: Hypergraph, params: ModelParams, seed: int,
 
     res = full_pipeline(H, params, trial_seed, trace_stride, observe)
     return TrajectoryTrace(
-        index=index, seed=trial_seed, percolated=res.percolated,
+        index=index, percolated=res.percolated,
         infected_count=res.infected_count, rows=tuple(res.trace),
         stars=tuple(stars))
 

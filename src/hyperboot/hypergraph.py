@@ -10,6 +10,7 @@ repeated sub-tuples that the regularity audit counts and duplicate edges.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterable, Optional
@@ -397,6 +398,16 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
     return value
+
+
+def json_float(value) -> float:
+    """A finite JSON number, integer or float, as a float; a bool, a
+    string, a NaN, an infinity or an integer past the float range raises
+    ValueError."""
+    big = sys.float_info.max
+    if type(value) not in (int, float) or not -big <= value <= big:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def record_field(obj, key: str, convert=None, default=_REQUIRED):

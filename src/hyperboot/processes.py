@@ -25,8 +25,8 @@ import numpy as np
 from . import rng as rng_mod
 from .engine import InfectionState, sample_vertex_set
 from .hypergraph import Hypergraph
-from .theory import (Criticality, DerivedConstants, ModelParams,
-                     derive_constants, open_edge_density)
+from .theory import (Criticality, ModelParams, derive_constants,
+                     open_edge_density)
 
 PHASE1 = "phase1"
 PHASE2_SUB = "phase2_sub"
@@ -43,12 +43,13 @@ COIN_BLOCK = 256
 class CoinOracle:
     """Lazy memoized per-edge Bernoulli(q) coins on a counter-based stream.
 
-    outcome(e) is value_at(key, e) < q, a function of (key, e) alone; a miss
-    reads the whole aligned COIN_BLOCK of coins holding e in one call and
-    keeps it.  outcomes reveals the coins of a list of edges at once.  drawn
-    records exactly the coins revealed so far.  success_mask computes every
-    coin at once without revealing any, which is how the closure oracle
-    recovers the exact edge subset the process was coupled to.
+    outcome(e) is value_at(key, e) < q, a function of (key, e) alone; the
+    first read in a block reads the whole aligned COIN_BLOCK of coins in one
+    call and keeps it.  outcomes reveals the coins of a list of edges at
+    once.  drawn records the coins revealed so far, in reveal order; a
+    process reveals each edge once.  success_mask computes every coin at
+    once without revealing any, which is how the closure oracle recovers
+    the exact edge subset the process was coupled to.
     """
 
     def __init__(self, q: float, master_seed: int, *path: int):
@@ -70,13 +71,11 @@ class CoinOracle:
         return block
 
     def outcome(self, e: int) -> bool:
-        got = self.drawn.get(e)
-        if got is None:
-            b, i = divmod(e, COIN_BLOCK)
-            block = self._blocks.get(b)
-            if block is None:
-                block = self._block(b)
-            got = self.drawn[e] = bool(block[i])
+        b, i = divmod(e, COIN_BLOCK)
+        block = self._blocks.get(b)
+        if block is None:
+            block = self._block(b)
+        got = self.drawn[e] = bool(block[i])
         return got
 
     def outcomes(self, edges: list) -> np.ndarray:
@@ -114,31 +113,24 @@ def write_trace_csv(rows: Iterable[TraceRow], fh) -> None:
 
 
 class ProcessState:
-    """An InfectionState plus the process bookkeeping around it."""
+    """An InfectionState plus the process bookkeeping around it.
+
+    draws holds the phase-1 index draws on the choice stream, None without
+    one; phase 1 split over several phase1_run calls draws what one would.
+    """
 
     def __init__(self, H: Hypergraph, infected0, coins: CoinOracle,
                  choice: Optional[np.random.Generator] = None,
-                 params: Optional[ModelParams] = None, active=None):
+                 params: Optional[ModelParams] = None):
         self.H = H
-        self.state = InfectionState(H, infected0, active)
+        self.state = InfectionState(H, infected0)
         self.coins = coins
-        self.choice = choice
+        self.draws = None if choice is None else rng_mod.IndexDraws(choice)
         self.params = params
         self.m = 0          # phase-1 steps taken
         self.rounds = 0     # phase-2 rounds taken
         self.sampled: list = []
         self.trace: list = []
-        self._draws: Optional[rng_mod.IndexDraws] = None
-
-    @property
-    def index_draws(self) -> rng_mod.IndexDraws:
-        """The phase-1 index draws, made from choice on first use, so that
-        phase 1 split over several phase1_run calls draws what one would."""
-        if self._draws is None:
-            if self.choice is None:
-                raise ValueError("phase 1 needs a choice stream")
-            self._draws = rng_mod.IndexDraws(self.choice)
-        return self._draws
 
     def _gamma_pred(self, t: float) -> float:
         if self.params is None:
@@ -165,7 +157,9 @@ def phase1_run(ps: ProcessState, steps: int,
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"step budget {steps!r} must be a non-negative "
                          "integer")
-    draw = ps.index_draws.draw
+    if ps.draws is None:
+        raise ValueError("phase 1 needs a choice stream")
+    draw = ps.draws.draw
     if trace_stride is not None:
         if trace_stride < 1:
             raise ValueError(f"trace stride {trace_stride} must be at least 1")
@@ -282,15 +276,13 @@ def drain(ps: ProcessState) -> None:
         _reveal_one(ps, st.open_list[-1])
 
 
-def run_to_quiescence(H: Hypergraph, infected0, coins: CoinOracle,
-                      active=None) -> set:
+def run_to_quiescence(H: Hypergraph, infected0, coins: CoinOracle) -> set:
     """Final infected set of a schedule that exhausts the open set.
 
-    Equals closure(H, infected0, coin success set) restricted to the active
-    edges; which open edge is revealed first cannot matter because coins are
-    per-edge.
+    Equals closure(H, infected0, coin success set); which open edge is
+    revealed first cannot matter because coins are per-edge.
     """
-    ps = ProcessState(H, infected0, coins, active=active)
+    ps = ProcessState(H, infected0, coins)
     drain(ps)
     return ps.state.infected_set()
 
@@ -301,7 +293,6 @@ class PipelineResult:
     trace: list
     infected_count: int
     initial_infected: np.ndarray
-    constants: DerivedConstants
     coins: CoinOracle
     sampled_count: int
 
@@ -355,6 +346,5 @@ def full_pipeline(H: Hypergraph, params: ModelParams, seed: int,
         trace=ps.trace,
         infected_count=ps.state.infected_count,
         initial_infected=init,
-        constants=constants,
         coins=coins,
         sampled_count=len(ps.sampled))

@@ -51,6 +51,11 @@ class ModelParams:
     def __post_init__(self):
         if self.r < 3:
             raise ValueError(f"uniformity r={self.r} must be at least 3")
+        for name in ("c", "alpha", "d", "K"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"model parameter {name}={value} must be "
+                                 "finite")
         if self.c < 0:
             raise ValueError(f"infection constant c={self.c} must be nonnegative")
         if self.alpha <= 0:

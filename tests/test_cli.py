@@ -313,10 +313,15 @@ SPEC = {"model": {"kind": "complete", "n": 6, "k": 3},
     ("--config", {"pattern": {"n": 3, "r": 3, "edges": [[0, 1, 2]]},
                   "roots": [0.9], "marked": []}, "'roots'"),
     ("--spec", dict(SPEC, star_indices=[[0.7, 1]]), "'star_indices'"),
+    ("--spec", dict(SPEC, params=dict(SPEC["params"], c=True)), "'c'"),
+    ("--spec", dict(SPEC, params=dict(SPEC["params"], c="0.5")), "'c'"),
+    ("--spec", dict(SPEC, mode="scan", grid=[True, "0.25"]), "'grid'"),
+    ("--spec", dict(SPEC, mode="pc_bisect", tol=float("nan")), "'tol'"),
 ], ids=["spec_trials_null", "spec_grid_scalar", "spec_not_an_object",
         "host_n_null", "config_roots_scalar", "spec_trials_fractional",
         "spec_trials_bool", "host_n_fractional", "config_roots_fractional",
-        "spec_star_indices_fractional"])
+        "spec_star_indices_fractional", "spec_c_bool", "spec_c_string",
+        "spec_grid_bool_and_string", "spec_tol_nan"])
 def test_record_field_of_wrong_type_exits_2(capsys, k4_file, tmp_path, flag,
                                             record, field):
     path = tmp_path / "record.json"
@@ -328,6 +333,23 @@ def test_record_field_of_wrong_type_exits_2(capsys, k4_file, tmp_path, flag,
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert field in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("simulate", "--c", "0.4", "--alpha", "1", "--d", "inf"), "d=inf"),
+    (("simulate", "--c", "nan", "--alpha", "1", "--d", "10"), "c=nan"),
+    (("trajectory", "--c", "0.4", "--alpha", "1", "--d", "10",
+      "--K=-inf"), "K=-inf"),
+    (("scan", "--grid", "0.5", "--alpha", "inf", "--d", "10"), "alpha=inf"),
+    (("pc", "--q", "0.5", "--tol", "nan"), "tol=nan"),
+    (("pc", "--q", "0.5", "--tol", "inf"), "tol=inf"),
+], ids=["simulate_d_inf", "simulate_c_nan", "trajectory_K_minus_inf",
+        "scan_alpha_inf", "pc_tol_nan", "pc_tol_inf"])
+def test_non_finite_numbers_exit_2_naming_the_value(capsys, lift_file, argv,
+                                                    named):
+    code, out, err = run_cli(capsys, argv[0], "--in", lift_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert named in err
 
 
 def test_seed_and_threads_validation(capsys, k4_file):

@@ -45,8 +45,9 @@ def test_filters_reject_bad_ids():
                              ([0], [1.5]), ([0], np.ones(3, dtype=bool))):
         with pytest.raises(ValueError):
             closure(H, infected, active)
-        with pytest.raises(ValueError):
-            InfectionState(H, infected, active)
+        if active is None:
+            with pytest.raises(ValueError):
+                InfectionState(H, infected)
 
 
 def test_closure_idempotent_and_monotone():
@@ -200,7 +201,10 @@ def test_lowest_saturated_matches_open_by_vertex_oracle():
         edges = edge_lists(H)
         infected0 = rng.choice(n, size=int(rng.integers(1, n - 1)),
                                replace=False)
-        st0 = InfectionState(H, infected0, rng.random(H.num_edges) < 0.8)
+        st0 = InfectionState(H, infected0)
+        # about a fifth of the edges removed before the first query
+        for e in np.flatnonzero(rng.random(H.num_edges) < 0.2).tolist():
+            st0.remove_edge(e)
         for _ in range(6):
             sizes = Counter(len(es) for es in
                             _open_degrees_oracle(edges, st0).values())
@@ -231,6 +235,12 @@ def test_infect_rejects_repeat_and_remove_rejects_dead():
     st0.remove_edge(0)
     with pytest.raises(ValueError):
         st0.remove_edge(0)
+    # a removed edge stays removed when a vertex of it is infected
+    st0.infect(0)
+    assert st0.healthy_count.tolist() == [-1, 1, 2]
+    assert st0.live.tolist() == [False, True, True]
+    with pytest.raises(ValueError):
+        st0.remove_edge(0)
 
 
 def _assert_state_matches_scratch(st0: InfectionState, edges) -> None:
@@ -258,12 +268,14 @@ def test_incremental_state_equals_scratch_recomputation():
         edges = edge_lists(H)
         k = int(rng.integers(0, n // 2 + 1))
         infected0 = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
-        # every third trial starts from a random live subset of the edges
-        active = rng.random(H.num_edges) < 0.6 if trial % 3 == 0 else None
-        st0 = InfectionState(H, infected0, active)
-        if active is not None:
-            assert np.array_equal(st0.live, active)
-            assert (st0.healthy_count[~active] == -1).all()
+        st0 = InfectionState(H, infected0)
+        # every third trial first removes a random subset of the edges
+        if trial % 3 == 0:
+            keep = rng.random(H.num_edges) < 0.6
+            for e in np.flatnonzero(~keep).tolist():
+                st0.remove_edge(e)
+            assert np.array_equal(st0.live, keep)
+            assert (st0.healthy_count[~keep] == -1).all()
         _assert_state_matches_scratch(st0, edges)
         for _ in range(40):
             healthy = np.flatnonzero(~st0.infected)

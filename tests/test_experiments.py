@@ -304,6 +304,33 @@ def test_experiment_spec_validation():
                           mode="percolation_prob")
     again = ExperimentSpec.from_dict(spec.to_dict())
     assert again.to_dict() == spec.to_dict()
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            ExperimentSpec(model=model, params=params, trials=10, seed=0,
+                           mode="pc_bisect", tol=tol)
+
+
+def test_experiment_spec_reads_floats_strictly():
+    blob = ExperimentSpec(
+        model=ModelRecipe(kind="complete", n=4, k=3),
+        params=ModelParams(r=3, c=0.5, alpha=1.0, d=3.0), trials=10, seed=0,
+        mode="scan", grid=(0.25, 0.5)).to_dict()
+    # a JSON integer is a number; read as a float
+    spec = ExperimentSpec.from_dict(
+        dict(blob, grid=[1, 0.5], tol=1, params=dict(blob["params"], d=3)))
+    assert spec.grid == (1.0, 0.5) and spec.tol == 1.0
+    assert type(spec.params.d) is float
+    for key in ("c", "alpha", "d", "K"):
+        for bad in (True, "0.5", math.nan, math.inf, [0.5]):
+            params = dict(blob["params"], **{key: bad})
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                ExperimentSpec.from_dict(dict(blob, params=params))
+    for bad in ([True, 0.25], ["0.25"], [math.nan], 0.5):
+        with pytest.raises(ValueError, match="'grid'"):
+            ExperimentSpec.from_dict(dict(blob, grid=bad))
+    for bad in (False, "0.01", -math.inf, 10 ** 400):
+        with pytest.raises(ValueError, match="'tol'"):
+            ExperimentSpec.from_dict(dict(blob, tol=bad))
 
 
 def test_run_experiment_report_shape_and_determinism():

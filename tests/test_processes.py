@@ -350,10 +350,11 @@ def test_open_set_bookkeeping_during_process_run():
     rng = np.random.default_rng(33)
     H = random_hypergraph(rng, 15, 3, 45)
     edges = edge_lists(H)
-    ps = ProcessState(H, [0, 1, 2, 3], _coins(0.5, 7), _choice(7))
+    ps = ProcessState(H, [0, 1, 2, 3], _coins(0.5, 7))
+    choice = _choice(7)
     checks = 0
     while ps.state.open_count:
-        k = int(ps.choice.integers(ps.state.open_count))
+        k = int(choice.integers(ps.state.open_count))
         _reveal_batch(ps, [ps.state.open_list[k]])
         infected = {int(v) for v in np.flatnonzero(ps.state.infected)}
         live = [int(e) for e in np.flatnonzero(ps.state.live)]
@@ -378,7 +379,6 @@ def _assert_same_process_state(a: ProcessState, b: ProcessState) -> None:
     assert np.array_equal(a.state.infected, b.state.infected)
     assert a.state.infected_count == b.state.infected_count
     assert np.array_equal(a.state.healthy_count, b.state.healthy_count)
-    assert np.array_equal(a.state.live, b.state.live)
 
 
 def _batch(kind: str, ps: ProcessState, rng) -> list:
@@ -453,8 +453,10 @@ def test_reveal_batch_rejects_bad_batches_before_revealing():
     assert ps.state.live.all() and len(ps.state.open_list) == len(opened)
 
 
-def _phase1_reference(ps: ProcessState, steps: int, trace_stride) -> bool:
-    """phase1_run as a Generator call and a one-edge batch reveal per step."""
+def _phase1_reference(ps: ProcessState, choice, steps: int,
+                      trace_stride) -> bool:
+    """phase1_run as a call of the choice Generator and a one-edge batch
+    reveal per step."""
     if trace_stride is not None and ps.m == 0:
         ps.record(PHASE1)
     for _ in range(steps):
@@ -462,7 +464,7 @@ def _phase1_reference(ps: ProcessState, steps: int, trace_stride) -> bool:
             if trace_stride is not None:
                 ps.record(QUIESCENT)
             return True
-        k = int(ps.choice.integers(len(ps.state.open_list)))
+        k = int(choice.integers(len(ps.state.open_list)))
         _reveal_batch(ps, [ps.state.open_list[k]])
         ps.m += 1
         if trace_stride is not None and ps.m % trace_stride == 0:
@@ -490,17 +492,42 @@ def test_phase1_run_matches_per_step_reference():
                                replace=False).tolist()
         q = float(rng.choice([0.1, 0.4, 0.9]))
         stride = [None, 1, 3, 7][trial % 4]
-        a, b = (ProcessState(H, infected0, _coins(q, trial), _choice(trial))
-                for _ in range(2))
+        a = ProcessState(H, infected0, _coins(q, trial), _choice(trial))
+        b, choice = ProcessState(H, infected0, _coins(q, trial)), _choice(trial)
         # one budget split over several calls, a zero budget among them
         for steps in [0, 1, 4, 0, 9, 30, 10 ** 4]:
             went_quiet = phase1_run(a, steps, stride)
-            assert went_quiet == _phase1_reference(b, steps, stride)
+            assert went_quiet == _phase1_reference(b, choice, steps, stride)
             quiet += went_quiet
             _assert_same_process_state(a, b)
             assert a.m == b.m
             assert _trace_csv(a) == _trace_csv(b)
     assert quiet >= len(hosts)
+
+
+def test_phase1_needs_a_choice_stream():
+    ps = ProcessState(complete_uniform(6, 3), [0, 1], _coins(1.0))
+    assert ps.draws is None
+    with pytest.raises(ValueError, match="choice stream"):
+        phase1_run(ps, 3)
+    assert ps.sampled == [] and ps.m == 0
+
+
+def test_removed_edges_are_exactly_the_sampled_ones():
+    rng = np.random.default_rng(52)
+    for trial in range(20):
+        r = 3 if trial % 2 else 4
+        n = int(rng.integers(8, 24))
+        H = random_hypergraph(rng, n, r, int(rng.integers(20, 120)))
+        infected0 = rng.choice(n, size=int(rng.integers(r - 1, n // 2 + 1)),
+                               replace=False)
+        ps = ProcessState(H, infected0, _coins(float(rng.random()), trial),
+                          _choice(trial))
+        phase1_run(ps, int(rng.integers(0, H.num_edges + 1)))
+        drain(ps)
+        assert ps.state.open_count == 0
+        assert np.flatnonzero(~ps.state.live).tolist() == sorted(ps.sampled)
+        assert list(ps.coins.drawn) == ps.sampled
 
 
 def test_drain_reaches_quiescence():

@@ -32,6 +32,11 @@ def test_params_validation_and_scalings():
         ModelParams(r=3, c=0.1, alpha=-1.0, d=10.0)
     with pytest.raises(ValueError):
         ModelParams(r=3, c=0.1, alpha=1.0, d=1.0)
+    for key in ("c", "alpha", "d", "K"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{key}={bad}"):
+                ModelParams(**{**dict(r=3, c=0.1, alpha=1.0, d=10.0),
+                                  key: bad})
     p = ModelParams(r=4, c=0.3, alpha=2.0, d=729.0)
     assert p.p == pytest.approx(0.3 * 729.0 ** (-1 / 3))
     assert p.q == pytest.approx(2.0 * 729.0 ** (-1 / 3))
