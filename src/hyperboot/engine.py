@@ -2,10 +2,17 @@
 
 closure() computes the least fixed point of the infection rule: a healthy
 vertex becomes infected as soon as some (active) edge has it as its unique
-healthy vertex.  It runs in numpy rounds over the compacted active edges and
-their vertex-to-edge CSR: every edge with one healthy vertex left infects it
-in the same round, and only the edges around the new vertices are
-recounted.  InfectionState supports the incremental operations the
+healthy vertex.  It runs in numpy rounds over the active edges and their
+vertex-to-edge CSR (the host's own, or that of a compacted copy when a
+filter is given).  Every edge count starts at r and the initial vertices
+are round 0's new vertices, so no edge is counted in full.  Each round
+subtracts the hits of the new vertices' edges, then infects at once the
+healthy vertex of every edge left with one; only the edges around the new
+vertices are recounted.  sample_edge_set draws its Bernoulli(q) edge mask by
+comparing raw 64-bit generator words with one integer bound, which gives
+exactly the mask of Generator.random() < q without forming the doubles.
+
+InfectionState supports the incremental operations the
 revelation processes need: O(1) uniform sampling from the open-edge set (a
 swap-remove list plus a numpy position index), scalar reads and removals of
 one edge, and checks and removals of a whole batch of open edges with array
@@ -21,6 +28,7 @@ healthy counts.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -28,34 +36,57 @@ import numpy as np
 from .hypergraph import Hypergraph, as_mask, csr_incidence
 
 
+# A round whose incidences exceed len(E) / CLOSURE_DENSE_ROUND counts its hits
+# with one bincount over all active edges; a smaller round sorts its hits.
+CLOSURE_DENSE_ROUND = 8
+# Raw generator words sample_edge_set reads and compares per block (512 KB).
+EDGE_BLOCK = 1 << 16
+# Bit generators whose doubles are (w >> 11) * 2**-53 for a raw word w.
+_TOP_53_BIT_DOUBLES = (np.random.Philox, np.random.PCG64)
+
+
 def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> set:
     """Infected set after exhausting the infection rule over active edges.
 
     active restricts the rule to a sub-edge-set (mask or id list); edges
-    outside it are ignored entirely.  Works on a compacted copy of the
-    active edges, so sparse filters cost what they select, not what exists.
-    Each round infects the healthy vertex of every edge with healthy count 1
-    at once and recounts only the edges around the new vertices; the least
+    outside it are ignored entirely.  A filter is applied to a compacted
+    copy of the active edges, so sparse filters cost what they select, not
+    what exists; without one the host's own CSR is used.  Every edge count
+    starts at r and round 0's new vertices are the initial ones.  Each round
+    subtracts the new vertices' hits from their edges' counts, then infects
+    the healthy vertex of every edge left with count 1 at once; the least
     fixed point does not depend on the order of infections.  The input
     masks are not written to.
     """
     act = as_mask(active, H.num_edges, "active edge")
-    E = H.edges_array if act is None else H.edges_array[np.flatnonzero(act)]
+    if act is None:
+        E = H.edges_array
+        indptr, incident = H.incidence
+    else:
+        E = H.edges_array.take(np.flatnonzero(act), axis=0)
+        indptr, incident = csr_incidence(H.n, E)
     infected = as_mask(infected0, H.n, "infected vertex").copy()
-    indptr, incident = csr_incidence(H.n, E)
-    counts = H.r - infected[E].sum(axis=1)
-    frontier = np.flatnonzero(counts == 1)
-    while frontier.size:
-        rows = E[frontier]
-        new = np.unique(rows[~infected[rows]])
-        infected[new] = True
+    counts = np.full(len(E), H.r, dtype=np.int32)
+    new = np.flatnonzero(infected)
+    while new.size:
         # the CSR slices of the new vertices, gathered as one index array
         deg = indptr[new + 1] - indptr[new]
         shift = indptr[new] - (np.cumsum(deg) - deg)
-        slots = np.arange(deg.sum()) + np.repeat(shift, deg)
-        touched, hits = np.unique(incident[slots], return_counts=True)
-        counts[touched] -= hits
-        frontier = touched[counts[touched] == 1]
+        hit = incident[np.arange(deg.sum()) + np.repeat(shift, deg)]
+        if hit.size * CLOSURE_DENSE_ROUND > len(E):
+            counts -= np.bincount(hit, minlength=len(E))
+            # an edge at 1 before this round had its healthy vertex in new
+            # (counts start at r >= 2), so every edge at 1 now was hit
+            frontier = np.flatnonzero(counts == 1)
+        else:
+            touched, hits = np.unique(hit, return_counts=True)
+            counts[touched] -= hits
+            frontier = touched[counts[touched] == 1]
+        rows = E[frontier]
+        # each frontier edge's one healthy vertex, sorted and deduplicated
+        new = np.sort(rows[~infected[rows]])
+        new = new[np.diff(new, prepend=-1) != 0]
+        infected[new] = True
     return set(np.flatnonzero(infected).tolist())
 
 
@@ -67,10 +98,34 @@ def sample_vertex_set(H: Hypergraph, p: float, rng: np.random.Generator) -> np.n
 
 
 def sample_edge_set(H: Hypergraph, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli(q) edge sample as a boolean mask over edge ids."""
+    """Bernoulli(q) edge sample as a boolean mask over edge ids.
+
+    Equal to rng.random(H.num_edges) < q, and leaves rng in the same state,
+    without forming a double.  Generator.random makes the double
+    u = (w >> 11) * 2**-53 from a raw 64-bit word w, and q * 2**53 is exact,
+    so u < q holds exactly when w >> 11 < ceil(q * 2**53), that is when
+    w < ceil(q * 2**53) << 11.  For q < 1 that bound is at most
+    (2**53 - 1) * 2**11 and fits in a uint64; at q = 1 every word passes.
+    The words are read and compared in blocks of EDGE_BLOCK.  The bit
+    generator must be Philox or PCG64; another (MT19937, whose doubles take
+    two words) raises ValueError.
+    """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"probability q={q} outside [0, 1]")
-    return rng.random(H.num_edges) < q
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, _TOP_53_BIT_DOUBLES):
+        raise ValueError("edge sampling reads raw Philox or PCG64 words, "
+                         f"not {type(bitgen).__name__} ones")
+    bound = math.ceil(q * 2.0 ** 53) << 11
+    # at q = 1 the bound is 2**64: every word is <= 2**64 - 1
+    test = np.less if bound < 1 << 64 else np.less_equal
+    bound = np.uint64(min(bound, (1 << 64) - 1))
+    m = H.num_edges
+    mask = np.empty(m, dtype=bool)
+    for lo in range(0, m, EDGE_BLOCK):
+        hi = min(lo + EDGE_BLOCK, m)
+        test(bitgen.random_raw(hi - lo), bound, out=mask[lo:hi])
+    return mask
 
 
 class InfectionState:

@@ -405,7 +405,8 @@ def estimate_pc_bisection(H: Hypergraph, q: float, seed: int,
     of uniforms across evaluations, so the empirical profile is monotone by
     construction, not just in expectation).  The endpoints are pinned at
     probability 0 and 1 and never evaluated.  scaled reports
-    p_hat * d^(1/(r-1)) with d defaulting to the host's maximum degree.
+    p_hat * d^(1/(r-1)) with d defaulting to the host's maximum degree; d
+    must be positive and finite.
     """
     if trials < 20:
         raise ValueError("bisection needs at least 20 trials per evaluation")
@@ -415,6 +416,8 @@ def estimate_pc_bisection(H: Hypergraph, q: float, seed: int,
         raise ValueError(f"tol={tol} must be positive and finite")
     if d is None:
         d = float(H.max_degree())
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"degree scale d={d} must be positive and finite")
     lo, hi = 0.0, 1.0
     evals = []
     stop_reason = "tol"
@@ -434,9 +437,9 @@ def estimate_pc_bisection(H: Hypergraph, q: float, seed: int,
             lo = mid
     if p_hat is None:
         p_hat = (lo + hi) / 2.0
-    scale = d ** (1.0 / (H.r - 1)) if d > 0 else float("nan")
     return PcEstimate(
-        p_hat=p_hat, ci_low=lo, ci_high=hi, scaled=p_hat * scale,
+        p_hat=p_hat, ci_low=lo, ci_high=hi,
+        scaled=p_hat * d ** (1.0 / (H.r - 1)),
         evaluations=tuple(evals), stop_reason=stop_reason,
         warnings=_monotonicity_warnings(evals))
 

@@ -10,6 +10,7 @@ repeated sub-tuples that the regularity audit counts and duplicate edges.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -345,14 +346,16 @@ def check_well_behaved(H: Hypergraph, d: float, rho: float, nu: float
     (e) at most nu vertices
 
     Bounds are non-strict; measured values and witnesses are reported for
-    every condition so a failure names its offender.
+    every condition so a failure names its offender.  d and nu must be
+    positive, rho nonnegative, and all three finite.
     """
-    if d <= 0:
-        raise ValueError(f"degree scale d={d} must be positive")
-    if rho < 0:
-        raise ValueError(f"codegree slack rho={rho} must be nonnegative")
-    if nu <= 0:
-        raise ValueError(f"size cap nu={nu} must be positive")
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"degree scale d={d} must be positive and finite")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"codegree slack rho={rho} must be nonnegative "
+                         "and finite")
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"size cap nu={nu} must be positive and finite")
     if H.n == 0:
         raise ValueError("regularity check needs a nonempty vertex set")
 

@@ -17,7 +17,7 @@ from hyperboot import hypergraph
 from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
 from hyperboot.cli import _build_parser, main
 from hyperboot.experiments import ModelRecipe
-from hyperboot.hypergraph import loads, to_json
+from hyperboot.hypergraph import Hypergraph, loads, to_json
 from test_builders import LIFT_DIGESTS
 
 
@@ -343,13 +343,31 @@ def test_record_field_of_wrong_type_exits_2(capsys, k4_file, tmp_path, flag,
     (("scan", "--grid", "0.5", "--alpha", "inf", "--d", "10"), "alpha=inf"),
     (("pc", "--q", "0.5", "--tol", "nan"), "tol=nan"),
     (("pc", "--q", "0.5", "--tol", "inf"), "tol=inf"),
+    (("pc", "--q", "0.5", "--d", "nan"), "d=nan"),
+    (("pc", "--q", "0.5", "--d", "0"), "d=0.0"),
+    (("pc", "--q", "0.5", "--d", "-4"), "d=-4.0"),
+    (("pc", "--q", "0.5", "--d", "inf"), "d=inf"),
+    (("check", "--d", "nan", "--rho", "0.5", "--nu", "100"), "d=nan"),
+    (("check", "--d", "10", "--rho", "nan", "--nu", "inf"), "rho=nan"),
+    (("check", "--d", "10", "--rho", "0.5", "--nu", "inf"), "nu=inf"),
 ], ids=["simulate_d_inf", "simulate_c_nan", "trajectory_K_minus_inf",
-        "scan_alpha_inf", "pc_tol_nan", "pc_tol_inf"])
+        "scan_alpha_inf", "pc_tol_nan", "pc_tol_inf", "pc_d_nan", "pc_d_0",
+        "pc_d_minus_4", "pc_d_inf", "check_d_nan", "check_rho_nan_nu_inf",
+        "check_nu_inf"])
 def test_non_finite_numbers_exit_2_naming_the_value(capsys, lift_file, argv,
                                                     named):
     code, out, err = run_cli(capsys, argv[0], "--in", lift_file, *argv[1:])
     assert code == 2 and out == ""
     assert named in err
+
+
+def test_pc_default_degree_scale_of_a_host_without_edges_exits_2(capsys,
+                                                                tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(to_json(Hypergraph.from_rows(5, 3, [])))
+    code, out, err = run_cli(capsys, "pc", "--in", str(path), "--q", "0.5")
+    assert code == 2 and out == ""
+    assert "d=0.0" in err
 
 
 def test_seed_and_threads_validation(capsys, k4_file):

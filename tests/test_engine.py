@@ -1,6 +1,9 @@
 """Deterministic closure and the incremental infection state."""
 
+import math
 from collections import Counter
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_open_by_vertex, edge_lists, random_hypergraph
+from hyperboot import engine
 from hyperboot.builders import complete_uniform
 from hyperboot.engine import (InfectionState, closure, sample_edge_set,
                               sample_vertex_set)
@@ -61,25 +65,44 @@ def test_closure_idempotent_and_monotone():
         assert cs <= closure(H, big)
 
 
-@settings(max_examples=80, deadline=None)
+def _vertex_filter(form: str, ids: list, n: int):
+    """ids as a list, a set or a mask, or an empty list."""
+    if form == "mask":
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+        return mask
+    return {"list": ids, "set": set(ids), "empty": []}[form]
+
+
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_closure_matches_rescan_oracle(data):
+    """Differential test over random hosts, every filter form and both
+    hit-counting paths (one bincount per round, or a sort per round)."""
     r = data.draw(st.sampled_from([2, 3, 4]))
-    n = data.draw(st.integers(r, 12))
-    m = data.draw(st.integers(0, 20))
+    n = data.draw(st.integers(r, 14))
+    m = data.draw(st.integers(0, 60))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     H = random_hypergraph(rng, n, r, m) if m else Hypergraph.from_rows(n, r, [])
-    k = data.draw(st.integers(0, n))
-    infected0 = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
-    edges = edge_lists(H)
-    assert closure(H, infected0) == closure_oracle(edges, infected0)
-    if H.num_edges:
-        mask = rng.random(H.num_edges) < 0.5
-        keep = [int(i) for i in np.flatnonzero(mask)]
-        want = closure_oracle(edges, infected0, keep)
-        assert closure(H, infected0, active=keep) == want
-        assert closure(H, infected0, active=mask) == want
+    # initial ids with repeats, as a list, a set, a mask or empty
+    ids = rng.integers(n, size=data.draw(st.integers(0, n))).tolist()
+    vertex_form = data.draw(st.sampled_from(["list", "set", "mask", "empty"]))
+    infected0 = _vertex_filter(vertex_form, ids, n)
+    form = data.draw(st.sampled_from(["none", "mask", "ids", "empty"]))
+    keep = np.flatnonzero(rng.random(H.num_edges) < 0.6)
+    active = {"none": None, "mask": np.isin(np.arange(H.num_edges), keep),
+              "ids": rng.permutation(keep).tolist() + keep[:1].tolist(),
+              "empty": []}[form]
+    want = closure_oracle(edge_lists(H), [] if vertex_form == "empty" else ids,
+                          {"none": None, "empty": []}.get(form, keep.tolist()))
+    masks = [(x, x.copy()) for x in (infected0, active)
+             if isinstance(x, np.ndarray)]
+    for dense_round in (engine.CLOSURE_DENSE_ROUND, 0, H.num_edges + 1):
+        with mock.patch.object(engine, "CLOSURE_DENSE_ROUND", dense_round):
+            assert closure(H, infected0, active) == want
+    for x, before in masks:
+        assert np.array_equal(x, before)
 
 
 def test_closure_deep_cascade_takes_one_round_per_vertex():
@@ -311,6 +334,46 @@ def test_incremental_state_equals_scratch_recomputation():
 def test_closure_accepts_numpy_and_duplicate_ids():
     H = complete_uniform(4, 3)
     assert closure(H, np.array([0, 1, 1])) == {0, 1, 2, 3}
+
+
+EDGE_QS = (0.0, 1e-300, 2.0 ** -53, 0.071, 0.5, float(np.nextafter(1.0, 0.0)),
+           1.0)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64])
+def test_edge_sample_equals_uniforms_below_q(bitgen):
+    # the sampler reads only num_edges; sizes around one and two blocks
+    for q in EDGE_QS:
+        for m in (0, 1, 65535, 65537, 200003):
+            gen, ref = (np.random.Generator(bitgen(m)) for _ in range(2))
+            gen.integers(7), ref.integers(7)    # buffer a half word
+            mask = sample_edge_set(SimpleNamespace(num_edges=m), q, gen)
+            assert np.array_equal(mask, ref.random(m) < q)
+            # the stream goes on as after random(m), the half word included
+            assert np.array_equal(gen.integers(2 ** 32, size=3),
+                                  ref.integers(2 ** 32, size=3))
+    with pytest.raises(ValueError, match="MT19937"):
+        sample_edge_set(SimpleNamespace(num_edges=3), 0.5,
+                        np.random.Generator(np.random.MT19937(0)))
+
+
+def test_edge_sample_at_the_bound_words():
+    # Philox serves its buffered 64-bit words first: here the words on
+    # either side of the bound ceil(q * 2**53) << 11 and the extremes
+    for q in EDGE_QS:
+        bound = math.ceil(q * 2.0 ** 53) << 11
+        words = [w for w in (0, bound - 1, bound, 2 ** 64 - 1)
+                 if 0 <= w < 2 ** 64]
+        words += [2 ** 63] * (4 - len(words))
+        gen, ref = (np.random.Generator(np.random.Philox(0)) for _ in range(2))
+        for g in (gen, ref):
+            state = g.bit_generator.state
+            state["buffer"] = np.array(words, dtype=np.uint64)
+            state["buffer_pos"] = 0
+            g.bit_generator.state = state
+        mask = sample_edge_set(SimpleNamespace(num_edges=4), q, gen)
+        assert mask.tolist() == [w < bound for w in words]
+        assert np.array_equal(mask, ref.random(4) < q)
 
 
 def test_samplers_degenerate_and_deterministic():

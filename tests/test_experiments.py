@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_lists, random_hypergraph
+from hyperboot import experiments
 from hyperboot.builders import (SizeGuardError, bootstrap_lift,
                                 complete_uniform, load_pattern)
 from hyperboot.experiments import (ExperimentSpec, ModelRecipe,
@@ -185,6 +186,25 @@ def test_threshold_scan_crossing_direction():
     assert high.predicted == "supercritical"
     for row in rows:
         assert row.result.p == pytest.approx(row.c * d ** -0.5)
+
+
+def test_threshold_scan_calls_closure_once_per_trial_and_grid_point(
+        monkeypatch):
+    # the benchmark tracer (perfbench/tracing.py) counts these two bindings
+    # of the experiments module on scan_k200 and requires both counts
+    calls = {"closure": 0, "percolation_probability_mc": 0}
+    for name in calls:
+        real = getattr(experiments, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    H = bootstrap_lift(complete_uniform(10, 2), load_pattern("k3"))
+    grid, trials = [0.125, 0.25, 0.5], 7
+    threshold_scan(H, grid=grid, alpha=1.0, d=8.0, trials=trials, seed=5)
+    assert calls == {"closure": len(grid) * trials,
+                     "percolation_probability_mc": len(grid)}
 
 
 def test_threshold_scan_rejects_empty_grid():
