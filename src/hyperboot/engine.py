@@ -16,7 +16,9 @@ InfectionState supports the incremental operations the
 revelation processes need: O(1) uniform sampling from the open-edge set (a
 swap-remove list plus a numpy position index), scalar reads and removals of
 one edge, and checks and removals of a whole batch of open edges with array
-operations.  The per-edge healthy counts are the one store of edge status.
+operations.  The per-edge healthy counts are the one store of edge status,
+kept in the narrowest signed integer type that holds -1..r (int8 below
+r = 128), and set up from the initial vertices' CSR slices alone.
 infect updates the counts of the touched vertex's edges in one array step,
 then applies the open-list appends and swap-removes they cause one edge at
 a time, in incidence order.  Scalar reads and writes of one edge or vertex
@@ -69,10 +71,7 @@ def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> set:
     counts = np.full(len(E), H.r, dtype=np.int32)
     new = np.flatnonzero(infected)
     while new.size:
-        # the CSR slices of the new vertices, gathered as one index array
-        deg = indptr[new + 1] - indptr[new]
-        shift = indptr[new] - (np.cumsum(deg) - deg)
-        hit = incident[np.arange(deg.sum()) + np.repeat(shift, deg)]
+        hit = _incidences(indptr, incident, new)
         if hit.size * CLOSURE_DENSE_ROUND > len(E):
             counts -= np.bincount(hit, minlength=len(E))
             # an edge at 1 before this round had its healthy vertex in new
@@ -88,6 +87,14 @@ def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> set:
         new = new[np.diff(new, prepend=-1) != 0]
         infected[new] = True
     return set(np.flatnonzero(infected).tolist())
+
+
+def _incidences(indptr: np.ndarray, incident: np.ndarray,
+                vertices: np.ndarray) -> np.ndarray:
+    """The CSR slices of the given vertices, gathered as one index array."""
+    deg = indptr[vertices + 1] - indptr[vertices]
+    shift = indptr[vertices] - (np.cumsum(deg) - deg)
+    return incident[np.arange(deg.sum()) + np.repeat(shift, deg)]
 
 
 def sample_vertex_set(H: Hypergraph, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -132,7 +139,8 @@ class InfectionState:
     """Incrementally maintained infection/open-edge state over a fixed H.
 
     healthy_count[e] is -1 once e is removed (revealed), else its number of
-    healthy vertices: 0 closed, 1 open, 2 or more waiting.  The open set
+    healthy vertices: 0 closed, 1 open, 2 or more waiting; its dtype is the
+    narrowest signed one that holds -1..r.  The open set
     supports O(1) uniform sampling; open_by_vertex groups it by the healthy
     vertex on demand.  open_list is updated in place, never rebound.
     """
@@ -142,14 +150,18 @@ class InfectionState:
         n, m = H.n, H.num_edges
         infected = as_mask(infected0, n, "infected vertex").copy()
         # only edges touching an initially infected vertex differ from r
-        incidences = np.concatenate([np.zeros(0, dtype=np.int32)] + [
-            H.incident_edges(v) for v in np.flatnonzero(infected)])
-        touched, hits = np.unique(incidences, return_counts=True)
-        counts = np.full(m, H.r, dtype=np.int32)
+        initial = np.flatnonzero(infected)
+        touched, hits = np.unique(_incidences(*H.incidence, initial),
+                                  return_counts=True)
+        # the narrowest signed integers that hold -1..r
+        dtype = next(t for t in (np.int8, np.int16, np.int32)
+                     if np.iinfo(t).max >= H.r)
+        counts = np.full(m, H.r, dtype=dtype)
         counts[touched] -= hits
         self.infected = infected
         self.healthy_count = counts
-        self.infected_count = int(infected.sum())
+        self._unsigned = np.dtype(f"u{counts.itemsize}")   # infect's view
+        self.infected_count = initial.size
         self._rows = H.edges_array
         # r >= 2, so an open edge has an infected vertex and is touched
         opened = touched[counts[touched] == 1]
@@ -286,7 +298,7 @@ class InfectionState:
         # after 0: v was the unique healthy vertex, the edge closes; after 1:
         # it opens.  Read as unsigned, -1 is above both.  Applied in
         # incidence order, which fixes the order of open_list.
-        moved = after.view(np.uint32) <= 1
+        moved = after.view(self._unsigned) <= 1
         if self._degrees is not None:
             self._opened.extend(inc[after == 1].tolist())
         self._toggle_open(inc[moved])

@@ -36,8 +36,11 @@ QUIESCENT = "quiescent"
 TRACE_HEADER = "m,t,Q,I,gamma_pred,phase"
 
 
-# Coins are read from the stream in aligned blocks of this many edges.
-COIN_BLOCK = 256
+# Coins are read from the stream in aligned blocks of this many edges.  A
+# subcritical run uses a few hundred coins scattered over ~1e6 edges, one or
+# two per block, so a short block reads few unused coins; a re-key is cheap
+# enough that a long run's extra blocks cost little.
+COIN_BLOCK = 128
 
 
 class CoinOracle:
@@ -45,8 +48,9 @@ class CoinOracle:
 
     outcome(e) is value_at(key, e) < q, a function of (key, e) alone; the
     first read in a block reads the whole aligned COIN_BLOCK of coins in one
-    call and keeps it.  outcomes reveals the coins of a list of edges at
-    once.  drawn records the coins revealed so far, in reveal order; a
+    value_at call, which re-keys the oracle's own Philox at the block's
+    counter instead of building a generator, and keeps it.  outcomes
+    reveals the coins of a list of edges at once.  drawn records the coins revealed so far, in reveal order; a
     process reveals each edge once.  success_mask computes every coin at
     once without revealing any, which is how the closure oracle recovers
     the exact edge subset the process was coupled to.
@@ -144,25 +148,33 @@ class ProcessState:
                                    self._gamma_pred(t), phase))
 
 
+def _is_count(value) -> bool:
+    """Whether value is an integer and not a bool (np.bool_ is no
+    np.integer, but bool is an int)."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 def phase1_run(ps: ProcessState, steps: int,
                trace_stride: Optional[int] = None) -> bool:
     """Reveal one uniform open edge per step, for at most `steps` steps, a
-    non-negative integer.
+    non-negative integer; a bool is refused as a budget or a stride.
 
     Stops early, recording quiescence, the moment the open set empties; an
     empty open set is absorbing, so nothing after it could act.  Trace rows
     are emitted at step 0, every `trace_stride` steps, and at the end.
     Returns True when the run went quiescent before exhausting its budget.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    if not _is_count(steps) or steps < 0:
         raise ValueError(f"step budget {steps!r} must be a non-negative "
                          "integer")
     if ps.draws is None:
         raise ValueError("phase 1 needs a choice stream")
     draw = ps.draws.draw
     if trace_stride is not None:
-        if trace_stride < 1:
-            raise ValueError(f"trace stride {trace_stride} must be at least 1")
+        if not _is_count(trace_stride) or trace_stride < 1:
+            raise ValueError(f"trace stride {trace_stride!r} must be an "
+                             "integer of at least 1")
         if ps.m == 0:
             ps.record(PHASE1)
     open_list = ps.state.open_list

@@ -47,6 +47,10 @@ def stream_key(master_seed: int, *path: int) -> np.ndarray:
     return SeedSequence(master_seed, spawn_key=tuple(path)).generate_state(2, np.uint64)
 
 
+# The buffer of a freshly re-keyed Philox: buffer_pos 4 marks it used up.
+_NO_WORDS = (0, 0, 0, 0)
+
+
 def value_at(key: np.ndarray, index: int, size: Optional[int] = None,
              gen: Optional[Generator] = None):
     """The uniform [0,1) variate at position ``index`` of a keyed stream.
@@ -60,12 +64,11 @@ def value_at(key: np.ndarray, index: int, size: Optional[int] = None,
     if gen is None:
         gen = Generator(Philox(key=key))
     # Philox(key=key) advanced by index: the counter at index, no buffered
-    # words
+    # words.  The setter copies each field, so plain sequences serve.
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.array([index, 0, 0, 0], dtype=np.uint64),
-                  "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "state": {"counter": [index, 0, 0, 0], "key": key},
+        "buffer": _NO_WORDS, "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
     if size is None:
         return gen.random()

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from math import comb, log
 from typing import Optional
 
+import numpy as np
 from scipy.optimize import brentq
 
 ROOT_RESIDUAL_TOL = 1e-9
@@ -258,6 +259,31 @@ def subcritical_constants(p: ModelParams) -> SubcriticalConstants:
                                 stop_level=stop_level, caps=caps)
 
 
+def _first_stop(p: ModelParams, stop_level: float, cap: int) -> Optional[int]:
+    """The first m in 0..cap where (1 + 4*band(t)) * density(t) at t = m/N
+    falls below stop_level, or None.
+
+    The rule is evaluated for every m at once with numpy.  Its powers may
+    round a few ulps away from the scalar ones, so the array only rules out
+    the m that clear the stop level by a margin far above that rounding;
+    the rest are settled in order by the scalar rule, which is the
+    definition.  An m whose array value is not finite is settled by the
+    scalar rule too, which raises where Python's float powers overflow.
+    """
+    t = np.arange(cap + 1) / p.n_vertices
+    with np.errstate(over="ignore", invalid="ignore"):
+        widen = 1 + 4 * ((t + 1.0) ** (p.K / 10.0) / log(p.d) ** (p.K / 5.0))
+        grow = (p.c + p.alpha * t) ** (p.r - 1)
+        margin = 1e-12 * widen * (grow + t)
+        clear = ((widen * (grow - t) >= stop_level + margin)
+                 & np.isfinite(margin))
+    for m in np.flatnonzero(~clear).tolist():
+        t_m = m / p.n_vertices
+        if (1 + 4 * error_band(t_m, p)) * open_edge_density(t_m, p) < stop_level:
+            return m
+    return None
+
+
 @dataclass(frozen=True)
 class PhaseLengths:
     steps: int          # single-reveal steps (phase 1)
@@ -287,12 +313,7 @@ def phase_lengths(p: ModelParams,
     if crit is Criticality.SUBCRITICAL:
         consts = constants if constants is not None else subcritical_constants(p)
         cap = int(math.ceil(consts.root_low * N)) + 2
-        steps = None
-        for m in range(cap + 1):
-            t = m / N
-            if (1 + 4 * error_band(t, p)) * open_edge_density(t, p) < consts.stop_level:
-                steps = m
-                break
+        steps = _first_stop(p, consts.stop_level, cap)
         if steps is None:
             raise RuntimeError("phase-1 stopping rule did not fire below the low root")
         rounds = 2 * math.ceil(log(N) / -math.log1p(-consts.slack))

@@ -192,6 +192,17 @@ def gamma_oracle(r, c, alpha, t):
     return (c + alpha * t) ** (r - 1) - t
 
 
+def phase1_steps_oracle(r, c, alpha, d, K, n, stop_level, cap):
+    """First m in 0..cap where (1 + 4*band(m/n)) * density(m/n) falls below
+    stop_level, one m at a time, or None."""
+    for m in range(cap + 1):
+        t = m / n
+        band = (t + 1.0) ** (K / 10.0) / math.log(d) ** (K / 5.0)
+        if (1 + 4 * band) * gamma_oracle(r, c, alpha, t) < stop_level:
+            return m
+    return None
+
+
 def stationary_t_oracle(r, c, alpha):
     return ((1.0 / (alpha * (r - 1))) ** (1.0 / (r - 2)) - c) / alpha
 

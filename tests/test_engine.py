@@ -331,6 +331,59 @@ def test_incremental_state_equals_scratch_recomputation():
             _assert_state_matches_scratch(st0, edges)
 
 
+def _assert_setup_matches_rows(st0: InfectionState, H: Hypergraph) -> None:
+    want = H.r - st0.infected[H.edges_array].sum(axis=1)
+    assert np.array_equal(st0.healthy_count, want)
+    opened = np.flatnonzero(want == 1)
+    assert st0.open_list == opened.tolist()
+    want_pos = np.full(H.num_edges, -1)
+    want_pos[opened] = np.arange(opened.size)
+    assert np.array_equal(st0.open_pos, want_pos)
+    assert st0.infected_count == int(st0.infected.sum())
+
+
+def test_state_setup_matches_counts_read_off_the_rows():
+    """Set-up from the initial vertices' CSR slices against each edge's
+    healthy count read off its row: random small hosts with the empty, a
+    random and the all-infected initial set."""
+    rng = np.random.default_rng(16)
+    for trial in range(80):
+        n = int(rng.integers(2, 16))
+        r = int(rng.integers(2, min(n, 5) + 1))
+        m = int(rng.integers(0, 40))
+        H = random_hypergraph(rng, n, r, m) if m else Hypergraph.from_rows(
+            n, r, [])
+        ids = rng.integers(n, size=int(rng.integers(1, n + 1))).tolist()
+        for infected0 in ([], ids, np.ones(n, dtype=bool)):
+            st0 = InfectionState(H, infected0)
+            assert st0.healthy_count.dtype == np.int8
+            _assert_setup_matches_rows(st0, H)
+
+
+def test_state_counts_hold_a_uniformity_above_int8():
+    """Two 130-vertex edges: counts from 130 down to -1 need int16."""
+    H = Hypergraph.from_rows(131, 130, [range(130), range(1, 131)])
+    edges = edge_lists(H)
+    for infected0 in ([], range(1, 130), np.ones(131, dtype=bool)):
+        st0 = InfectionState(H, infected0)
+        assert st0.healthy_count.dtype == np.int16
+        _assert_setup_matches_rows(st0, H)
+    st0 = InfectionState(H, [])
+    assert st0.healthy_count.tolist() == [130, 130]
+    for v in range(1, 129):
+        st0.infect(v)
+    assert st0.healthy_count.tolist() == [2, 2]
+    _assert_setup_matches_rows(st0, H)
+    st0.infect(129)
+    assert st0.open_list == [0, 1]
+    _assert_state_matches_scratch(st0, edges)
+    st0.remove_edge(1)
+    st0.infect(0)
+    assert st0.healthy_count.tolist() == [0, -1]
+    assert st0.open_list == []
+    _assert_state_matches_scratch(st0, edges)
+
+
 def test_closure_accepts_numpy_and_duplicate_ids():
     H = complete_uniform(4, 3)
     assert closure(H, np.array([0, 1, 1])) == {0, 1, 2, 3}

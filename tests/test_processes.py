@@ -12,8 +12,9 @@ from hyperboot import rng as rng_mod
 from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
 from hyperboot.engine import closure
 from hyperboot.hypergraph import Hypergraph
-from hyperboot.processes import (PHASE1, PHASE2_SUB, PHASE2_SUPER, QUIESCENT,
-                                 TRACE_HEADER, CoinOracle, ProcessState,
+from hyperboot.processes import (COIN_BLOCK, PHASE1, PHASE2_SUB,
+                                 PHASE2_SUPER, QUIESCENT, TRACE_HEADER,
+                                 CoinOracle, ProcessState,
                                  _reveal_batch, drain, full_pipeline,
                                  phase1_run, run_to_quiescence,
                                  saturation_threshold, subcritical_round,
@@ -64,10 +65,14 @@ def test_coin_oracle_is_a_pure_function_of_seed_and_edge():
     assert fresh.drawn == {}
 
 
-def _fresh_read(key, start, size):
+def _fresh_generator(key, start):
     bg = np.random.Philox(key=key)
     bg.advance(start)
-    gen = np.random.Generator(bg)
+    return np.random.Generator(bg)
+
+
+def _fresh_read(key, start, size):
+    gen = _fresh_generator(key, start)
     return gen.random() if size is None else gen.random(4 * size)[::4]
 
 
@@ -75,17 +80,36 @@ def test_value_at_equals_a_fresh_advanced_philox():
     gen = np.random.Generator(np.random.Philox(key=rng_mod.stream_key(9, 9)))
     for seed in (5, 6):
         key = rng_mod.stream_key(seed, rng_mod.EDGE_COIN)
-        for start in (0, 1, 256, 12_800, 280_576):
-            for size in (None, 1, 256):
+        for start in (0, 1, 127, 128, 255, 256, 12_800, 280_576):
+            for size in (None, 1, COIN_BLOCK, 256):
                 want = _fresh_read(key, start, size)
                 assert np.array_equal(rng_mod.value_at(key, start, size), want)
                 # a reused generator, re-keyed from another stream's state
                 got = rng_mod.value_at(key, start, size, gen)
                 assert np.array_equal(got, want), (seed, start, size)
-    # a partly consumed generator is re-keyed whole
+                # a generator left with a partly used 4-word buffer
+                gen.random()
+                assert 0 < gen.bit_generator.state["buffer_pos"] < 4
+                got = rng_mod.value_at(key, start, size, gen)
+                assert np.array_equal(got, want), (seed, start, size)
+    # a partly consumed generator is re-keyed whole, a half word included
     gen.integers(7)
+    assert gen.bit_generator.state["has_uint32"] == 1
     key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
-    assert rng_mod.value_at(key, 3, None, gen) == _fresh_read(key, 3, None)
+    fresh = _fresh_generator(key, 3)
+    assert rng_mod.value_at(key, 3, None, gen) == fresh.random()
+    assert gen.integers(7, size=9).tolist() == fresh.integers(7, size=9).tolist()
+
+
+def test_coins_equal_value_at_below_q_across_block_edges():
+    key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
+    edges = [e + k * COIN_BLOCK for k in range(4) for e in (-1, 0, 1)][1:]
+    for q in (0.0, 0.3, 1.0):
+        want = [rng_mod.value_at(key, e) < q for e in edges]
+        scalar, batch = _coins(q, seed=5), _coins(q, seed=5)
+        assert [scalar.outcome(e) for e in reversed(edges)] == want[::-1]
+        assert batch.outcomes(edges).tolist() == want
+        assert batch.drawn == scalar.drawn == dict(zip(edges, want))
 
 
 def test_coin_outcomes_match_scalar_outcomes():
@@ -132,13 +156,18 @@ def test_phase1_with_dead_coins_only_removes_edges():
 
 def test_phase1_rejects_a_bad_step_budget_before_acting():
     H = bootstrap_lift(complete_uniform(8, 2), load_pattern("k3"))
-    for steps in (-5, -1, 2.5, 3.0, "3", None):
+    for steps in (-5, -1, 2.5, 3.0, "3", None, True, False, np.bool_(True)):
         ps = ProcessState(H, [0, 1, 2], _coins(0.5, 3), _choice(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="step budget"):
             phase1_run(ps, steps, trace_stride=2)
         assert ps.trace == [] and ps.sampled == [] and ps.m == 0
+    for stride in (0, -2, 2.0, True, np.bool_(True), np.bool_(False)):
+        ps = ProcessState(H, [0, 1, 2], _coins(0.5, 3), _choice(3))
+        with pytest.raises(ValueError, match="trace stride"):
+            phase1_run(ps, 3, trace_stride=stride)
+        assert ps.trace == [] and ps.sampled == [] and ps.m == 0
     ps = ProcessState(H, [0, 1, 2], _coins(0.5, 3), _choice(3))
-    assert not phase1_run(ps, np.int64(0), trace_stride=2)
+    assert not phase1_run(ps, np.int64(0), trace_stride=np.int64(2))
     assert [row.m for row in ps.trace] == [0]
 
 

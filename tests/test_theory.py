@@ -1,8 +1,10 @@
 """Scalar theory: density trajectory, roots, regimes, derived constants."""
 
 import math
+from dataclasses import replace
 from math import comb, log
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,9 @@ from hyperboot.theory import (BoundaryError, Criticality, ModelParams,
                               star_density, stationary_and_roots,
                               subcritical_constants)
 from oracles import (critical_constant_oracle, gamma_oracle,
-                     quadratic_roots_oracle, star_mean_oracle,
-                     stationary_t_oracle, subcritical_closed_form)
+                     phase1_steps_oracle, quadratic_roots_oracle,
+                     star_mean_oracle, stationary_t_oracle,
+                     subcritical_closed_form)
 
 SUB = ModelParams(r=3, c=0.2, alpha=0.5, d=1000.0)
 SUPER = ModelParams(r=3, c=0.5, alpha=1.0, d=1000.0)
@@ -224,6 +227,45 @@ def test_subcritical_phase_lengths_minimality():
     assert lengths.horizon < stationary_and_roots(p).stationary_t
     want_rounds = 2 * math.ceil(log(n) / -math.log1p(-consts.slack))
     assert lengths.rounds == want_rounds
+
+
+def test_subcritical_phase_lengths_equal_the_scalar_stopping_loop():
+    rng = np.random.default_rng(16)
+    checked = ties = 0
+    while checked < 500:
+        r = int(rng.integers(3, 6))
+        alpha = float(np.exp(rng.uniform(-2.0, 2.0)))
+        c = critical_initial_constant(r, alpha) * float(rng.uniform(0, 0.98))
+        d = float(np.exp(rng.uniform(0.7, 12.0)))
+        K = float(rng.choice([1, 10, 100]))
+        n = int(np.exp(rng.uniform(math.log(10), math.log(2e5))))
+        p = ModelParams(r=r, c=c, alpha=alpha, d=d, K=K).bind(n)
+        try:
+            consts = subcritical_constants(p)
+        except (BoundaryError, RuntimeError):
+            continue
+        cap = math.ceil(consts.root_low * n) + 2
+        stops = [consts.stop_level]
+        want = phase1_steps_oracle(r, c, alpha, d, K, n, consts.stop_level,
+                                   cap)
+        if want is not None and checked % 4 == 0:
+            # stop levels exactly at the banded value where the rule fires,
+            # and one ulp above it
+            t = want / n
+            at = (1 + 4 * error_band(t, p)) * open_edge_density(t, p)
+            stops += [at, math.nextafter(at, math.inf)]
+            ties += 1
+        for stop in stops:
+            want = phase1_steps_oracle(r, c, alpha, d, K, n, stop, cap)
+            sub = replace(consts, stop_level=stop)
+            if want is None:
+                with pytest.raises(RuntimeError, match="did not fire"):
+                    phase_lengths(p, Criticality.SUBCRITICAL, sub)
+            else:
+                got = phase_lengths(p, Criticality.SUBCRITICAL, sub).steps
+                assert got == want, (r, c, alpha, d, K, n, stop)
+        checked += 1
+    assert ties >= 100
 
 
 def test_phase_lengths_need_binding():
