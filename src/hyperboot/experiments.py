@@ -5,8 +5,16 @@ index), so results never depend on execution order or worker count; the
 initial-infection and coin uniforms are drawn once per trial and compared
 against the thresholds p and q afterwards, which couples every evaluation
 of the percolation profile monotonically across p, q and c.  Percolation
-per trial is decided by the deterministic closure on the sampled success
-set.
+per trial is decided by the deterministic closure of {v : u_v < p} on the
+trial's success host (the edges whose coin succeeded, with their own CSR).
+
+A trial's uniforms and success host do not depend on p, so a threshold
+scan or a bisection draws each trial once and reuses it at every grid point
+or step.  It keeps drawn trials while their arrays (uniforms, success rows
+and CSR) take no more bytes in total than the host's own rows and CSR, so
+their success hosts never hold more edges than the host; a trial past that
+bound is drawn again at each p.  A lone evaluation keeps nothing, and pool
+workers keep nothing they draw.
 """
 
 from __future__ import annotations
@@ -24,8 +32,9 @@ from . import __version__, hypergraph
 from . import rng as rng_mod
 from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pattern
 from .census import count_pendant_stars
-from .engine import closure, sample_edge_set, sample_vertex_set
-from .hypergraph import Hypergraph, json_float, json_int, record_field
+from .engine import closure, sample_edge_set
+from .hypergraph import (Hypergraph, is_count, json_float, json_int,
+                         record_field)
 from .processes import ProcessState, full_pipeline
 from .theory import (BoundaryError, ModelParams, classify_criticality,
                      derive_constants, star_density)
@@ -140,8 +149,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode {self.mode!r} not one of {MODES}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not is_count(self.trials) or self.trials < 1:
+            raise ValueError(f"trials={self.trials!r} must be an integer of "
+                             "at least 1")
         if self.mode == "scan" and not self.grid:
             raise ValueError("scan mode needs a nonempty grid")
         if not 0 <= self.seed < 2 ** 64:
@@ -222,13 +232,50 @@ class MCResult:
                 "ci_low": lo, "ci_high": hi}
 
 
-def _trial_percolates(H: Hypergraph, p: float, q: float, seed: int,
-                      trial: int) -> bool:
-    init = sample_vertex_set(H, p, rng_mod.substream(
-        seed, rng_mod.TRIAL, trial, rng_mod.VERTEX_DRAW))
-    successes = sample_edge_set(H, q, rng_mod.substream(
-        seed, rng_mod.TRIAL, trial, rng_mod.EDGE_COIN))
-    return len(closure(H, init, successes)) == H.n
+def _nbytes(H: Hypergraph) -> int:
+    """Bytes of a hypergraph's edge rows and CSR."""
+    indptr, incident = H.incidence
+    return H.edges_array.nbytes + indptr.nbytes + incident.nbytes
+
+
+class _TrialSet:
+    """The Monte Carlo trials of one (H, q, seed), each drawn once if kept.
+
+    Trial k is its vertex uniforms, substream(seed, TRIAL, k, VERTEX_DRAW)
+    .random(H.n), and its success host: the edges of H whose Bernoulli(q)
+    coin from substream(seed, TRIAL, k, EDGE_COIN) succeeds, with their own
+    CSR.  Neither depends on p.  A trial is kept when it is drawn, unless
+    the kept trials' uniforms, rows and CSR would then take more bytes than
+    H's own rows and CSR; a trial not kept is drawn again for each p.
+    """
+
+    def __init__(self, H: Hypergraph, q: float, seed: int):
+        self.H, self.q, self.seed = H, q, seed
+        self.kept: dict = {}
+        self._room = _nbytes(H)
+
+    def _draw(self, k: int) -> tuple:
+        H, seed = self.H, self.seed
+        u = rng_mod.substream(seed, rng_mod.TRIAL, k,
+                              rng_mod.VERTEX_DRAW).random(H.n)
+        won = sample_edge_set(H, self.q, rng_mod.substream(
+            seed, rng_mod.TRIAL, k, rng_mod.EDGE_COIN))
+        rows = H.edges_array.take(np.flatnonzero(won), axis=0)
+        return u, Hypergraph.from_rows(H.n, H.r, rows, canonical=True)
+
+    def percolates(self, k: int, p: float, keep: bool) -> bool:
+        """Whether trial k percolates at initial density p: the closure of
+        {v : u_v < p} on its success host is every vertex.  A kept trial is
+        read as it is; one drawn here is kept only when keep is set."""
+        trial = self.kept.get(k)
+        if trial is None:
+            trial = self._draw(k)
+            size = trial[0].nbytes + _nbytes(trial[1])
+            if keep and size <= self._room:
+                self._room -= size
+                self.kept[k] = trial
+        u, host = trial
+        return len(closure(host, np.flatnonzero(u < p))) == host.n
 
 
 def pipeline_seed(seed: int, index: int) -> int:
@@ -236,21 +283,23 @@ def pipeline_seed(seed: int, index: int) -> int:
     return int(rng_mod.stream_key(seed, rng_mod.TRIAL, index)[0])
 
 
-def _count_percolating(bounds: tuple, H: Hypergraph, p: float, q: float,
-                       seed: int) -> int:
-    return sum(_trial_percolates(H, p, q, seed, k) for k in range(*bounds))
+def _count_percolating(bounds: tuple, trial_set: _TrialSet, p: float,
+                       keep: bool) -> int:
+    return sum(trial_set.percolates(k, p, keep) for k in range(*bounds))
 
 
-_WORKER_TRIAL: tuple = ()    # (H, p, q, seed), set only in pool workers
+_WORKER_TRIALS: tuple = ()   # (trial set, p), set only in pool workers
 
 
-def _start_worker(*trial: object) -> None:
-    global _WORKER_TRIAL
-    _WORKER_TRIAL = trial
+def _start_worker(*trials: object) -> None:
+    global _WORKER_TRIALS
+    _WORKER_TRIALS = trials
 
 
 def _worker_count(bounds: tuple) -> int:
-    return _count_percolating(bounds, *_WORKER_TRIAL)
+    # a worker keeps nothing it draws: the pool and its copy of the set
+    # end with this evaluation
+    return _count_percolating(bounds, *_WORKER_TRIALS, keep=False)
 
 
 def _chunk_bounds(trials: int, parts: int) -> list:
@@ -265,32 +314,41 @@ def _chunk_bounds(trials: int, parts: int) -> list:
 
 
 def percolation_probability_mc(H: Hypergraph, p: float, q: float,
-                               trials: int, seed: int, workers: int = 1
+                               trials: int, seed: int, workers: int = 1, *,
+                               trial_set: Optional[_TrialSet] = None
                                ) -> MCResult:
     """Fraction of independent trials whose sampled instance percolates.
 
     A trial draws the initial infection Bernoulli(p) per vertex and a coin
     Bernoulli(q) per edge, then asks the closure whether everything gets
     infected.  Worker processes split the trial range; totals are sums, so
-    any split gives the identical result.
+    any split gives the identical result.  trial_set, the _TrialSet of this
+    (H, q, seed), keeps the trials this call draws in the parent process for
+    later calls at other p; without it the call keeps nothing.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not is_count(trials) or trials < 1:
+        raise ValueError(f"trials={trials!r} must be an integer of at least 1")
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"probability {name}={val} outside [0, 1]")
+    keep = trial_set is not None
+    if not keep:
+        trial_set = _TrialSet(H, q, seed)
+    elif (trial_set.H is not H or trial_set.q != q
+          or trial_set.seed != seed):
+        raise ValueError("trial set was drawn for another host, q or seed")
     bounds = _chunk_bounds(trials, workers)
     if len(bounds) == 1:
-        successes = _count_percolating(bounds[0], H, p, q, seed)
+        successes = _count_percolating(bounds[0], trial_set, p, keep)
     else:
         # fork hands each worker the initializer's arguments in memory; the
         # host is never pickled, and the pool drops it when it shuts down
         with ProcessPoolExecutor(max_workers=len(bounds),
                                  mp_context=get_context("fork"),
                                  initializer=_start_worker,
-                                 initargs=(H, p, q, seed)) as pool:
+                                 initargs=(trial_set, p)) as pool:
             successes = sum(pool.map(_worker_count, bounds))
-    return MCResult(p=p, q=q, trials=trials, successes=int(successes))
+    return MCResult(p=p, q=q, trials=int(trials), successes=int(successes))
 
 
 # -- exact brute-force oracle --------------------------------------------------
@@ -406,10 +464,13 @@ def estimate_pc_bisection(H: Hypergraph, q: float, seed: int,
     construction, not just in expectation).  The endpoints are pinned at
     probability 0 and 1 and never evaluated.  scaled reports
     p_hat * d^(1/(r-1)) with d defaulting to the host's maximum degree; d
-    must be positive and finite.
+    must be positive and finite.  Every evaluation reads one trial set, so
+    each trial is drawn once within the memory bound of the module
+    docstring.
     """
-    if trials < 20:
-        raise ValueError("bisection needs at least 20 trials per evaluation")
+    if not is_count(trials) or trials < 20:
+        raise ValueError("bisection needs an integer of at least 20 trials "
+                         f"per evaluation, got {trials!r}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"probability q={q} outside [0, 1]")
     if not (math.isfinite(tol) and tol > 0):
@@ -418,13 +479,15 @@ def estimate_pc_bisection(H: Hypergraph, q: float, seed: int,
         d = float(H.max_degree())
     if not (math.isfinite(d) and d > 0):
         raise ValueError(f"degree scale d={d} must be positive and finite")
+    trial_set = _TrialSet(H, q, seed)
     lo, hi = 0.0, 1.0
     evals = []
     stop_reason = "tol"
     p_hat = None
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        res = percolation_probability_mc(H, mid, q, trials, seed, workers)
+        res = percolation_probability_mc(H, mid, q, trials, seed, workers,
+                                         trial_set=trial_set)
         evals.append(res)
         ci_lo, ci_hi = res.ci
         if ci_lo <= 0.5 <= ci_hi:
@@ -466,19 +529,21 @@ def threshold_scan(H: Hypergraph, grid: Iterable[float], alpha: float,
 
     Each row carries the side of the critical constant the theory predicts
     for that c ("subcritical", "supercritical", or "boundary" inside the
-    numerical dead-band).  All rows share trial substreams, so the fractions
-    are nondecreasing in c exactly.
+    numerical dead-band).  All rows read one trial set, so the fractions
+    are nondecreasing in c exactly, and each trial is drawn once within the
+    memory bound of the module docstring.
     """
     cs = [float(c) for c in grid]
     if not cs:
         raise ValueError("scan needs a nonempty grid")
+    grid_params = [ModelParams(r=H.r, c=c, alpha=alpha, d=d, K=K) for c in cs]
+    trial_set = _TrialSet(H, grid_params[0].q, seed)   # q does not depend on c
     rows = []
-    for c in cs:
-        params = ModelParams(r=H.r, c=c, alpha=alpha, d=d, K=K)
-        predicted = classify_criticality(params).value
+    for params in grid_params:
         res = percolation_probability_mc(H, params.p, params.q, trials,
-                                         seed, workers)
-        rows.append(ScanRow(c=c, result=res, predicted=predicted))
+                                         seed, workers, trial_set=trial_set)
+        rows.append(ScanRow(c=params.c, result=res,
+                            predicted=classify_criticality(params).value))
     return rows
 
 

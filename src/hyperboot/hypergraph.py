@@ -395,6 +395,14 @@ def to_dict(H: Hypergraph) -> dict:
 _REQUIRED = object()
 
 
+def is_count(value) -> bool:
+    """Whether value is an integer and not a bool (np.bool_ is no
+    np.integer, but bool is an int); the rule for step budgets, strides and
+    trial counts."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 def json_int(value) -> int:
     """A JSON integer as it is; a bool, a string or any float, integral
     ones included, raises ValueError rather than being truncated."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .engine import InfectionState, sample_vertex_set
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, is_count
 from .theory import (Criticality, ModelParams, derive_constants,
                      open_edge_density)
 
@@ -148,13 +148,6 @@ class ProcessState:
                                    self._gamma_pred(t), phase))
 
 
-def _is_count(value) -> bool:
-    """Whether value is an integer and not a bool (np.bool_ is no
-    np.integer, but bool is an int)."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool))
-
-
 def phase1_run(ps: ProcessState, steps: int,
                trace_stride: Optional[int] = None) -> bool:
     """Reveal one uniform open edge per step, for at most `steps` steps, a
@@ -165,14 +158,14 @@ def phase1_run(ps: ProcessState, steps: int,
     are emitted at step 0, every `trace_stride` steps, and at the end.
     Returns True when the run went quiescent before exhausting its budget.
     """
-    if not _is_count(steps) or steps < 0:
+    if not is_count(steps) or steps < 0:
         raise ValueError(f"step budget {steps!r} must be a non-negative "
                          "integer")
     if ps.draws is None:
         raise ValueError("phase 1 needs a choice stream")
     draw = ps.draws.draw
     if trace_stride is not None:
-        if not _is_count(trace_stride) or trace_stride < 1:
+        if not is_count(trace_stride) or trace_stride < 1:
             raise ValueError(f"trace stride {trace_stride!r} must be an "
                              "integer of at least 1")
         if ps.m == 0:

@@ -223,7 +223,12 @@ def subcritical_constants(p: ModelParams) -> SubcriticalConstants:
     """
     if classify_criticality(p) is not Criticality.SUBCRITICAL:
         raise BoundaryError("subcritical constants need subcritical parameters")
-    roots = stationary_and_roots(p)
+    return _subcritical_from_roots(p, stationary_and_roots(p))
+
+
+def _subcritical_from_roots(p: ModelParams, roots: TrajectoryRoots
+                            ) -> SubcriticalConstants:
+    """subcritical_constants from subcritical parameters' solved roots."""
     r, a = p.r, p.alpha
     t0 = roots.root_low
     gap = 1.0 - a * (r - 1) * (p.c + a * t0) ** (r - 2)
@@ -370,7 +375,8 @@ def derive_constants(p: ModelParams) -> DerivedConstants:
     if crit is Criticality.BOUNDARY:
         raise BoundaryError("parameters sit on the criticality boundary")
     roots = stationary_and_roots(p)
-    sub = subcritical_constants(p) if crit is Criticality.SUBCRITICAL else None
+    sub = (_subcritical_from_roots(p, roots)
+           if crit is Criticality.SUBCRITICAL else None)
     phases = (phase_lengths(p, crit, sub)
               if p.n_vertices is not None else None)
     return DerivedConstants(

@@ -10,8 +10,10 @@ import pytest
 
 from conftest import edge_lists, random_hypergraph
 from hyperboot import experiments
+from hyperboot import rng as rng_mod
 from hyperboot.builders import (SizeGuardError, bootstrap_lift,
                                 complete_uniform, load_pattern)
+from hyperboot.engine import closure, sample_edge_set, sample_vertex_set
 from hyperboot.experiments import (ExperimentSpec, ModelRecipe,
                                    estimate_pc_bisection,
                                    exact_percolation_probability,
@@ -205,6 +207,116 @@ def test_threshold_scan_calls_closure_once_per_trial_and_grid_point(
     threshold_scan(H, grid=grid, alpha=1.0, d=8.0, trials=trials, seed=5)
     assert calls == {"closure": len(grid) * trials,
                      "percolation_probability_mc": len(grid)}
+
+
+def _fresh_mc(H, p, q, trials, seed, workers=1, *, trial_set=None):
+    """percolation_probability_mc's reference: every (trial, p) drawn afresh
+    and closed on H restricted to the success mask."""
+    def percolates(k):
+        init = sample_vertex_set(H, p, rng_mod.substream(
+            seed, rng_mod.TRIAL, k, rng_mod.VERTEX_DRAW))
+        won = sample_edge_set(H, q, rng_mod.substream(
+            seed, rng_mod.TRIAL, k, rng_mod.EDGE_COIN))
+        return len(closure(H, init, won)) == H.n
+    return experiments.MCResult(p=p, q=q, trials=trials,
+                                successes=sum(map(percolates, range(trials))))
+
+
+def _kept_edges(trial_set) -> int:
+    return sum(host.num_edges for _, host in trial_set.kept.values())
+
+
+def test_scan_and_bisection_match_fresh_draws(monkeypatch):
+    rng = np.random.default_rng(21)
+    # (host, alpha, d, trials, workers); alpha * d**-0.5 is q at r = 3
+    cases = [(random_hypergraph(rng, int(rng.integers(6, 30)), 3,
+                                int(rng.integers(5, 60))),
+              float(rng.uniform(0.5, 2.0)), 4.0, 25, 1) for _ in range(6)]
+    cases += [
+        (complete_uniform(7, 3), 2.0, 4.0, 30, 1),          # q = 1
+        (Hypergraph.from_rows(6, 3, []), 1.0, 4.0, 20, 1),  # no edges
+        (bootstrap_lift(complete_uniform(12, 2), load_pattern("k3")),
+         1.0, 10.0, 40, 1),                                # past the bound
+        (bootstrap_lift(complete_uniform(12, 2), load_pattern("k3")),
+         1.0, 10.0, 21, 2),
+    ]
+    grid = [0.25, 0.8, 1.4, 2.0]
+    for H, alpha, d, trials, workers in cases:
+        q = alpha * d ** -0.5
+        got_rows = threshold_scan(H, grid, alpha, d, trials, seed=4,
+                                  workers=workers)
+        got_est = estimate_pc_bisection(H, q, seed=4, trials=trials,
+                                        tol=0.05, d=d, workers=workers)
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "percolation_probability_mc", _fresh_mc)
+            want_rows = threshold_scan(H, grid, alpha, d, trials, seed=4)
+            want_est = estimate_pc_bisection(H, q, seed=4, trials=trials,
+                                             tol=0.05, d=d)
+        assert got_rows == want_rows
+        assert got_est == want_est
+
+
+def test_trial_set_keeps_trials_within_the_host_size():
+    H = bootstrap_lift(complete_uniform(12, 2), load_pattern("k3"))
+    for q, trials in ((0.3, 40), (1.0, 6), (0.0, 10)):
+        trial_set = experiments._TrialSet(H, q, 8)
+        for p in (0.1, 0.3, 0.5, 0.3):
+            got = percolation_probability_mc(H, p, q, trials, 8,
+                                             trial_set=trial_set)
+            assert got == _fresh_mc(H, p, q, trials, 8)
+            assert _kept_edges(trial_set) <= H.num_edges
+        assert len(trial_set.kept) < trials
+    # an evaluation split over pool workers keeps nothing in the parent
+    trial_set = experiments._TrialSet(H, 0.3, 8)
+    percolation_probability_mc(H, 0.3, 0.3, 10, 8, workers=2,
+                               trial_set=trial_set)
+    assert trial_set.kept == {}
+    for host, q, seed in ((complete_uniform(5, 3), 0.3, 8), (H, 0.4, 8),
+                          (H, 0.3, 9)):
+        with pytest.raises(ValueError, match="trial set"):
+            percolation_probability_mc(host, 0.3, q, 10, seed,
+                                       trial_set=trial_set)
+
+
+def test_scan_draws_each_trial_once_when_all_fit(monkeypatch):
+    calls = []
+    real = rng_mod.substream
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(rng_mod, "substream", counted)
+    H = bootstrap_lift(complete_uniform(40, 2), load_pattern("k3"))
+    grid, trials = [0.125, 0.25, 0.5], 5
+    threshold_scan(H, grid, alpha=0.5, d=38.0, trials=trials, seed=5)
+    assert len(calls) == 2 * trials
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, 30.0, "30"])
+@pytest.mark.parametrize("entry", ["percolation_probability_mc",
+                                   "threshold_scan", "estimate_pc_bisection",
+                                   "ExperimentSpec"])
+def test_trial_count_must_be_an_integer(entry, trials):
+    calls = {
+        "percolation_probability_mc": lambda: percolation_probability_mc(
+            SINGLE_EDGE, 0.5, 1.0, trials, 1),
+        "threshold_scan": lambda: threshold_scan(SINGLE_EDGE, [0.5], 1.0,
+                                                 4.0, trials, 1),
+        "estimate_pc_bisection": lambda: estimate_pc_bisection(
+            SINGLE_EDGE, 1.0, 1, trials=trials),
+        "ExperimentSpec": lambda: ExperimentSpec(
+            model=ModelRecipe(kind="complete", n=4, k=3),
+            params=ModelParams(r=3, c=0.5, alpha=1.0, d=3.0), trials=trials,
+            seed=0, mode="percolation_prob"),
+    }
+    with pytest.raises(ValueError, match="trials"):
+        calls[entry]()
+
+
+def test_mc_reports_a_numpy_trial_count_as_an_int():
+    res = percolation_probability_mc(SINGLE_EDGE, 0.5, 1.0, np.int64(30), 1)
+    assert type(res.trials) is int
+    json.dumps(res.to_dict())
 
 
 def test_threshold_scan_rejects_empty_grid():

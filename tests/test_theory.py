@@ -1,5 +1,7 @@
 """Scalar theory: density trajectory, roots, regimes, derived constants."""
 
+import hashlib
+import json
 import math
 from dataclasses import replace
 from math import comb, log
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperboot import theory
 from hyperboot.theory import (BoundaryError, Criticality, ModelParams,
                               PhaseLengths, classify_criticality,
                               critical_initial_constant, derive_constants,
@@ -289,3 +292,36 @@ def test_derive_constants_bundles_everything():
     assert s.criticality is Criticality.SUPERCRITICAL
     assert s.subcritical is None
     assert s.root_low is None
+
+
+# sha256 of DerivedConstants.to_dict() (JSON, sorted keys), pinned before
+# derive_constants reused its own roots for the subcritical constants
+DERIVED_DIGESTS = (
+    (SUB.bind(50_000),
+     "5be1e55722deb73afa75c28639bbf8ae6b519752e89f7537f3d2b6eb4995d9cf"),
+    (ModelParams(r=3, c=0.1, alpha=1.0, d=198.0).bind(19_900),
+     "c50c9fc8508ba23d1e07b2b9d4b6b6b2f6553ddfff1617af661261aba9c097c6"),
+    (ModelParams(r=4, c=0.2, alpha=1.0, d=500.0).bind(10_000),
+     "4f4b95ee931602e32b67268616bd04d9e107681f28a395dd65ca5868f0b60944"),
+    (SUPER.bind(1000),
+     "f678b11b2ea49068f13e88e7b8820cb2a79e3ccd38c437ed9c66610b9b173eb6"),
+    (SUB, "306e0c6b63fffe5b007e2486a12435e03d2bbb32d29cc075c5536c25e321064d"),
+)
+
+
+def test_derive_constants_solves_the_roots_once(monkeypatch):
+    calls = []
+    real = theory.stationary_and_roots
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+    monkeypatch.setattr(theory, "stationary_and_roots", counted)
+    for p, want in DERIVED_DIGESTS:
+        calls.clear()
+        dc = derive_constants(p)
+        assert calls == [p]
+        text = json.dumps(dc.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+        if dc.subcritical is not None:
+            assert dc.subcritical == subcritical_constants(p)
