@@ -245,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     seed = _flag("--seed", type=int, default=0,
                  help="master seed, 64-bit unsigned (default 0)")
     threads = _flag("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker process count (default: all cores)")
+                    help="Monte Carlo workers: threads that share the trials, "
+                         "at most one per core (default: all cores)")
     fmt = _flag("--format", choices=("json", "csv"), default="json",
                 help="tabular output format (default json)")
     # the model constants of simulate, scan and trajectory (scan has no --c)

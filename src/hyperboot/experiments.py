@@ -13,17 +13,19 @@ scan or a bisection draws each trial once and reuses it at every grid point
 or step.  It keeps drawn trials while their arrays (uniforms, success rows
 and CSR) take no more bytes in total than the host's own rows and CSR, so
 their success hosts never hold more edges than the host; a trial past that
-bound is drawn again at each p.  A lone evaluation keeps nothing, and pool
-workers keep nothing they draw.
+bound is drawn again at each p.  A lone evaluation keeps nothing.  Worker
+threads split the trial range of an evaluation and all read and fill the one
+trial set, so a multi-worker scan or bisection also draws each trial once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -154,14 +156,18 @@ class ExperimentSpec:
                              "at least 1")
         if self.mode == "scan" and not self.grid:
             raise ValueError("scan mode needs a nonempty grid")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+        if not is_count(self.seed) or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed={self.seed!r} must be an integer that "
+                             "fits in 64 bits")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol={self.tol} must be positive and finite")
-        if self.trace_stride is not None and self.trace_stride < 1:
-            raise ValueError("trace_stride must be at least 1")
-        if self.star_vertices < 0:
-            raise ValueError("star_vertices must be nonnegative")
+        if self.trace_stride is not None and (not is_count(self.trace_stride)
+                                              or self.trace_stride < 1):
+            raise ValueError(f"trace_stride={self.trace_stride!r} must be "
+                             "an integer of at least 1")
+        if not is_count(self.star_vertices) or self.star_vertices < 0:
+            raise ValueError(f"star_vertices={self.star_vertices!r} must be "
+                             "a nonnegative integer")
 
     def to_dict(self) -> dict:
         out = {
@@ -247,12 +253,15 @@ class _TrialSet:
     CSR.  Neither depends on p.  A trial is kept when it is drawn, unless
     the kept trials' uniforms, rows and CSR would then take more bytes than
     H's own rows and CSR; a trial not kept is drawn again for each p.
+    Threads may share a set: each reads and keeps only its own trial
+    indices, and a lock makes the check and charge of the room one step.
     """
 
     def __init__(self, H: Hypergraph, q: float, seed: int):
         self.H, self.q, self.seed = H, q, seed
         self.kept: dict = {}
         self._room = _nbytes(H)
+        self._lock = threading.Lock()
 
     def _draw(self, k: int) -> tuple:
         H, seed = self.H, self.seed
@@ -271,9 +280,11 @@ class _TrialSet:
         if trial is None:
             trial = self._draw(k)
             size = trial[0].nbytes + _nbytes(trial[1])
-            if keep and size <= self._room:
-                self._room -= size
-                self.kept[k] = trial
+            if keep:
+                with self._lock:
+                    if size <= self._room:
+                        self._room -= size
+                        self.kept[k] = trial
         u, host = trial
         return len(closure(host, np.flatnonzero(u < p))) == host.n
 
@@ -281,36 +292,6 @@ class _TrialSet:
 def pipeline_seed(seed: int, index: int) -> int:
     """The full_pipeline seed of process run `index` under master `seed`."""
     return int(rng_mod.stream_key(seed, rng_mod.TRIAL, index)[0])
-
-
-def _count_percolating(bounds: tuple, trial_set: _TrialSet, p: float,
-                       keep: bool) -> int:
-    return sum(trial_set.percolates(k, p, keep) for k in range(*bounds))
-
-
-_WORKER_TRIALS: tuple = ()   # (trial set, p), set only in pool workers
-
-
-def _start_worker(*trials: object) -> None:
-    global _WORKER_TRIALS
-    _WORKER_TRIALS = trials
-
-
-def _worker_count(bounds: tuple) -> int:
-    # a worker keeps nothing it draws: the pool and its copy of the set
-    # end with this evaluation
-    return _count_percolating(bounds, *_WORKER_TRIALS, keep=False)
-
-
-def _chunk_bounds(trials: int, parts: int) -> list:
-    parts = max(1, min(parts, trials))
-    size, extra = divmod(trials, parts)
-    bounds, lo = [], 0
-    for i in range(parts):
-        hi = lo + size + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 def percolation_probability_mc(H: Hypergraph, p: float, q: float,
@@ -321,13 +302,16 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
 
     A trial draws the initial infection Bernoulli(p) per vertex and a coin
     Bernoulli(q) per edge, then asks the closure whether everything gets
-    infected.  Worker processes split the trial range; totals are sums, so
-    any split gives the identical result.  trial_set, the _TrialSet of this
-    (H, q, seed), keeps the trials this call draws in the parent process for
-    later calls at other p; without it the call keeps nothing.
+    infected.  min(workers, trials, os.cpu_count()) threads share the
+    trials, thread i counting trials i, i + threads, ...: the calling thread
+    counts thread 0's and a thread pool the rest.  Totals are sums, so any
+    thread count gives the identical result.  trial_set, the _TrialSet of
+    this (H, q, seed), keeps the trials that every thread draws for later
+    calls at other p; without it the call keeps nothing.
     """
-    if not is_count(trials) or trials < 1:
-        raise ValueError(f"trials={trials!r} must be an integer of at least 1")
+    for name, val in (("trials", trials), ("workers", workers)):
+        if not is_count(val) or val < 1:
+            raise ValueError(f"{name}={val!r} must be an integer of at least 1")
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"probability {name}={val} outside [0, 1]")
@@ -337,17 +321,27 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
     elif (trial_set.H is not H or trial_set.q != q
           or trial_set.seed != seed):
         raise ValueError("trial set was drawn for another host, q or seed")
-    bounds = _chunk_bounds(trials, workers)
-    if len(bounds) == 1:
-        successes = _count_percolating(bounds[0], trial_set, p, keep)
-    else:
-        # fork hands each worker the initializer's arguments in memory; the
-        # host is never pickled, and the pool drops it when it shuts down
-        with ProcessPoolExecutor(max_workers=len(bounds),
-                                 mp_context=get_context("fork"),
-                                 initializer=_start_worker,
-                                 initargs=(trial_set, p)) as pool:
-            successes = sum(pool.map(_worker_count, bounds))
+    threads = min(workers, trials, os.cpu_count() or 1)
+    stop = threading.Event()
+
+    def count(first: int) -> int:
+        hits = 0
+        for k in range(first, trials, threads):
+            if stop.is_set():
+                break
+            hits += trial_set.percolates(k, p, keep)
+        return hits
+
+    # the pool starts a thread only for a lane submitted to it, so one
+    # thread starts none
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        rest = pool.map(count, range(1, threads))
+        try:
+            successes = count(0) + sum(rest)
+        finally:
+            # an error or Ctrl-C in any lane ends the others after their
+            # current trial, so the pool's shutdown does not wait them out
+            stop.set()
     return MCResult(p=p, q=q, trials=int(trials), successes=int(successes))
 
 

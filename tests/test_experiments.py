@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -65,6 +69,71 @@ def test_mc_keeps_no_reference_to_the_host():
 def test_mc_rejects_zero_trials():
     with pytest.raises(ValueError):
         percolation_probability_mc(SINGLE_EDGE, 0.5, 1.0, trials=0, seed=0)
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+def test_mc_worker_count_must_be_a_positive_integer(workers):
+    with pytest.raises(ValueError, match="workers"):
+        percolation_probability_mc(SINGLE_EDGE, 0.5, 1.0, 10, 1, workers)
+
+
+def test_mc_runs_at_most_cpu_count_threads(monkeypatch):
+    H = bootstrap_lift(complete_uniform(12, 2), load_pattern("k3"))
+    want = percolation_probability_mc(H, 0.3, 0.5, trials=16, seed=3)
+    pools, counted = [], {}
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.max_workers, self.firsts = max_workers, []
+            pools.append(self)
+
+        def submit(self, fn, first):
+            self.firsts.append(first)
+            return super().submit(fn, first)
+    percolates = experiments._TrialSet.percolates
+
+    def recorded(trial_set, k, p, keep):
+        counted.setdefault(threading.get_ident(), []).append(k)
+        return percolates(trial_set, k, p, keep)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments._TrialSet, "percolates", recorded)
+    # (cores, workers, threads): thread i counts trials i, i + threads, ...,
+    # the caller thread 0 and the pool the others
+    for cores, workers, threads in ((2, 8, 2), (None, 8, 1), (1, 3, 1),
+                                    (2, 1, 1), (4, 3, 3), (4, 40, 4)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        pools.clear()
+        counted.clear()
+        got = percolation_probability_mc(H, 0.3, 0.5, trials=16, seed=3,
+                                         workers=workers)
+        assert got == want
+        assert [(pool.max_workers, pool.firsts) for pool in pools] == [
+            (max(threads - 1, 1), list(range(1, threads)))]
+        assert counted.pop(threading.get_ident()) == list(range(0, 16,
+                                                               threads))
+        assert sorted(counted.values()) == [list(range(i, 16, threads))
+                                            for i in range(1, threads)]
+
+
+def test_mc_error_in_one_thread_stops_the_others(monkeypatch):
+    # the caller's trial 0 fails once the pool's thread is counting; that
+    # thread then stops after its current trial instead of counting all 50
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started, counted = threading.Event(), []
+
+    def percolates(trial_set, k, p, keep):
+        if k == 0:
+            assert started.wait(10)
+            raise KeyboardInterrupt
+        started.set()
+        counted.append(k)
+        time.sleep(0.01)
+        return False
+    monkeypatch.setattr(experiments._TrialSet, "percolates", percolates)
+    with pytest.raises(KeyboardInterrupt):
+        percolation_probability_mc(SINGLE_EDGE, 0.5, 1.0, 100, 1, workers=2)
+    assert 1 <= len(counted) < 10
 
 
 def test_exact_oracle_complete_4_3():
@@ -256,7 +325,7 @@ def test_scan_and_bisection_match_fresh_draws(monkeypatch):
         assert got_est == want_est
 
 
-def test_trial_set_keeps_trials_within_the_host_size():
+def test_trial_set_keeps_trials_within_the_host_size(monkeypatch):
     H = bootstrap_lift(complete_uniform(12, 2), load_pattern("k3"))
     for q, trials in ((0.3, 40), (1.0, 6), (0.0, 10)):
         trial_set = experiments._TrialSet(H, q, 8)
@@ -266,11 +335,33 @@ def test_trial_set_keeps_trials_within_the_host_size():
             assert got == _fresh_mc(H, p, q, trials, 8)
             assert _kept_edges(trial_set) <= H.num_edges
         assert len(trial_set.kept) < trials
-    # an evaluation split over pool workers keeps nothing in the parent
+    # the threads of a multi-worker evaluation share the set; four threads
+    # and a short switch interval interleave their charges of its room
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     trial_set = experiments._TrialSet(H, 0.3, 8)
-    percolation_probability_mc(H, 0.3, 0.3, 10, 8, workers=2,
-                               trial_set=trial_set)
-    assert trial_set.kept == {}
+    draws = []
+    draw = trial_set._draw
+    monkeypatch.setattr(trial_set, "_draw", lambda k: draws.append(k)
+                        or draw(k))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = percolation_probability_mc(H, 0.3, 0.3, 40, 8, workers=8,
+                                         trial_set=trial_set)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == _fresh_mc(H, 0.3, 0.3, 40, 8)
+    kept = set(trial_set.kept)
+    assert 0 < len(kept) < 40 and trial_set._room >= 0
+    assert experiments._nbytes(H) == trial_set._room + sum(
+        u.nbytes + experiments._nbytes(host)
+        for u, host in trial_set.kept.values())
+    # another p draws again exactly the trials that were not kept
+    draws.clear()
+    got = percolation_probability_mc(H, 0.5, 0.3, 40, 8, workers=2,
+                                     trial_set=trial_set)
+    assert got == _fresh_mc(H, 0.5, 0.3, 40, 8)
+    assert sorted(draws) == sorted(set(range(40)) - kept)
     for host, q, seed in ((complete_uniform(5, 3), 0.3, 8), (H, 0.4, 8),
                           (H, 0.3, 9)):
         with pytest.raises(ValueError, match="trial set"):
@@ -286,10 +377,19 @@ def test_scan_draws_each_trial_once_when_all_fit(monkeypatch):
         calls.append(args)
         return real(*args)
     monkeypatch.setattr(rng_mod, "substream", counted)
+    # a spare core, so that at two workers a pool thread draws the odd trials
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     H = bootstrap_lift(complete_uniform(40, 2), load_pattern("k3"))
     grid, trials = [0.125, 0.25, 0.5], 5
-    threshold_scan(H, grid, alpha=0.5, d=38.0, trials=trials, seed=5)
-    assert len(calls) == 2 * trials
+    for workers in (1, 2):
+        calls.clear()
+        threshold_scan(H, grid, alpha=0.5, d=38.0, trials=trials, seed=5,
+                       workers=workers)
+        assert len(calls) == 2 * trials
+        calls.clear()
+        est = estimate_pc_bisection(complete_uniform(30, 3), 0.04, seed=5,
+                                    trials=20, tol=0.05, workers=workers)
+        assert len(est.evaluations) > 1 and len(calls) == 2 * 20
 
 
 @pytest.mark.parametrize("trials", [True, 2.5, 30.0, "30"])
@@ -421,10 +521,19 @@ def test_experiment_spec_validation():
         with pytest.raises(ValueError):
             ExperimentSpec(model=model, params=params, trials=10, seed=0,
                            mode="trajectory", trace_stride=stride)
-    with pytest.raises(ValueError):
-        ExperimentSpec(model=model, params=params, trials=10, seed=0,
-                       mode="trajectory", star_indices=((0, 0),),
-                       star_vertices=-3)
+    for stride in (True, 2.5):
+        with pytest.raises(ValueError, match="trace_stride"):
+            ExperimentSpec(model=model, params=params, trials=10, seed=0,
+                           mode="trajectory", trace_stride=stride)
+    for count in (-3, 2.5, True):
+        with pytest.raises(ValueError, match="star_vertices"):
+            ExperimentSpec(model=model, params=params, trials=10, seed=0,
+                           mode="trajectory", star_indices=((0, 0),),
+                           star_vertices=count)
+    for seed in (True, 2.5, -1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentSpec(model=model, params=params, trials=10, seed=seed,
+                           mode="percolation_prob")
     spec = ExperimentSpec(model=model, params=params, trials=10, seed=0,
                           mode="trajectory", trace_stride=5)
     blob = spec.to_dict()

@@ -7,7 +7,9 @@ top-level def or class of the package, and each public method of a
 top-level class, must be referenced somewhere; a method only through an
 Attribute or an identifier string, since a bare Name of the same spelling
 is some other variable.  A name that only tests reach is dead code; its
-test belongs against an oracle in tests/oracles.py.
+test belongs against an oracle in tests/oracles.py.  No package module has a
+`global` statement either: state that code rebinds at module level is shared
+by every caller in the process, so it is passed as an argument instead.
 """
 
 import ast
@@ -75,3 +77,10 @@ def test_every_public_name_is_reached():
     assert not ALLOWED.keys() - unreached, (
         "allowlisted names now reached or gone: "
         f"{sorted(ALLOWED.keys() - unreached)}")
+
+
+def test_no_module_has_a_global_statement():
+    found = [f"{path.name}:{node.lineno}" for path in PACKAGE
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert not found, f"global statements: {found}"
