@@ -8,17 +8,20 @@ filter is given).  Every edge count starts at r and the initial vertices
 are round 0's new vertices, so no edge is counted in full.  Each round
 subtracts the hits of the new vertices' edges, then infects at once the
 healthy vertex of every edge left with one; only the edges around the new
-vertices are recounted.  sample_edge_set draws its Bernoulli(q) edge mask by
-comparing raw 64-bit generator words with one integer bound, which gives
-exactly the mask of Generator.random() < q without forming the doubles.
+vertices are recounted.  The result is a Closure: a read-only set view of
+the infected vertices that keeps the infected mask and the per-edge healthy
+counts, so Closure.grow adds initial vertices and resumes the same rounds
+from where the last ones stopped, and Closure.copy branches it.
+sample_edge_set draws its Bernoulli(q) edge mask by comparing raw 64-bit
+generator words with one integer bound, which gives exactly the mask of
+Generator.random() < q without forming the doubles.
 
 InfectionState supports the incremental operations the
 revelation processes need: O(1) uniform sampling from the open-edge set (a
 swap-remove list plus a numpy position index), scalar reads and removals of
 one edge, and checks and removals of a whole batch of open edges with array
 operations.  The per-edge healthy counts are the one store of edge status,
-kept in the narrowest signed integer type that holds -1..r (int8 below
-r = 128), and set up from the initial vertices' CSR slices alone.
+kept in count_dtype(r), and set up from the initial vertices' CSR slices alone.
 infect updates the counts of the touched vertex's edges in one array step,
 then applies the open-list appends and swap-removes they cause one edge at
 a time, in incidence order.  Scalar reads and writes of one edge or vertex
@@ -31,6 +34,8 @@ healthy counts.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Set
 from typing import Iterable
 
 import numpy as np
@@ -47,7 +52,14 @@ EDGE_BLOCK = 1 << 16
 _TOP_53_BIT_DOUBLES = (np.random.Philox, np.random.PCG64)
 
 
-def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> set:
+def count_dtype(r: int) -> np.dtype:
+    """The narrowest signed integer type that holds -1..r: int8 below
+    r = 128.  Per-edge healthy counts are kept in it."""
+    return np.dtype(next(t for t in (np.int8, np.int16, np.int32)
+                         if np.iinfo(t).max >= r))
+
+
+def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> "Closure":
     """Infected set after exhausting the infection rule over active edges.
 
     active restricts the rule to a sub-edge-set (mask or id list); edges
@@ -58,35 +70,93 @@ def closure(H: Hypergraph, infected0: Iterable[int], active=None) -> set:
     subtracts the new vertices' hits from their edges' counts, then infects
     the healthy vertex of every edge left with count 1 at once; the least
     fixed point does not depend on the order of infections.  The input
-    masks are not written to.
+    masks are not written to.  Returns a Closure, which grow extends.
     """
     act = as_mask(active, H.num_edges, "active edge")
     if act is None:
         E = H.edges_array
-        indptr, incident = H.incidence
+        incidence = H.incidence
     else:
         E = H.edges_array.take(np.flatnonzero(act), axis=0)
-        indptr, incident = csr_incidence(H.n, E)
-    infected = as_mask(infected0, H.n, "infected vertex").copy()
-    counts = np.full(len(E), H.r, dtype=np.int32)
-    new = np.flatnonzero(infected)
-    while new.size:
-        hit = _incidences(indptr, incident, new)
-        if hit.size * CLOSURE_DENSE_ROUND > len(E):
-            counts -= np.bincount(hit, minlength=len(E))
-            # an edge at 1 before this round had its healthy vertex in new
-            # (counts start at r >= 2), so every edge at 1 now was hit
-            frontier = np.flatnonzero(counts == 1)
-        else:
-            touched, hits = np.unique(hit, return_counts=True)
-            counts[touched] -= hits
-            frontier = touched[counts[touched] == 1]
-        rows = E[frontier]
-        # each frontier edge's one healthy vertex, sorted and deduplicated
-        new = np.sort(rows[~infected[rows]])
-        new = new[np.diff(new, prepend=-1) != 0]
-        infected[new] = True
-    return set(np.flatnonzero(infected).tolist())
+        incidence = csr_incidence(H.n, E)
+    counts = np.full(len(E), H.r, dtype=count_dtype(H.r))
+    return Closure(E, incidence, np.zeros(H.n, dtype=bool), counts,
+                   0).grow(infected0)
+
+
+class Closure(Set):
+    """The infected vertices of a closed state, as a read-only set view.
+
+    It keeps the edge rows and CSR the rule ran over, the infected mask and
+    every edge's healthy count, so grow can resume the rounds.  Iteration
+    yields the vertices as ascending Python ints; len is a stored count.
+    Set operations (&, |, -, ^) return plain sets.
+    """
+
+    __slots__ = ("_rows", "_incidence", "_infected", "_counts", "_size")
+
+    def __init__(self, rows: np.ndarray, incidence: tuple,
+                 infected: np.ndarray, counts: np.ndarray, size: int):
+        self._rows, self._incidence = rows, incidence
+        self._infected, self._counts, self._size = infected, counts, size
+
+    @classmethod
+    def _from_iterable(cls, it) -> set:
+        return set(it)
+
+    def __contains__(self, v) -> bool:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            return False
+        return 0 <= v < self._infected.size and bool(self._infected[v])
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self._infected).tolist())
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __repr__(self) -> str:
+        return f"Closure({sorted(self)})"
+
+    def copy(self) -> "Closure":
+        """An independent copy of the mask and counts; rows and CSR are
+        shared, as neither is written."""
+        return Closure(self._rows, self._incidence, self._infected.copy(),
+                       self._counts.copy(), self._size)
+
+    def grow(self, vertices: Iterable[int]) -> "Closure":
+        """Infect vertices (ids or a mask) too and close again; returns self.
+
+        Exactly the closure of the old initial vertices and these: a closed
+        state has no edge at count 1, so the rounds resume from the kept
+        counts as they would start from all counts at r.
+        """
+        infected, counts, E = self._infected, self._counts, self._rows
+        indptr, incident = self._incidence
+        added = as_mask(vertices, infected.size, "infected vertex")
+        new = np.flatnonzero(added & ~infected)
+        while new.size:
+            infected[new] = True
+            self._size += new.size
+            hit = _incidences(indptr, incident, new)
+            if hit.size * CLOSURE_DENSE_ROUND > len(E):
+                counts -= np.bincount(hit, minlength=len(E))
+                # an edge at 1 before this round had its healthy vertex in
+                # new (no edge is at 1 in a closed state, and an edge left at
+                # 1 by a round has its healthy vertex in the next round's
+                # new), so every edge at 1 now was hit
+                frontier = np.flatnonzero(counts == 1)
+            else:
+                touched, hits = np.unique(hit, return_counts=True)
+                counts[touched] -= hits
+                frontier = touched[counts[touched] == 1]
+            rows = E[frontier]
+            # each frontier edge's one healthy vertex, sorted and deduplicated
+            new = np.sort(rows[~infected[rows]])
+            new = new[np.diff(new, prepend=-1) != 0]
+        return self
 
 
 def _incidences(indptr: np.ndarray, incident: np.ndarray,
@@ -153,10 +223,7 @@ class InfectionState:
         initial = np.flatnonzero(infected)
         touched, hits = np.unique(_incidences(*H.incidence, initial),
                                   return_counts=True)
-        # the narrowest signed integers that hold -1..r
-        dtype = next(t for t in (np.int8, np.int16, np.int32)
-                     if np.iinfo(t).max >= H.r)
-        counts = np.full(m, H.r, dtype=dtype)
+        counts = np.full(m, H.r, dtype=count_dtype(H.r))
         counts[touched] -= hits
         self.infected = infected
         self.healthy_count = counts

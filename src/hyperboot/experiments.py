@@ -11,11 +11,17 @@ trial's success host (the edges whose coin succeeded, with their own CSR).
 A trial's uniforms and success host do not depend on p, so a threshold
 scan or a bisection draws each trial once and reuses it at every grid point
 or step.  It keeps drawn trials while their arrays (uniforms, success rows
-and CSR) take no more bytes in total than the host's own rows and CSR, so
-their success hosts never hold more edges than the host; a trial past that
-bound is drawn again at each p.  A lone evaluation keeps nothing.  Worker
-threads split the trial range of an evaluation and all read and fill the one
-trial set, so a multi-worker scan or bisection also draws each trial once.
+and CSR, and the infected mask and edge counts of one closure) take no more
+bytes in total than the host's own rows and CSR, so their success hosts
+never hold more edges than the host; a trial past that bound is drawn and
+closed again at each p.  The seed sets {v : u_v < p} are nested in p, so a
+kept trial also keeps its closure at the highest p where it failed and the
+lowest p where it percolated: a query at or past either is answered without
+work, and one between them grows the failed closure by the new seeds
+instead of closing from scratch.  A scan thus runs one closure per kept
+trial.  A lone evaluation keeps nothing.  Worker threads split the trial
+range of an evaluation and all read and fill the one trial set, so a
+multi-worker scan or bisection also draws each trial once.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from . import __version__, hypergraph
 from . import rng as rng_mod
 from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pattern
 from .census import count_pendant_stars
-from .engine import closure, sample_edge_set
+from .engine import closure, count_dtype, sample_edge_set
 from .hypergraph import (Hypergraph, is_count, json_float, json_int,
                          record_field)
 from .processes import ProcessState, full_pipeline
@@ -156,9 +162,7 @@ class ExperimentSpec:
                              "at least 1")
         if self.mode == "scan" and not self.grid:
             raise ValueError("scan mode needs a nonempty grid")
-        if not is_count(self.seed) or not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed={self.seed!r} must be an integer that "
-                             "fits in 64 bits")
+        rng_mod.check_seed(self.seed)
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol={self.tol} must be positive and finite")
         if self.trace_stride is not None and (not is_count(self.trace_stride)
@@ -244,6 +248,45 @@ def _nbytes(H: Hypergraph) -> int:
     return H.edges_array.nbytes + indptr.nbytes + incident.nbytes
 
 
+class _Trial:
+    """One drawn trial: its vertex uniforms u, its success host, and what
+    its queries so far settled.  lo is its closure at lo_p, the highest p
+    queried where it failed to percolate, and hi the lowest p queried where
+    it percolated."""
+
+    __slots__ = ("u", "host", "lo", "lo_p", "hi")
+
+    def __init__(self, u: np.ndarray, host: Hypergraph):
+        self.u, self.host = u, host
+        self.lo, self.lo_p, self.hi = None, -math.inf, math.inf
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the uniforms, the success host's rows and CSR, and one
+        closure's infected mask and edge counts."""
+        host = self.host
+        return (self.u.nbytes + _nbytes(host) + host.n
+                + host.num_edges * count_dtype(host.r).itemsize)
+
+    def percolates(self, p: float) -> bool:
+        """Whether the closure of {v : u_v < p} on the success host is every
+        vertex.  These seed sets are nested in p, so the answer is settled at
+        p >= hi or p <= lo_p; between them the first query closes the seeds
+        and a later one grows a copy of lo by them."""
+        if p >= self.hi:
+            return True
+        if p <= self.lo_p:
+            return False
+        seeds = self.u < p
+        state = (closure(self.host, seeds) if self.lo is None
+                 else self.lo.copy().grow(seeds))
+        if len(state) == self.host.n:
+            self.hi = p
+            return True
+        self.lo, self.lo_p = state, p
+        return False
+
+
 class _TrialSet:
     """The Monte Carlo trials of one (H, q, seed), each drawn once if kept.
 
@@ -251,47 +294,51 @@ class _TrialSet:
     .random(H.n), and its success host: the edges of H whose Bernoulli(q)
     coin from substream(seed, TRIAL, k, EDGE_COIN) succeeds, with their own
     CSR.  Neither depends on p.  A trial is kept when it is drawn, unless
-    the kept trials' uniforms, rows and CSR would then take more bytes than
-    H's own rows and CSR; a trial not kept is drawn again for each p.
-    Threads may share a set: each reads and keeps only its own trial
-    indices, and a lock makes the check and charge of the room one step.
+    the kept trials' _Trial.nbytes would then sum past H's own rows and
+    CSR; a trial not kept is drawn and closed again for each p.  Threads may
+    share a set: each reads and keeps only its own trial indices, and a lock
+    makes the check and charge of the room one step.
     """
 
     def __init__(self, H: Hypergraph, q: float, seed: int):
+        rng_mod.check_seed(seed)
         self.H, self.q, self.seed = H, q, seed
         self.kept: dict = {}
         self._room = _nbytes(H)
         self._lock = threading.Lock()
 
-    def _draw(self, k: int) -> tuple:
+    def _draw(self, k: int) -> _Trial:
         H, seed = self.H, self.seed
         u = rng_mod.substream(seed, rng_mod.TRIAL, k,
                               rng_mod.VERTEX_DRAW).random(H.n)
         won = sample_edge_set(H, self.q, rng_mod.substream(
             seed, rng_mod.TRIAL, k, rng_mod.EDGE_COIN))
         rows = H.edges_array.take(np.flatnonzero(won), axis=0)
-        return u, Hypergraph.from_rows(H.n, H.r, rows, canonical=True)
+        return _Trial(u, Hypergraph.from_rows(H.n, H.r, rows, canonical=True))
 
     def percolates(self, k: int, p: float, keep: bool) -> bool:
-        """Whether trial k percolates at initial density p: the closure of
-        {v : u_v < p} on its success host is every vertex.  A kept trial is
-        read as it is; one drawn here is kept only when keep is set."""
+        """Whether trial k percolates at initial density p.  A kept trial is
+        asked as it is; one drawn here is kept only when keep is set."""
         trial = self.kept.get(k)
         if trial is None:
             trial = self._draw(k)
-            size = trial[0].nbytes + _nbytes(trial[1])
             if keep:
+                size = trial.nbytes
                 with self._lock:
                     if size <= self._room:
                         self._room -= size
                         self.kept[k] = trial
-        u, host = trial
-        return len(closure(host, np.flatnonzero(u < p))) == host.n
+        return trial.percolates(p)
 
 
 def pipeline_seed(seed: int, index: int) -> int:
     """The full_pipeline seed of process run `index` under master `seed`."""
     return int(rng_mod.stream_key(seed, rng_mod.TRIAL, index)[0])
+
+
+def _check_count(name: str, value) -> None:
+    if not is_count(value) or value < 1:
+        raise ValueError(f"{name}={value!r} must be an integer of at least 1")
 
 
 def percolation_probability_mc(H: Hypergraph, p: float, q: float,
@@ -309,9 +356,8 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
     this (H, q, seed), keeps the trials that every thread draws for later
     calls at other p; without it the call keeps nothing.
     """
-    for name, val in (("trials", trials), ("workers", workers)):
-        if not is_count(val) or val < 1:
-            raise ValueError(f"{name}={val!r} must be an integer of at least 1")
+    _check_count("trials", trials)
+    _check_count("workers", workers)
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"probability {name}={val} outside [0, 1]")
@@ -323,8 +369,12 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
         raise ValueError("trial set was drawn for another host, q or seed")
     threads = min(workers, trials, os.cpu_count() or 1)
     stop = threading.Event()
+    # every lane waits until all have started: a pool thread that ended its
+    # lane before the next one was submitted would count that one too
+    started = threading.Barrier(threads)
 
     def count(first: int) -> int:
+        started.wait()
         hits = 0
         for k in range(first, trials, threads):
             if stop.is_set():
@@ -342,6 +392,7 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
             # an error or Ctrl-C in any lane ends the others after their
             # current trial, so the pool's shutdown does not wait them out
             stop.set()
+            started.abort()
     return MCResult(p=p, q=q, trials=int(trials), successes=int(successes))
 
 
@@ -459,12 +510,13 @@ def estimate_pc_bisection(H: Hypergraph, q: float, seed: int,
     probability 0 and 1 and never evaluated.  scaled reports
     p_hat * d^(1/(r-1)) with d defaulting to the host's maximum degree; d
     must be positive and finite.  Every evaluation reads one trial set, so
-    each trial is drawn once within the memory bound of the module
-    docstring.
+    each trial is drawn and closed once within the memory bound of the
+    module docstring, and later steps only grow its closure.
     """
     if not is_count(trials) or trials < 20:
         raise ValueError("bisection needs an integer of at least 20 trials "
                          f"per evaluation, got {trials!r}")
+    _check_count("workers", workers)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"probability q={q} outside [0, 1]")
     if not (math.isfinite(tol) and tol > 0):
@@ -524,9 +576,10 @@ def threshold_scan(H: Hypergraph, grid: Iterable[float], alpha: float,
     Each row carries the side of the critical constant the theory predicts
     for that c ("subcritical", "supercritical", or "boundary" inside the
     numerical dead-band).  All rows read one trial set, so the fractions
-    are nondecreasing in c exactly, and each trial is drawn once within the
-    memory bound of the module docstring.
+    are nondecreasing in c exactly, and each trial is drawn and closed once
+    within the memory bound of the module docstring.
     """
+    _check_count("workers", workers)
     cs = [float(c) for c in grid]
     if not cs:
         raise ValueError("scan needs a nonempty grid")

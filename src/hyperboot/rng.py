@@ -24,6 +24,8 @@ from typing import Iterator, Optional
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
+from .hypergraph import is_count
+
 # Fixed stream labels.  New labels must be appended, never renumbered,
 # or archived seeds stop reproducing.
 VERTEX_DRAW = 0
@@ -33,8 +35,16 @@ TRIAL = 3
 INSTANCE = 4
 
 
+def check_seed(seed) -> None:
+    """Refuse a master seed that is not an integer in [0, 2**64): a bool,
+    a float, a negative or a wider integer raises ValueError."""
+    if not is_count(seed) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed={seed!r} must be an integer in [0, 2**64)")
+
+
 def substream(master_seed: int, *path: int) -> Generator:
     """Generator for the substream identified by an integer path."""
+    check_seed(master_seed)
     return Generator(Philox(SeedSequence(master_seed, spawn_key=tuple(path))))
 
 
@@ -44,6 +54,7 @@ def stream_key(master_seed: int, *path: int) -> np.ndarray:
     Callers that need random access by counter (rather than a sequential
     generator) build their own ``Philox(key=...)`` from this and advance it.
     """
+    check_seed(master_seed)
     return SeedSequence(master_seed, spawn_key=tuple(path)).generate_state(2, np.uint64)
 
 

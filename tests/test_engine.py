@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from collections.abc import MutableSet, Set
 from types import SimpleNamespace
 from unittest import mock
 
@@ -125,6 +126,68 @@ def test_closure_two_edges_opening_one_vertex_in_one_round():
     want = closure_oracle(edges, [0, 1, 2, 3])
     assert want == {0, 1, 2, 3, 4, 5}
     assert closure(H, [0, 1, 2, 3]) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_closure_grow_matches_closing_the_union(data):
+    """closure(H, A, act).grow(B) == closure(H, A | B, act) against the
+    rescan oracle, over both hit-counting paths and in one or two grows.  A
+    grown state's counts are the healthy counts of its active edges, none
+    at 1, and a copy taken before grows on its own."""
+    r = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(r, 14))
+    m = data.draw(st.integers(0, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    H = random_hypergraph(rng, n, r, m) if m else Hypergraph.from_rows(n, r, [])
+    a, b1, b2 = (rng.integers(n, size=data.draw(st.integers(0, n))).tolist()
+                 for _ in range(3))
+    keep = np.flatnonzero(rng.random(H.num_edges) < 0.6)
+    active, live = data.draw(st.sampled_from(
+        [(None, None), (keep.tolist(), keep.tolist())]))
+    edges = edge_lists(H)
+    want_a = closure_oracle(edges, a, live)
+    want = closure_oracle(edges, a + b1 + b2, live)
+    rows = [edges[e] for e in (range(H.num_edges) if live is None else live)]
+    b1_mask = np.zeros(n, dtype=bool)
+    b1_mask[b1] = True
+    for dense_round in (engine.CLOSURE_DENSE_ROUND, 0, H.num_edges + 1):
+        with mock.patch.object(engine, "CLOSURE_DENSE_ROUND", dense_round):
+            state = closure(H, a, active)
+            branch = state.copy()
+            assert state.grow(b1_mask) is state
+            assert state.grow(b2) == want and len(state) == len(want)
+            assert branch == want_a and len(branch) == len(want_a)
+            assert branch.grow(b1 + b2) == want
+        counts = state._counts
+        assert counts.tolist() == [sum(v not in want for v in e) for e in rows]
+        assert not (counts == 1).any()
+
+
+def test_closure_is_a_read_only_set_view():
+    # 0 and 1 open vertex 4 through edge 0, then 5 through edge 2
+    H = Hypergraph.from_rows(7, 3, [(0, 1, 4), (2, 3, 4), (0, 4, 5)])
+    got = closure(H, np.array([1, 0]))
+    assert isinstance(got, Set) and not isinstance(got, MutableSet)
+    assert not hasattr(got, "add") and not hasattr(got, "discard")
+    assert list(got) == sorted(got) == [0, 1, 4, 5]
+    assert all(type(v) is int for v in got) and len(got) == 4
+    assert 4 in got and np.int64(5) in got
+    assert all(v not in got for v in (2, -1, 7, 2.5, "4", None))
+    assert got == {0, 1, 4, 5} and {0, 1, 4, 5} == got and got != {0, 1, 4}
+    assert got <= {0, 1, 4, 5} and got < set(range(7)) and got >= {0, 5}
+    assert got == closure(H, [0, 1, 5]) and got != closure(H, [0])
+    for combined, want in ((got | {6}, {0, 1, 4, 5, 6}), (got & {1, 2}, {1}),
+                           ({1, 2} & got, {1}), (got - {0}, {1, 4, 5}),
+                           (got ^ {0, 6}, {1, 4, 5, 6})):
+        assert type(combined) is set and combined == want
+    with pytest.raises(TypeError):
+        hash(got)
+    # a copy shares no mask or counts with its source
+    branch = got.copy()
+    branch.grow([2])
+    assert branch == set(range(6)) and got == {0, 1, 4, 5}
+    assert len(got) == 4 and not (got._counts == 1).any()
 
 
 def test_closure_leaves_input_masks_unchanged():

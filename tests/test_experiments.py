@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -22,10 +23,12 @@ from hyperboot.experiments import (ExperimentSpec, ModelRecipe,
                                    estimate_pc_bisection,
                                    exact_percolation_probability,
                                    percolation_probability_mc,
-                                   record_trajectory, render_report,
-                                   run_experiment, threshold_scan,
+                                   pipeline_seed, record_trajectory,
+                                   render_report, run_experiment,
+                                   threshold_scan,
                                    wilson_interval)
 from hyperboot.hypergraph import Hypergraph
+from hyperboot.processes import full_pipeline
 from hyperboot.theory import ModelParams
 from oracles import percolation_prob_oracle, wilson_oracle
 
@@ -75,6 +78,53 @@ def test_mc_rejects_zero_trials():
 def test_mc_worker_count_must_be_a_positive_integer(workers):
     with pytest.raises(ValueError, match="workers"):
         percolation_probability_mc(SINGLE_EDGE, 0.5, 1.0, 10, 1, workers)
+
+
+@pytest.mark.parametrize("workers", [0, True, 2.5])
+def test_scan_and_bisection_check_the_worker_count_up_front(workers):
+    # a bisection with tol >= 1 evaluates nothing, and still refuses
+    with pytest.raises(ValueError, match="workers"):
+        estimate_pc_bisection(SINGLE_EDGE, 0.5, 1, trials=20, tol=2.0,
+                              workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        threshold_scan(SINGLE_EDGE, [0.5], 1.0, 4.0, 10, 1, workers)
+
+
+SEED_ENTRIES = {
+    "substream": lambda seed: rng_mod.substream(seed, rng_mod.TRIAL),
+    "stream_key": lambda seed: rng_mod.stream_key(seed, rng_mod.TRIAL),
+    "percolation_probability_mc": lambda seed: percolation_probability_mc(
+        SINGLE_EDGE, 0.5, 0.5, 5, seed),
+    "threshold_scan": lambda seed: threshold_scan(SINGLE_EDGE, [0.5], 1.0,
+                                                  4.0, 5, seed),
+    # tol >= 1: no evaluation, so the trial set itself refuses the seed
+    "estimate_pc_bisection": lambda seed: estimate_pc_bisection(
+        SINGLE_EDGE, 0.5, seed, trials=20, tol=2.0),
+    "full_pipeline": lambda seed: full_pipeline(
+        SINGLE_EDGE, ModelParams(r=3, c=0.5, alpha=1.0, d=4.0), seed).trace,
+    "pipeline_seed": lambda seed: pipeline_seed(seed, 0),
+    "record_trajectory": lambda seed: record_trajectory(
+        SINGLE_EDGE, ModelParams(r=3, c=0.5, alpha=1.0, d=4.0), seed),
+}
+
+
+@pytest.mark.parametrize("seed", [True, 2.0, np.float64(3.0), "3", -1,
+                                  2 ** 64])
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRIES))
+def test_seed_must_be_an_integer_in_64_bits(entry, seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed={seed!r}")):
+        SEED_ENTRIES[entry](seed)
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRIES))
+def test_seed_of_a_numpy_integer_type_is_its_value(entry):
+    for seed in (np.uint64(2 ** 64 - 1), np.int64(7)):
+        got, want = SEED_ENTRIES[entry](seed), SEED_ENTRIES[entry](int(seed))
+        if isinstance(want, np.random.Generator):
+            got, want = got.random(4), want.random(4)
+        if isinstance(want, np.ndarray):
+            got, want = got.tolist(), want.tolist()
+        assert got == want
 
 
 def test_mc_runs_at_most_cpu_count_threads(monkeypatch):
@@ -259,8 +309,7 @@ def test_threshold_scan_crossing_direction():
         assert row.result.p == pytest.approx(row.c * d ** -0.5)
 
 
-def test_threshold_scan_calls_closure_once_per_trial_and_grid_point(
-        monkeypatch):
+def test_threshold_scan_calls_closure_once_per_kept_trial(monkeypatch):
     # the benchmark tracer (perfbench/tracing.py) counts these two bindings
     # of the experiments module on scan_k200 and requires both counts
     calls = {"closure": 0, "percolation_probability_mc": 0}
@@ -271,11 +320,23 @@ def test_threshold_scan_calls_closure_once_per_trial_and_grid_point(
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(experiments, name, counted)
-    H = bootstrap_lift(complete_uniform(10, 2), load_pattern("k3"))
-    grid, trials = [0.125, 0.25, 0.5], 7
-    threshold_scan(H, grid=grid, alpha=1.0, d=8.0, trials=trials, seed=5)
-    assert calls == {"closure": len(grid) * trials,
-                     "percolation_probability_mc": len(grid)}
+    trial_sets = []
+    real_set = experiments._TrialSet
+    monkeypatch.setattr(experiments, "_TrialSet",
+                        lambda *args: trial_sets.append(real_set(*args))
+                        or trial_sets[-1])
+    H = bootstrap_lift(complete_uniform(20, 2), load_pattern("k3"))
+    grid, trials = [0.125, 0.25, 0.5, 1.0, 2.0], 7
+    # q = alpha / 2: a kept trial is closed at its first grid point and only
+    # grown after; at q = 1 every success host is H and no trial fits
+    for alpha, closures in ((0.05, trials), (2.0, len(grid) * trials)):
+        for name in calls:
+            calls[name] = 0
+        threshold_scan(H, grid=grid, alpha=alpha, d=4.0, trials=trials,
+                       seed=5)
+        assert len(trial_sets.pop().kept) == (trials if alpha < 1 else 0)
+        assert calls == {"closure": closures,
+                         "percolation_probability_mc": len(grid)}
 
 
 def _fresh_mc(H, p, q, trials, seed, workers=1, *, trial_set=None):
@@ -292,7 +353,7 @@ def _fresh_mc(H, p, q, trials, seed, workers=1, *, trial_set=None):
 
 
 def _kept_edges(trial_set) -> int:
-    return sum(host.num_edges for _, host in trial_set.kept.values())
+    return sum(trial.host.num_edges for trial in trial_set.kept.values())
 
 
 def test_scan_and_bisection_match_fresh_draws(monkeypatch):
@@ -353,9 +414,10 @@ def test_trial_set_keeps_trials_within_the_host_size(monkeypatch):
     assert got == _fresh_mc(H, 0.3, 0.3, 40, 8)
     kept = set(trial_set.kept)
     assert 0 < len(kept) < 40 and trial_set._room >= 0
+    # uniforms, success rows and CSR, then the closure's mask and int8 counts
     assert experiments._nbytes(H) == trial_set._room + sum(
-        u.nbytes + experiments._nbytes(host)
-        for u, host in trial_set.kept.values())
+        t.u.nbytes + experiments._nbytes(t.host) + t.host.n
+        + t.host.num_edges for t in trial_set.kept.values())
     # another p draws again exactly the trials that were not kept
     draws.clear()
     got = percolation_probability_mc(H, 0.5, 0.3, 40, 8, workers=2,
@@ -367,6 +429,56 @@ def test_trial_set_keeps_trials_within_the_host_size(monkeypatch):
         with pytest.raises(ValueError, match="trial set"):
             percolation_probability_mc(host, 0.3, q, 10, seed,
                                        trial_set=trial_set)
+
+
+def _p_orders(rng, ps: list) -> list:
+    """ps ascending, descending, and in a random order asked again in
+    another, the first three of it twice in a row."""
+    first, again = (rng.permutation(ps).tolist() for _ in range(2))
+    return [sorted(ps), sorted(ps, reverse=True),
+            [p for p in first[:3] for _ in range(2)] + first[3:] + again]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trial_set_answers_match_fresh_draws_in_any_p_order(monkeypatch,
+                                                             workers):
+    # a spare core, so that at two workers a pool thread asks the odd trials
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rng = np.random.default_rng(31)
+    trials, seed = 10, 6
+    hosts = [
+        (random_hypergraph(rng, 24, 3, 70), 0.7),
+        (bootstrap_lift(complete_uniform(9, 2), load_pattern("k3")), 0.6),
+        # vertices 5..7 lie in no edge, so only p above their uniforms
+        # percolates
+        (Hypergraph.from_rows(8, 3, [[0, 1, 2], [1, 2, 3], [2, 3, 4]]), 0.8),
+        (complete_uniform(7, 3), 0.0),
+        (complete_uniform(7, 3), 1.0),
+        (Hypergraph.from_rows(6, 3, []), 0.5),
+        (Hypergraph.from_rows(0, 3, []), 0.5),
+    ]
+    for H, q in hosts:
+        uniforms = np.concatenate([rng_mod.substream(
+            seed, rng_mod.TRIAL, k, rng_mod.VERTEX_DRAW).random(H.n)
+            for k in range(trials)])
+        # p at some trials' vertex uniforms (u < p fails there) and at the
+        # next double above each (it holds), plus a grid from 0 to 1
+        at = rng.choice(uniforms, size=min(6, uniforms.size), replace=False)
+        ps = sorted({*np.linspace(0.0, 1.0, 11).tolist(), *at.tolist(),
+                     *np.nextafter(at, 1.0).tolist()})
+        want = {p: _fresh_mc(H, p, q, trials, seed) for p in ps}
+        # the host's own room keeps some trials; an unbounded one keeps all
+        for room in (None, math.inf):
+            for order in _p_orders(rng, ps):
+                trial_set = experiments._TrialSet(H, q, seed)
+                if room is not None:
+                    trial_set._room = room
+                for p in order:
+                    assert percolation_probability_mc(
+                        H, p, q, trials, seed, workers,
+                        trial_set=trial_set) == want[p], (H, q, p)
+                if room is not None:
+                    assert len(trial_set.kept) == trials
 
 
 def test_scan_draws_each_trial_once_when_all_fit(monkeypatch):
