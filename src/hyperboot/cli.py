@@ -16,15 +16,15 @@ import os
 import sys
 from pathlib import Path
 
-from .builders import (SizeGuardError, bootstrap_lift, complete_uniform,
-                       k_balance_analysis, load_pattern, pattern_names)
+from .builders import (SizeGuardError, k_balance_analysis, load_pattern,
+                       pattern_names)
 from .census import Configuration, count_rooted_copies
 from .engine import closure
-from .experiments import (ExperimentSpec, estimate_pc_bisection,
-                          pipeline_seed, record_trajectory, render_report,
-                          run_experiment, threshold_scan)
+from .experiments import (ExperimentSpec, ModelRecipe, estimate_pc_bisection,
+                          record_trajectory, render_report, run_experiment,
+                          threshold_scan)
 from .hypergraph import Hypergraph, check_well_behaved, loads, to_json
-from .processes import full_pipeline, write_trace_csv
+from .processes import write_trace_csv
 from .theory import ModelParams
 
 
@@ -96,13 +96,13 @@ def _params_from(args, r: int) -> ModelParams:
 def _cmd_build(args) -> int:
     if args.complete is not None:
         n, k = args.complete
-        H = complete_uniform(n, k)
+        recipe = ModelRecipe("complete", n=n, k=k)
+    elif args.pattern is None:
+        raise ValueError("--lift needs --pattern")
     else:
-        if args.pattern is None:
-            raise ValueError("--lift needs --pattern")
-        F = _load_pattern_arg(args.pattern)
-        H = bootstrap_lift(complete_uniform(args.lift, F.r), F)
-    _emit(to_json(H), args.out)
+        recipe = ModelRecipe("lift", n=args.lift,
+                             pattern=_load_pattern_arg(args.pattern))
+    _emit(to_json(recipe.build()), args.out)
     return 0
 
 
@@ -127,12 +127,11 @@ def _cmd_closure(args) -> int:
 def _cmd_simulate(args) -> int:
     H = _read_host(args)
     params = _params_from(args, H.r)
-    result = full_pipeline(H, params, pipeline_seed(args.seed, 0),
-                           trace_stride=args.stride)
-    _emit_trace(result.trace, args.out)
-    print(json.dumps({"percolated": result.percolated,
-                      "infected_count": result.infected_count,
-                      "sampled_count": result.sampled_count},
+    tr = record_trajectory(H, params, args.seed, trace_stride=args.stride)
+    _emit_trace(tr.rows, args.out)
+    print(json.dumps({"percolated": tr.percolated,
+                      "infected_count": tr.infected_count,
+                      "sampled_count": tr.sampled_count},
                      sort_keys=True), file=sys.stderr)
     return 0
 
@@ -176,19 +175,12 @@ def _cmd_trajectory(args) -> int:
     star_indices = tuple(
         tuple(_id_list(pair, "--stars"))
         for pair in args.stars.split(";") if pair.strip()) if args.stars else ()
-    for ij in star_indices:
-        if len(ij) != 2:
-            raise ValueError("--stars wants i,j pairs separated by ';'")
     traces = [record_trajectory(H, params, args.seed, index=k,
                                 trace_stride=args.stride,
                                 star_indices=star_indices,
                                 star_vertices=args.star_vertices)
               for k in range(args.traces)]
-    summary = {"traces": [{
-        "index": tr.index,
-        "percolated": tr.percolated,
-        "infected_count": tr.infected_count,
-        "stars": [s.to_dict() for s in tr.stars]} for tr in traces]}
+    summary = {"traces": [tr.to_dict() for tr in traces]}
     if args.out == "-":
         _emit_trace(traces[0].rows, "-")
         print(json.dumps(summary, sort_keys=True), file=sys.stderr)

@@ -40,7 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, as_mask, csr_incidence
+from .hypergraph import Hypergraph, as_mask, check_probability, csr_incidence
 
 
 # A round whose incidences exceed len(E) / CLOSURE_DENSE_ROUND counts its hits
@@ -169,8 +169,7 @@ def _incidences(indptr: np.ndarray, incident: np.ndarray,
 
 def sample_vertex_set(H: Hypergraph, p: float, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli(p) vertex sample, ascending ids; one uniform per vertex."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"density p={p} outside [0, 1]")
+    check_probability("p", p)
     return np.flatnonzero(rng.random(H.n) < p).astype(np.int64)
 
 
@@ -187,8 +186,7 @@ def sample_edge_set(H: Hypergraph, q: float, rng: np.random.Generator) -> np.nda
     generator must be Philox or PCG64; another (MT19937, whose doubles take
     two words) raises ValueError.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"probability q={q} outside [0, 1]")
+    check_probability("q", q)
     bitgen = rng.bit_generator
     if not isinstance(bitgen, _TOP_53_BIT_DOUBLES):
         raise ValueError("edge sampling reads raw Philox or PCG64 words, "
@@ -401,6 +399,3 @@ class InfectionState:
             self.open_pos[edges] = -1
         else:
             self._toggle_open(edges)
-
-    def infected_set(self) -> set:
-        return set(int(v) for v in np.flatnonzero(self.infected))

@@ -39,10 +39,10 @@ import numpy as np
 from . import __version__, hypergraph
 from . import rng as rng_mod
 from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pattern
-from .census import count_pendant_stars
+from .census import count_pendant_stars, pendant_star_config
 from .engine import closure, count_dtype, sample_edge_set
-from .hypergraph import (Hypergraph, is_count, json_float, json_int,
-                         record_field)
+from .hypergraph import (Hypergraph, check_probability, is_count, is_number,
+                         json_float, json_int, record_field)
 from .processes import ProcessState, full_pipeline
 from .theory import (BoundaryError, ModelParams, classify_criticality,
                      derive_constants, star_density)
@@ -66,6 +66,16 @@ def wilson_interval(successes: int, trials: int,
     half = z * math.sqrt(f * (1 - f) / trials
                          + z * z / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
+
+
+def _check_count(name: str, value) -> None:
+    if not is_count(value) or value < 1:
+        raise ValueError(f"{name}={value!r} must be an integer of at least 1")
+
+
+def _check_positive(name: str, value) -> None:
+    if not (is_number(value) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name}={value} must be positive and finite")
 
 
 # -- model recipes and experiment specs ---------------------------------------
@@ -157,18 +167,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode {self.mode!r} not one of {MODES}")
-        if not is_count(self.trials) or self.trials < 1:
-            raise ValueError(f"trials={self.trials!r} must be an integer of "
-                             "at least 1")
+        _check_count("trials", self.trials)
         if self.mode == "scan" and not self.grid:
             raise ValueError("scan mode needs a nonempty grid")
         rng_mod.check_seed(self.seed)
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol={self.tol} must be positive and finite")
-        if self.trace_stride is not None and (not is_count(self.trace_stride)
-                                              or self.trace_stride < 1):
-            raise ValueError(f"trace_stride={self.trace_stride!r} must be "
-                             "an integer of at least 1")
+        _check_positive("tol", self.tol)
+        if self.trace_stride is not None:
+            _check_count("trace_stride", self.trace_stride)
         if not is_count(self.star_vertices) or self.star_vertices < 0:
             raise ValueError(f"star_vertices={self.star_vertices!r} must be "
                              "a nonnegative integer")
@@ -331,16 +336,6 @@ class _TrialSet:
         return trial.percolates(p)
 
 
-def pipeline_seed(seed: int, index: int) -> int:
-    """The full_pipeline seed of process run `index` under master `seed`."""
-    return int(rng_mod.stream_key(seed, rng_mod.TRIAL, index)[0])
-
-
-def _check_count(name: str, value) -> None:
-    if not is_count(value) or value < 1:
-        raise ValueError(f"{name}={value!r} must be an integer of at least 1")
-
-
 def percolation_probability_mc(H: Hypergraph, p: float, q: float,
                                trials: int, seed: int, workers: int = 1, *,
                                trial_set: Optional[_TrialSet] = None
@@ -358,9 +353,8 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
     """
     _check_count("trials", trials)
     _check_count("workers", workers)
-    for name, val in (("p", p), ("q", q)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"probability {name}={val} outside [0, 1]")
+    check_probability("p", p)
+    check_probability("q", q)
     keep = trial_set is not None
     if not keep:
         trial_set = _TrialSet(H, q, seed)
@@ -422,9 +416,8 @@ def exact_percolation_probability(H: Hypergraph, p: float, q: float) -> float:
         raise SizeGuardError(
             f"exact oracle needs n + |E| <= {EXACT_ORACLE_LIMIT}, "
             f"got {n} + {m}")
-    for name, val in (("p", p), ("q", q)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"probability {name}={val} outside [0, 1]")
+    check_probability("p", p)
+    check_probability("q", q)
     masks = [0] * m
     for eid in range(m):
         for v in H.edge(eid):
@@ -517,14 +510,11 @@ def estimate_pc_bisection(H: Hypergraph, q: float, seed: int,
         raise ValueError("bisection needs an integer of at least 20 trials "
                          f"per evaluation, got {trials!r}")
     _check_count("workers", workers)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"probability q={q} outside [0, 1]")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol={tol} must be positive and finite")
+    check_probability("q", q)
+    _check_positive("tol", tol)
     if d is None:
         d = float(H.max_degree())
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"degree scale d={d} must be positive and finite")
+    _check_positive("degree scale d", d)
     trial_set = _TrialSet(H, q, seed)
     lo, hi = 0.0, 1.0
     evals = []
@@ -616,8 +606,15 @@ class TrajectoryTrace:
     index: int
     percolated: bool
     infected_count: int
+    sampled_count: int
     rows: tuple
     stars: tuple = ()
+
+    def to_dict(self) -> dict:
+        """The run's summary: everything but its trace rows and reveals."""
+        return {"index": self.index, "percolated": self.percolated,
+                "infected_count": self.infected_count,
+                "stars": [s.to_dict() for s in self.stars]}
 
 
 def _star_samples(H: Hypergraph, infected, live, t: float,
@@ -641,13 +638,22 @@ def record_trajectory(H: Hypergraph, params: ModelParams, seed: int,
                       star_vertices: int = 0) -> TrajectoryTrace:
     """One full process run with its trace, plus optional star sampling.
 
-    The run is full_pipeline under pipeline_seed(seed, index).  Star counts
-    are taken against the live (not yet revealed) edges at the start and at
-    the end of the single-reveal phase.
+    Process run `index` under master `seed` is full_pipeline under the
+    first word of the stream key of (seed, TRIAL, index).  Each star index
+    is a pair (i, j) of integers in pendant_star_config's ranges for H.r.
+    Star counts are taken against the live (not yet revealed) edges at the
+    start and at the end of the single-reveal phase.
     """
-    if star_vertices < 0:
-        raise ValueError(f"star_vertices={star_vertices} must be nonnegative")
-    trial_seed = pipeline_seed(seed, index)
+    if not is_count(star_vertices) or star_vertices < 0:
+        raise ValueError(f"star_vertices={star_vertices!r} must be a "
+                         "nonnegative integer")
+    for ij in star_indices:
+        if not (isinstance(ij, (tuple, list)) and len(ij) == 2
+                and all(map(is_count, ij))):
+            raise ValueError(f"star index {ij!r} is not a pair (i, j) of "
+                             "integers")
+        pendant_star_config(H.r, *ij)
+    trial_seed = int(rng_mod.stream_key(seed, rng_mod.TRIAL, index)[0])
     stars: list = []
     observe = None
     if star_vertices > 0 and star_indices:
@@ -663,8 +669,8 @@ def record_trajectory(H: Hypergraph, params: ModelParams, seed: int,
     res = full_pipeline(H, params, trial_seed, trace_stride, observe)
     return TrajectoryTrace(
         index=index, percolated=res.percolated,
-        infected_count=res.infected_count, rows=tuple(res.trace),
-        stars=tuple(stars))
+        infected_count=res.infected_count, sampled_count=res.sampled_count,
+        rows=tuple(res.trace), stars=tuple(stars))
 
 
 # -- reports -------------------------------------------------------------------
@@ -702,6 +708,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RunOutcome:
     """Dispatch one spec to its mode and wrap the outcome in a report."""
     H = spec.model.build()
     params = spec.params
+    params.check_uniformity(H.r)
     traces: tuple = ()
     if spec.mode == "percolation_prob":
         res = percolation_probability_mc(H, params.p, params.q, spec.trials,
@@ -723,14 +730,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RunOutcome:
                               star_indices=spec.star_indices,
                               star_vertices=spec.star_vertices)
             for k in range(spec.trials))
-        result = {
-            "mode": spec.mode,
-            "traces": [{
-                "index": tr.index,
-                "percolated": tr.percolated,
-                "infected_count": tr.infected_count,
-                "final_fraction": tr.infected_count / H.n,
-                "stars": [s.to_dict() for s in tr.stars],
-            } for tr in traces],
-        }
+        result = {"mode": spec.mode, "traces": [
+            {**tr.to_dict(), "final_fraction": tr.infected_count / H.n}
+            for tr in traces]}
     return RunOutcome(report=build_report(spec, result, H), traces=traces)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -401,6 +402,20 @@ def is_count(value) -> bool:
     trial counts."""
     return (isinstance(value, (int, np.integer))
             and not isinstance(value, bool))
+
+
+def is_number(value) -> bool:
+    """Whether value is a real number and not a bool (np.bool_ is no
+    numbers.Real, but bool is an int); the rule for probabilities, model
+    constants and tolerances."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_probability(name: str, value) -> None:
+    """Raise ValueError unless value is a number in [0, 1]; a bool or a NaN
+    is refused."""
+    if not (is_number(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"probability {name}={value} outside [0, 1]")
 
 
 def json_int(value) -> int:

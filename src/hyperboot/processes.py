@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .engine import InfectionState, sample_vertex_set
-from .hypergraph import Hypergraph, is_count
+from .hypergraph import Hypergraph, check_probability, is_count
 from .theory import (Criticality, ModelParams, derive_constants,
                      open_edge_density)
 
@@ -50,15 +50,15 @@ class CoinOracle:
     first read in a block reads the whole aligned COIN_BLOCK of coins in one
     value_at call, which re-keys the oracle's own Philox at the block's
     counter instead of building a generator, and keeps it.  outcomes
-    reveals the coins of a list of edges at once.  drawn records the coins revealed so far, in reveal order; a
-    process reveals each edge once.  success_mask computes every coin at
+    reveals the coins of a list of edges at once.  drawn records the coins
+    revealed so far, in reveal order; it is a process's one reveal log, and
+    a process reveals each edge once.  success_mask computes every coin at
     once without revealing any, which is how the closure oracle recovers
     the exact edge subset the process was coupled to.
     """
 
     def __init__(self, q: float, master_seed: int, *path: int):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"probability q={q} outside [0, 1]")
+        check_probability("q", q)
         self.q = q
         self._key = rng_mod.stream_key(master_seed, *path)
         # re-keyed by every block read instead of building a Philox per read
@@ -121,6 +121,8 @@ class ProcessState:
 
     draws holds the phase-1 index draws on the choice stream, None without
     one; phase 1 split over several phase1_run calls draws what one would.
+    The run's reveals are the coins its oracle has revealed, so each
+    ProcessState owns a fresh CoinOracle.
     """
 
     def __init__(self, H: Hypergraph, infected0, coins: CoinOracle,
@@ -133,8 +135,12 @@ class ProcessState:
         self.params = params
         self.m = 0          # phase-1 steps taken
         self.rounds = 0     # phase-2 rounds taken
-        self.sampled: list = []
         self.trace: list = []
+
+    @property
+    def sampled(self) -> list:
+        """The revealed edge ids in reveal order, as a new list."""
+        return list(self.coins.drawn)
 
     def _gamma_pred(self, t: float) -> float:
         if self.params is None:
@@ -205,7 +211,6 @@ def _reveal_one(ps: ProcessState, e: int) -> None:
     u = st.unique_healthy_vertex(e)
     hit = ps.coins.outcome(e)
     st.remove_edge(e)
-    ps.sampled.append(e)
     if hit:
         st.infect(u)
 
@@ -219,15 +224,14 @@ def _reveal_batch(ps: ProcessState, edges: list) -> int:
     and the hit vertices are infected one by one in batch order.  The batch
     is checked whole before anything changes, then removed and read with
     array operations; only the open-list discards stay sequential, in batch
-    order.  With _reveal_one, the only place a coin is revealed.  sampled
-    and drawn keep the given id objects, so a batch taken from open_list
-    allocates no new ones.  Returns the number of successful reveals.
+    order.  With _reveal_one, the only place a coin is revealed.  drawn
+    keeps the given id objects, so a batch taken from open_list allocates
+    no new ones.  Returns the number of successful reveals.
     """
     st = ps.state
     healthy = st.unique_healthy_vertices(edges)
     st.remove_open_edges(edges)
     hit = ps.coins.outcomes(edges)
-    ps.sampled.extend(edges)
     for u in healthy[hit].tolist():
         if not st.infected[u]:
             st.infect(u)
@@ -289,7 +293,7 @@ def run_to_quiescence(H: Hypergraph, infected0, coins: CoinOracle) -> set:
     """
     ps = ProcessState(H, infected0, coins)
     drain(ps)
-    return ps.state.infected_set()
+    return set(np.flatnonzero(ps.state.infected).tolist())
 
 
 @dataclass
@@ -315,8 +319,7 @@ def full_pipeline(H: Hypergraph, params: ModelParams, seed: int,
     observe, if given, is called with the process state after set-up and
     again at the end of phase 1.
     """
-    if H.r != params.r:
-        raise ValueError(f"hypergraph uniformity {H.r} != params.r {params.r}")
+    params.check_uniformity(H.r)
     bound = params.bind(H.n)
     if bound.p > 1.0:
         raise ValueError(f"initial density p={bound.p:.4g} exceeds 1")
@@ -352,4 +355,4 @@ def full_pipeline(H: Hypergraph, params: ModelParams, seed: int,
         infected_count=ps.state.infected_count,
         initial_infected=init,
         coins=coins,
-        sampled_count=len(ps.sampled))
+        sampled_count=len(coins.drawn))

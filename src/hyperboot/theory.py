@@ -25,6 +25,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
+from .hypergraph import is_number
+
 ROOT_RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-12
 
@@ -54,9 +56,9 @@ class ModelParams:
             raise ValueError(f"uniformity r={self.r} must be at least 3")
         for name in ("c", "alpha", "d", "K"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not (is_number(value) and math.isfinite(value)):
                 raise ValueError(f"model parameter {name}={value} must be "
-                                 "finite")
+                                 "a finite number")
         if self.c < 0:
             raise ValueError(f"infection constant c={self.c} must be nonnegative")
         if self.alpha <= 0:
@@ -67,6 +69,11 @@ class ModelParams:
             raise ValueError(f"error-band exponent K={self.K} must be positive")
         if self.n_vertices is not None and self.n_vertices < 2:
             raise ValueError("bound vertex count must be at least 2")
+
+    def check_uniformity(self, r: int) -> None:
+        """Refuse a host whose uniformity r is not these parameters' r."""
+        if r != self.r:
+            raise ValueError(f"hypergraph uniformity {r} != params.r {self.r}")
 
     def bind(self, n_vertices: int) -> "ModelParams":
         return replace(self, n_vertices=n_vertices)
@@ -214,21 +221,14 @@ class SubcriticalConstants:
         }
 
 
-def subcritical_constants(p: ModelParams) -> SubcriticalConstants:
-    """Derive (slack, stop level, star caps) from the low root.
-
-    Raises unless the parameters are subcritical.  Internal identities are
-    verified numerically and violations raise, as they would indicate a
-    formula transcription error rather than bad input.
-    """
-    if classify_criticality(p) is not Criticality.SUBCRITICAL:
-        raise BoundaryError("subcritical constants need subcritical parameters")
-    return _subcritical_from_roots(p, stationary_and_roots(p))
-
-
 def _subcritical_from_roots(p: ModelParams, roots: TrajectoryRoots
                             ) -> SubcriticalConstants:
-    """subcritical_constants from subcritical parameters' solved roots."""
+    """Derive (slack, stop level, star caps) from subcritical parameters'
+    solved roots.
+
+    Internal identities are verified numerically and violations raise, as
+    they would indicate a formula transcription error rather than bad input.
+    """
     r, a = p.r, p.alpha
     t0 = roots.root_low
     gap = 1.0 - a * (r - 1) * (p.c + a * t0) ** (r - 2)
@@ -296,11 +296,11 @@ class PhaseLengths:
     rounds: int         # round-phase length (phase 2)
 
 
-def phase_lengths(p: ModelParams,
-                  crit: Optional[Criticality] = None,
-                  constants: Optional[SubcriticalConstants] = None
-                  ) -> PhaseLengths:
-    """Phase-1 step count and phase-2 round count for a bound instance.
+def _phase_lengths(p: ModelParams, crit: Criticality,
+                   sub: Optional[SubcriticalConstants]) -> PhaseLengths:
+    """Phase-1 step count and phase-2 round count for parameters bound to a
+    vertex count, of regime crit (not the boundary), with their subcritical
+    constants sub when crit is subcritical.
 
     Subcritical: phase 1 stops at the first m where the banded density
     (1 + 4*band(t_m)) * density(t_m) falls below the stop level, and phase 2
@@ -308,20 +308,13 @@ def phase_lengths(p: ModelParams,
     N*floor(log(N)/alpha) steps and phase 2 runs until the doubling budget
     (log N)^((3/2)^m) clears d^(1/(r-1) + 1/10).
     """
-    if p.n_vertices is None:
-        raise ValueError("phase lengths need params bound to a vertex count")
     N = p.n_vertices
-    if crit is None:
-        crit = classify_criticality(p)
-    if crit is Criticality.BOUNDARY:
-        raise BoundaryError("phase lengths undefined on the boundary")
     if crit is Criticality.SUBCRITICAL:
-        consts = constants if constants is not None else subcritical_constants(p)
-        cap = int(math.ceil(consts.root_low * N)) + 2
-        steps = _first_stop(p, consts.stop_level, cap)
+        cap = int(math.ceil(sub.root_low * N)) + 2
+        steps = _first_stop(p, sub.stop_level, cap)
         if steps is None:
             raise RuntimeError("phase-1 stopping rule did not fire below the low root")
-        rounds = 2 * math.ceil(log(N) / -math.log1p(-consts.slack))
+        rounds = 2 * math.ceil(log(N) / -math.log1p(-sub.slack))
         return PhaseLengths(steps, steps / N, rounds)
     steps = N * int(log(N) / p.alpha)
     target = p.d ** (1.0 / (p.r - 1) + 0.1)
@@ -377,7 +370,7 @@ def derive_constants(p: ModelParams) -> DerivedConstants:
     roots = stationary_and_roots(p)
     sub = (_subcritical_from_roots(p, roots)
            if crit is Criticality.SUBCRITICAL else None)
-    phases = (phase_lengths(p, crit, sub)
+    phases = (_phase_lengths(p, crit, sub)
               if p.n_vertices is not None else None)
     return DerivedConstants(
         params=p, criticality=crit,

@@ -72,8 +72,8 @@ def open_list_oracle(open_list, ops):
 def reveal_batch_oracle(ps, edges):
     """The per-edge reveal loop that the batch path replaced.
 
-    For each edge in turn: read its healthy vertex, reveal its coin, remove
-    it and record it as sampled; then infect the hit vertices in order,
+    For each edge in turn: read its healthy vertex, reveal its coin (which
+    records it as sampled) and remove it; then infect the hit vertices in order,
     skipping repeats.  Built from the process state's own scalar operations
     (unique_healthy_vertex, outcome, remove_edge, infect), so it pins the
     batch path to the one-edge-at-a-time semantics.
@@ -85,7 +85,6 @@ def reveal_batch_oracle(ps, edges):
         if ps.coins.outcome(e):
             hits.append(u)
         st.remove_edge(e)
-        ps.sampled.append(e)
     for u in hits:
         if not st.infected[u]:
             st.infect(u)

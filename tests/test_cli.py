@@ -300,6 +300,19 @@ SPEC = {"model": {"kind": "complete", "n": 6, "k": 3},
         "trials": 20, "seed": 2, "mode": "percolation_prob"}
 
 
+@pytest.mark.parametrize("mode", ["percolation_prob", "pc_bisect", "scan",
+                                  "trajectory"])
+def test_spec_of_another_uniformity_exits_2(capsys, tmp_path, mode):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(
+        SPEC, model={"kind": "complete", "n": 6, "k": 4},
+        params=dict(SPEC["params"], c=0.4), mode=mode, grid=[0.4])))
+    code, out, err = run_cli(capsys, "experiment", "--spec", str(path),
+                             "--threads", "1")
+    assert code == 2 and out == ""
+    assert "hypergraph uniformity 4 != params.r 3" in err
+
+
 @pytest.mark.parametrize("flag,record,field", [
     ("--spec", dict(SPEC, trials=None), "'trials'"),
     ("--spec", dict(SPEC, mode="scan", grid=0.5), "'grid'"),

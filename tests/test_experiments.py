@@ -23,12 +23,12 @@ from hyperboot.experiments import (ExperimentSpec, ModelRecipe,
                                    estimate_pc_bisection,
                                    exact_percolation_probability,
                                    percolation_probability_mc,
-                                   pipeline_seed, record_trajectory,
+                                   record_trajectory,
                                    render_report, run_experiment,
                                    threshold_scan,
                                    wilson_interval)
 from hyperboot.hypergraph import Hypergraph
-from hyperboot.processes import full_pipeline
+from hyperboot.processes import CoinOracle, full_pipeline
 from hyperboot.theory import ModelParams
 from oracles import percolation_prob_oracle, wilson_oracle
 
@@ -102,7 +102,10 @@ SEED_ENTRIES = {
         SINGLE_EDGE, 0.5, seed, trials=20, tol=2.0),
     "full_pipeline": lambda seed: full_pipeline(
         SINGLE_EDGE, ModelParams(r=3, c=0.5, alpha=1.0, d=4.0), seed).trace,
-    "pipeline_seed": lambda seed: pipeline_seed(seed, 0),
+    # the full_pipeline seed record_trajectory derives for a later run
+    "pipeline_seed": lambda seed: record_trajectory(
+        SINGLE_EDGE, ModelParams(r=3, c=0.5, alpha=1.0, d=4.0), seed,
+        index=1),
     "record_trajectory": lambda seed: record_trajectory(
         SINGLE_EDGE, ModelParams(r=3, c=0.5, alpha=1.0, d=4.0), seed),
 }
@@ -715,3 +718,102 @@ def test_run_experiment_trajectory_mode_emits_traces():
         assert trace.index == idx
         assert trace.rows[-1].phase == "quiescent"
     assert len(outcome.report["result"]["traces"]) == 3
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached past the checks")
+
+
+@pytest.mark.parametrize("mode", experiments.MODES)
+def test_run_experiment_refuses_params_of_another_uniformity(mode,
+                                                            monkeypatch):
+    # a 4-uniform host under r = 3 params would run with r = 3's p, q and
+    # constants; it is refused before any mode starts
+    for name in ("percolation_probability_mc", "estimate_pc_bisection",
+                 "threshold_scan", "record_trajectory"):
+        monkeypatch.setattr(experiments, name, _never)
+    spec = ExperimentSpec(model=ModelRecipe(kind="complete", n=6, k=4),
+                          params=ModelParams(r=3, c=0.4, alpha=1.0, d=10.0),
+                          trials=20, seed=0, mode=mode, grid=(0.4,))
+    with pytest.raises(ValueError, match=re.escape(
+            "hypergraph uniformity 4 != params.r 3")):
+        run_experiment(spec, workers=1)
+
+
+@pytest.mark.parametrize("vertices", [0, 2])
+def test_record_trajectory_refuses_bad_star_indices_before_running(
+        vertices, monkeypatch):
+    H = complete_uniform(6, 3)
+    params = ModelParams(r=3, c=0.5, alpha=1.0, d=4.0)
+    trace = record_trajectory(H, params, 0, star_indices=(
+        (np.int64(1), np.int64(1)),), star_vertices=vertices)
+    assert len(trace.stars) == (2 if vertices else 0)
+    monkeypatch.setattr(experiments, "full_pipeline", _never)
+    for stars, message in [
+            (((0, 0, 1),), "star index (0, 0, 1) is not a pair"),
+            (((0,),), "star index (0,) is not a pair"),
+            ((7,), "star index 7 is not a pair"),
+            (((True, 0),), "star index (True, 0) is not a pair"),
+            (((0, 0.0),), "star index (0, 0.0) is not a pair"),
+            (((0, 0), (9, 9)), "marked count i=9 outside 0..2"),
+            (((-1, 0),), "marked count i=-1 outside 0..2"),
+            (((1, 2),), "pendant count j=2 outside 0..1")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            record_trajectory(H, params, 0, star_indices=stars,
+                              star_vertices=vertices)
+    for count in (True, np.bool_(True), -1, 2.5):
+        with pytest.raises(ValueError, match="star_vertices"):
+            record_trajectory(H, params, 0, star_indices=((0, 0),),
+                              star_vertices=count)
+    spec = ExperimentSpec(model=ModelRecipe(kind="complete", n=6, k=3),
+                          params=params, trials=2, seed=0, mode="trajectory",
+                          star_indices=((0, 0, 1),), star_vertices=vertices)
+    with pytest.raises(ValueError, match="not a pair"):
+        run_experiment(spec)
+
+
+NUMBER_SITES = {
+    "mc_p": (lambda x: percolation_probability_mc(SINGLE_EDGE, x, .5, 5, 0),
+             "probability p="),
+    "mc_q": (lambda x: percolation_probability_mc(SINGLE_EDGE, .5, x, 5, 0),
+             "probability q="),
+    "exact_p": (lambda x: exact_percolation_probability(SINGLE_EDGE, x, .5),
+                "probability p="),
+    "exact_q": (lambda x: exact_percolation_probability(SINGLE_EDGE, .5, x),
+                "probability q="),
+    "bisection_q": (lambda x: estimate_pc_bisection(SINGLE_EDGE, x, 0,
+                                                    trials=20, tol=.3),
+                    "probability q="),
+    "bisection_tol": (lambda x: estimate_pc_bisection(SINGLE_EDGE, .5, 0,
+                                                      trials=20, tol=x),
+                      "tol="),
+    "bisection_d": (lambda x: estimate_pc_bisection(SINGLE_EDGE, .5, 0,
+                                                    trials=20, d=x),
+                    "d="),
+    "spec_tol": (lambda x: ExperimentSpec(
+        model=ModelRecipe(kind="complete", n=4, k=3),
+        params=ModelParams(r=3, c=0.5, alpha=1.0, d=3.0), trials=10, seed=0,
+        mode="pc_bisect", tol=x), "tol="),
+    "vertex_sample": (lambda x: sample_vertex_set(
+        SINGLE_EDGE, x, np.random.default_rng(0)), "probability p="),
+    "edge_sample": (lambda x: sample_edge_set(
+        SINGLE_EDGE, x, np.random.default_rng(0)), "probability q="),
+    "coin_oracle": (lambda x: CoinOracle(x, 0, rng_mod.EDGE_COIN),
+                    "probability q="),
+    "params_c": (lambda x: ModelParams(r=3, c=x, alpha=1.0, d=10.0), "c="),
+    "params_alpha": (lambda x: ModelParams(r=3, c=.5, alpha=x, d=10.0),
+                     "alpha="),
+    "params_d": (lambda x: ModelParams(r=3, c=.5, alpha=1.0, d=x), "d="),
+    "params_K": (lambda x: ModelParams(r=3, c=.5, alpha=1.0, d=10.0, K=x),
+                 "K="),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool",
+                                                             "numpy_bool"])
+@pytest.mark.parametrize("site", sorted(NUMBER_SITES))
+def test_a_bool_is_refused_where_a_number_is_wanted(site, flag):
+    # each would otherwise run with the bool as 1 and report it as true
+    call, named = NUMBER_SITES[site]
+    with pytest.raises(ValueError, match=re.escape(f"{named}True")):
+        call(flag)

@@ -178,7 +178,8 @@ def test_phase1_with_sure_coins_reaches_closure():
         infected0 = sorted(int(v) for v in rng.choice(12, 3, replace=False))
         ps = ProcessState(H, infected0, _coins(1.0), _choice())
         phase1_run(ps, 10 ** 6)
-        assert ps.state.infected_set() == closure(H, infected0)
+        assert closure(H, infected0) == set(
+            np.flatnonzero(ps.state.infected).tolist())
 
 
 def test_subcritical_round_on_empty_open_set_is_noop():
@@ -556,7 +557,6 @@ def test_removed_edges_are_exactly_the_sampled_ones():
         drain(ps)
         assert ps.state.open_count == 0
         assert np.flatnonzero(~ps.state.live).tolist() == sorted(ps.sampled)
-        assert list(ps.coins.drawn) == ps.sampled
 
 
 def test_drain_reaches_quiescence():

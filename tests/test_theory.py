@@ -16,9 +16,8 @@ from hyperboot.theory import (BoundaryError, Criticality, ModelParams,
                               PhaseLengths, classify_criticality,
                               critical_initial_constant, derive_constants,
                               error_band, open_edge_density,
-                              open_edge_density_prime, phase_lengths,
-                              star_density, stationary_and_roots,
-                              subcritical_constants)
+                              open_edge_density_prime, star_density,
+                              stationary_and_roots)
 from oracles import (critical_constant_oracle, gamma_oracle,
                      phase1_steps_oracle, quadratic_roots_oracle,
                      star_mean_oracle, stationary_t_oracle,
@@ -148,7 +147,7 @@ def test_error_band_values():
 
 
 def test_subcritical_constants_identities():
-    consts = subcritical_constants(SUB)
+    consts = derive_constants(SUB).subcritical
     assert consts.contraction_gap == pytest.approx(0.774597, abs=1e-6)
     assert consts.slack == pytest.approx(0.096825, abs=1e-6)
     assert consts.slack == pytest.approx(min(1 / 9, consts.contraction_gap / 8))
@@ -177,8 +176,7 @@ def test_subcritical_constants_identities():
 
 
 def test_subcritical_constants_refused_off_regime():
-    with pytest.raises(BoundaryError):
-        subcritical_constants(SUPER)
+    assert derive_constants(SUPER).subcritical is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -191,7 +189,7 @@ def test_slack_leaves_room_below_the_gap(r, c, alpha):
     params = ModelParams(r=r, c=c, alpha=alpha, d=1000.0)
     if classify_criticality(params) is not Criticality.SUBCRITICAL:
         return
-    consts = subcritical_constants(params)
+    consts = derive_constants(params).subcritical
     lam = consts.slack
     assert 0.0 < lam < 1 / 8
     t0 = stationary_and_roots(params).root_low
@@ -201,19 +199,19 @@ def test_slack_leaves_room_below_the_gap(r, c, alpha):
 
 def test_supercritical_phase_lengths_examples():
     p = ModelParams(r=3, c=0.5, alpha=1.0, d=1000.0).bind(1000)
-    lengths = phase_lengths(p)
+    lengths = derive_constants(p).phases
     assert lengths.steps == 6000
     assert lengths.horizon == pytest.approx(6.0)
 
     n = int(round(math.e ** 10))
     p2 = ModelParams(r=3, c=0.5, alpha=1.0, d=10_000.0).bind(n)
-    assert phase_lengths(p2).rounds == 3
+    assert derive_constants(p2).phases.rounds == 3
 
 
 def test_subcritical_phase_lengths_minimality():
     p = SUB.bind(100_000)
-    consts = subcritical_constants(p)
-    lengths = phase_lengths(p, Criticality.SUBCRITICAL, consts)
+    dc = derive_constants(p)
+    consts, lengths = dc.subcritical, dc.phases
     m = lengths.steps
     n = p.n_vertices
 
@@ -242,9 +240,10 @@ def test_subcritical_phase_lengths_equal_the_scalar_stopping_loop():
         d = float(np.exp(rng.uniform(0.7, 12.0)))
         K = float(rng.choice([1, 10, 100]))
         n = int(np.exp(rng.uniform(math.log(10), math.log(2e5))))
-        p = ModelParams(r=r, c=c, alpha=alpha, d=d, K=K).bind(n)
+        unbound = ModelParams(r=r, c=c, alpha=alpha, d=d, K=K)
+        p = unbound.bind(n)
         try:
-            consts = subcritical_constants(p)
+            consts = derive_constants(unbound).subcritical
         except (BoundaryError, RuntimeError):
             continue
         cap = math.ceil(consts.root_low * n) + 2
@@ -263,17 +262,17 @@ def test_subcritical_phase_lengths_equal_the_scalar_stopping_loop():
             sub = replace(consts, stop_level=stop)
             if want is None:
                 with pytest.raises(RuntimeError, match="did not fire"):
-                    phase_lengths(p, Criticality.SUBCRITICAL, sub)
+                    theory._phase_lengths(p, Criticality.SUBCRITICAL, sub)
             else:
-                got = phase_lengths(p, Criticality.SUBCRITICAL, sub).steps
+                got = theory._phase_lengths(p, Criticality.SUBCRITICAL,
+                                            sub).steps
                 assert got == want, (r, c, alpha, d, K, n, stop)
         checked += 1
     assert ties >= 100
 
 
 def test_phase_lengths_need_binding():
-    with pytest.raises(ValueError):
-        phase_lengths(SUB)
+    assert derive_constants(SUB).phases is None
 
 
 def test_derive_constants_bundles_everything():
@@ -323,5 +322,3 @@ def test_derive_constants_solves_the_roots_once(monkeypatch):
         assert calls == [p]
         text = json.dumps(dc.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want
-        if dc.subcritical is not None:
-            assert dc.subcritical == subcritical_constants(p)

@@ -20,7 +20,8 @@ for neither side) and a no-regression verdict against the metric's relative
 - ``ok`` otherwise.
 
 Each workload named by --traced also gets one ``--trace 1`` run per side
-with its per-layer metrics.
+with its per-layer metrics.  A run that perfbench marks incorrect stops the
+script with its failed checks, first failures and trace pattern violations.
 
 Each ``--claim METRIC@WORKLOAD`` records a gain verdict for that metric:
 ``met`` when the change won at least nine tenths of the pairs and its median
@@ -49,9 +50,25 @@ def run(checkout: Path, workload: str, seed: int, trace: int):
         raise RuntimeError(f"{checkout} {workload} seed {seed}: {out.stderr}")
     result = json.loads(lines[-1])
     if not result.get("correct"):
-        raise RuntimeError(f"{checkout} {workload} seed {seed}: incorrect output")
+        detail = json.loads(lines[-2]) if len(lines) > 1 else {}
+        raise RuntimeError(f"{checkout} {workload} seed {seed}: incorrect "
+                           f"output: {refusal(detail)}")
     return ({name: m["value"] for name, m in result["metrics"].items()},
             json.loads(lines[-2])["environment"])
+
+
+def refusal(detail: dict) -> str:
+    """Why a run was marked incorrect, from its detail line: the checks
+    that failed, the first three request failures and the trace pattern
+    violations."""
+    failed = sorted(name for name, ok in detail.get("checks", {}).items()
+                    if not ok)
+    parts = [f"failed checks {failed}"] if failed else []
+    if detail.get("failures"):
+        parts.append(f"first failures {detail['failures'][:3]}")
+    if detail.get("pattern_violations"):
+        parts.append(f"pattern violations {detail['pattern_violations']}")
+    return "; ".join(parts) or "no detail line"
 
 
 def summary(values: list) -> dict:
@@ -99,7 +116,11 @@ def main() -> None:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2: quartiles need two runs a side")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    names = [w["name"] for w in bench["workloads"]]
+    workloads = args.workloads or names
+    for w in args.traced:
+        if w not in names:
+            ap.error(f"--traced {w}: not a workload of BENCHMARK.json")
     better = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     claims = [c.partition("@")[::2] for c in args.claim]
     for metric, workload in claims:
