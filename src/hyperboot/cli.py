@@ -149,7 +149,7 @@ def _cmd_scan(args) -> int:
     H = _read_host(args)
     grid = _float_list(args.grid, "--grid")
     rows = threshold_scan(H, grid, args.alpha, args.d, args.trials,
-                          args.seed, workers=args.threads, K=args.K)
+                          args.seed, workers=args.threads)
     if args.format == "csv":
         lines = ["c,p,q,trials,successes,fraction,ci_low,ci_high,predicted"]
         for row in rows:
@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pc)
 
     p = sub.add_parser("scan", parents=[out, host, seed, threads, fmt, alpha,
-                                        d, K],
+                                        d],
                        help="percolation fraction across a grid of c values")
     p.add_argument("--grid", required=True,
                    help="comma-separated c values")

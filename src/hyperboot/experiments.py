@@ -19,9 +19,9 @@ kept trial also keeps its closure at the highest p where it failed and the
 lowest p where it percolated: a query at or past either is answered without
 work, and one between them grows the failed closure by the new seeds
 instead of closing from scratch.  A scan thus runs one closure per kept
-trial.  A lone evaluation keeps nothing.  Worker threads split the trial
-range of an evaluation and all read and fill the one trial set, so a
-multi-worker scan or bisection also draws each trial once.
+trial.  A lone evaluation keeps nothing.  Worker threads take the trials
+of an evaluation from one queue and all read and fill the one trial set,
+so a multi-worker scan or bisection also draws each trial once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -53,13 +53,13 @@ WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 MODES = ("percolation_prob", "pc_bisect", "scan", "trajectory")
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = WILSON_Z) -> tuple:
-    """Wilson score interval for a binomial fraction."""
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """Wilson score interval for a binomial fraction, at z = WILSON_Z."""
     if trials < 1:
         raise ValueError("interval needs at least one trial")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside 0..{trials}")
+    z = WILSON_Z
     f = successes / trials
     denom = 1.0 + z * z / trials
     center = (f + z * z / (2 * trials)) / denom
@@ -301,8 +301,8 @@ class _TrialSet:
     CSR.  Neither depends on p.  A trial is kept when it is drawn, unless
     the kept trials' _Trial.nbytes would then sum past H's own rows and
     CSR; a trial not kept is drawn and closed again for each p.  Threads may
-    share a set: each reads and keeps only its own trial indices, and a lock
-    makes the check and charge of the room one step.
+    share a set while each trial index is asked by one thread at a time; a
+    lock makes the check and charge of the room one step.
     """
 
     def __init__(self, H: Hypergraph, q: float, seed: int):
@@ -345,11 +345,11 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
     A trial draws the initial infection Bernoulli(p) per vertex and a coin
     Bernoulli(q) per edge, then asks the closure whether everything gets
     infected.  min(workers, trials, os.cpu_count()) threads share the
-    trials, thread i counting trials i, i + threads, ...: the calling thread
-    counts thread 0's and a thread pool the rest.  Totals are sums, so any
-    thread count gives the identical result.  trial_set, the _TrialSet of
-    this (H, q, seed), keeps the trials that every thread draws for later
-    calls at other p; without it the call keeps nothing.
+    trials: one thread counts them in the calling thread, more take them
+    from one executor queue.  Totals are sums, so any thread count gives the
+    identical result.  trial_set, the _TrialSet of this (H, q, seed), keeps
+    the trials that every thread draws for later calls at other p; without
+    it the call keeps nothing.
     """
     _check_count("trials", trials)
     _check_count("workers", workers)
@@ -362,31 +362,19 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
           or trial_set.seed != seed):
         raise ValueError("trial set was drawn for another host, q or seed")
     threads = min(workers, trials, os.cpu_count() or 1)
-    stop = threading.Event()
-    # every lane waits until all have started: a pool thread that ended its
-    # lane before the next one was submitted would count that one too
-    started = threading.Barrier(threads)
-
-    def count(first: int) -> int:
-        started.wait()
-        hits = 0
-        for k in range(first, trials, threads):
-            if stop.is_set():
-                break
-            hits += trial_set.percolates(k, p, keep)
-        return hits
-
-    # the pool starts a thread only for a lane submitted to it, so one
-    # thread starts none
-    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
-        rest = pool.map(count, range(1, threads))
+    if threads == 1:
+        successes = sum(trial_set.percolates(k, p, keep)
+                        for k in range(trials))
+    else:
+        pool = ThreadPoolExecutor(max_workers=threads)
         try:
-            successes = count(0) + sum(rest)
+            futures = [pool.submit(trial_set.percolates, k, p, keep)
+                       for k in range(trials)]
+            successes = sum(f.result() for f in as_completed(futures))
         finally:
-            # an error or Ctrl-C in any lane ends the others after their
-            # current trial, so the pool's shutdown does not wait them out
-            stop.set()
-            started.abort()
+            # on an error or Ctrl-C the queued trials are cancelled, so the
+            # evaluation ends once the running ones return
+            pool.shutdown(cancel_futures=True)
     return MCResult(p=p, q=q, trials=int(trials), successes=int(successes))
 
 
@@ -560,7 +548,7 @@ class ScanRow:
 
 def threshold_scan(H: Hypergraph, grid: Iterable[float], alpha: float,
                    d: float, trials: int, seed: int,
-                   workers: int = 1, K: float = 100.0) -> list:
+                   workers: int = 1) -> list:
     """Percolation fraction at p = c.d^(-1/(r-1)) for each c in the grid.
 
     Each row carries the side of the critical constant the theory predicts
@@ -570,10 +558,15 @@ def threshold_scan(H: Hypergraph, grid: Iterable[float], alpha: float,
     within the memory bound of the module docstring.
     """
     _check_count("workers", workers)
-    cs = [float(c) for c in grid]
+    cs = []
+    for c in grid:
+        if not is_number(c):
+            raise ValueError(f"grid value c={c} is a {type(c).__name__}, "
+                             "not a number")
+        cs.append(float(c))
     if not cs:
         raise ValueError("scan needs a nonempty grid")
-    grid_params = [ModelParams(r=H.r, c=c, alpha=alpha, d=d, K=K) for c in cs]
+    grid_params = [ModelParams(r=H.r, c=c, alpha=alpha, d=d) for c in cs]
     trial_set = _TrialSet(H, grid_params[0].q, seed)   # q does not depend on c
     rows = []
     for params in grid_params:
@@ -721,7 +714,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RunOutcome:
         result = {"mode": spec.mode, **est.to_dict()}
     elif spec.mode == "scan":
         rows = threshold_scan(H, spec.grid, params.alpha, params.d,
-                              spec.trials, spec.seed, workers, K=params.K)
+                              spec.trials, spec.seed, workers)
         result = {"mode": spec.mode, "rows": [row.to_dict() for row in rows]}
     else:
         traces = tuple(

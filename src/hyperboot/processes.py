@@ -46,7 +46,8 @@ COIN_BLOCK = 128
 class CoinOracle:
     """Lazy memoized per-edge Bernoulli(q) coins on a counter-based stream.
 
-    outcome(e) is value_at(key, e) < q, a function of (key, e) alone; the
+    outcome(e) is whether position e of the keyed stream (see
+    rng.value_at) is below q, a function of (key, e) alone; the
     first read in a block reads the whole aligned COIN_BLOCK of coins in one
     value_at call, which re-keys the oracle's own Philox at the block's
     counter instead of building a generator, and keeps it.  outcomes
@@ -154,8 +155,7 @@ class ProcessState:
                                    self._gamma_pred(t), phase))
 
 
-def phase1_run(ps: ProcessState, steps: int,
-               trace_stride: Optional[int] = None) -> bool:
+def phase1_run(ps: ProcessState, steps: int, trace_stride: int) -> bool:
     """Reveal one uniform open edge per step, for at most `steps` steps, a
     non-negative integer; a bool is refused as a budget or a stride.
 
@@ -169,24 +169,22 @@ def phase1_run(ps: ProcessState, steps: int,
                          "integer")
     if ps.draws is None:
         raise ValueError("phase 1 needs a choice stream")
+    if not is_count(trace_stride) or trace_stride < 1:
+        raise ValueError(f"trace stride {trace_stride!r} must be an "
+                         "integer of at least 1")
     draw = ps.draws.draw
-    if trace_stride is not None:
-        if not is_count(trace_stride) or trace_stride < 1:
-            raise ValueError(f"trace stride {trace_stride!r} must be an "
-                             "integer of at least 1")
-        if ps.m == 0:
-            ps.record(PHASE1)
+    if ps.m == 0:
+        ps.record(PHASE1)
     open_list = ps.state.open_list
     for _ in range(steps):
         if not open_list:
-            if trace_stride is not None:
-                ps.record(QUIESCENT)
+            ps.record(QUIESCENT)
             return True
         _reveal_one(ps, open_list[draw(len(open_list))])
         ps.m += 1
-        if trace_stride is not None and ps.m % trace_stride == 0:
+        if ps.m % trace_stride == 0:
             ps.record(PHASE1)
-    if trace_stride is not None and ps.m % trace_stride != 0:
+    if ps.m % trace_stride != 0:
         ps.record(PHASE1)
     return False
 

@@ -10,7 +10,8 @@ Philox is counter-based, so a stream can also be evaluated at an arbitrary
 offset without generating the prefix (used by the per-edge coin oracle).
 Each counter position is one 4-word Philox block whose first word gives the
 variate at that position, so a run of consecutive positions is read as one
-block: value_at(key, i, size)[j] == value_at(key, i + j) exactly.
+block: value_at(key, i, size, gen)[j] == value_at(key, i + j, 1, gen)[0]
+exactly.
 
 IndexDraws draws bounded indices from a sequential stream exactly as
 Generator.integers does, but from raw words read in blocks, so a long run of
@@ -62,18 +63,15 @@ def stream_key(master_seed: int, *path: int) -> np.ndarray:
 _NO_WORDS = (0, 0, 0, 0)
 
 
-def value_at(key: np.ndarray, index: int, size: Optional[int] = None,
-             gen: Optional[Generator] = None):
-    """The uniform [0,1) variate at position ``index`` of a keyed stream.
+def value_at(key: np.ndarray, index: int, size: int,
+             gen: Generator) -> np.ndarray:
+    """The uniform [0,1) variates at positions index .. index+size-1 of a
+    keyed stream, read in one call.
 
-    Pure function of (key, index): evaluation order cannot change it.  With
-    size, an array of the variates at positions index .. index+size-1, read
-    in one call; each equals the scalar value at its position.  gen, a
-    Generator over a Philox that the caller owns, is re-keyed and reused
-    instead of building a new Philox for the read.
+    Pure function of (key, index, size): evaluation order cannot change it.
+    gen, a Generator over a Philox that the caller owns, is re-keyed and
+    reused instead of building a new Philox for each read.
     """
-    if gen is None:
-        gen = Generator(Philox(key=key))
     # Philox(key=key) advanced by index: the counter at index, no buffered
     # words.  The setter copies each field, so plain sequences serve.
     gen.bit_generator.state = {
@@ -81,8 +79,6 @@ def value_at(key: np.ndarray, index: int, size: Optional[int] = None,
         "state": {"counter": [index, 0, 0, 0], "key": key},
         "buffer": _NO_WORDS, "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
-    if size is None:
-        return gen.random()
     return gen.random(4 * size)[::4]
 
 

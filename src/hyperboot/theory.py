@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .hypergraph import is_number
+from .hypergraph import is_count, is_number
 
 ROOT_RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-12
@@ -52,6 +52,8 @@ class ModelParams:
     n_vertices: Optional[int] = None
 
     def __post_init__(self):
+        if not is_count(self.r):
+            raise ValueError(f"uniformity r={self.r} must be an integer")
         if self.r < 3:
             raise ValueError(f"uniformity r={self.r} must be at least 3")
         for name in ("c", "alpha", "d", "K"):

@@ -133,45 +133,58 @@ def test_seed_of_a_numpy_integer_type_is_its_value(entry):
 def test_mc_runs_at_most_cpu_count_threads(monkeypatch):
     H = bootstrap_lift(complete_uniform(12, 2), load_pattern("k3"))
     want = percolation_probability_mc(H, 0.3, 0.5, trials=16, seed=3)
-    pools, counted = [], {}
+    pools, asked = [], []
 
     class RecordingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers)
-            self.max_workers, self.firsts = max_workers, []
-            pools.append(self)
-
-        def submit(self, fn, first):
-            self.firsts.append(first)
-            return super().submit(fn, first)
+            pools.append(max_workers)
     percolates = experiments._TrialSet.percolates
 
     def recorded(trial_set, k, p, keep):
-        counted.setdefault(threading.get_ident(), []).append(k)
+        asked.append((k, threading.get_ident()))
         return percolates(trial_set, k, p, keep)
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments._TrialSet, "percolates", recorded)
-    # (cores, workers, threads): thread i counts trials i, i + threads, ...,
-    # the caller thread 0 and the pool the others
+    # (cores, workers, threads): at most min(workers, trials, cores) threads
     for cores, workers, threads in ((2, 8, 2), (None, 8, 1), (1, 3, 1),
                                     (2, 1, 1), (4, 3, 3), (4, 40, 4)):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         pools.clear()
-        counted.clear()
+        asked.clear()
         got = percolation_probability_mc(H, 0.3, 0.5, trials=16, seed=3,
                                          workers=workers)
         assert got == want
-        assert [(pool.max_workers, pool.firsts) for pool in pools] == [
-            (max(threads - 1, 1), list(range(1, threads)))]
-        assert counted.pop(threading.get_ident()) == list(range(0, 16,
-                                                               threads))
-        assert sorted(counted.values()) == [list(range(i, 16, threads))
-                                            for i in range(1, threads)]
+        assert sorted(k for k, _ in asked) == list(range(16))
+        askers = {ident for _, ident in asked}
+        if threads == 1:
+            # no pool: the caller counts every trial itself
+            assert pools == [] and askers == {threading.get_ident()}
+        else:
+            assert pools == [threads] and len(askers) <= threads
+
+
+def test_mc_error_in_a_pool_thread_cancels_the_queued_trials(monkeypatch):
+    # trial 1 fails in a pool thread; the trials still queued are cancelled
+    # instead of counted, so few of the 50 are asked
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    asked = []
+
+    def percolates(trial_set, k, p, keep):
+        asked.append(k)
+        if k == 1:
+            raise RuntimeError("trial 1 failed")
+        time.sleep(0.01)
+        return False
+    monkeypatch.setattr(experiments._TrialSet, "percolates", percolates)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        percolation_probability_mc(SINGLE_EDGE, 0.5, 1.0, 50, 1, workers=2)
+    assert 1 in asked and len(asked) < 10
 
 
 def test_mc_error_in_one_thread_stops_the_others(monkeypatch):
-    # the caller's trial 0 fails once the pool's thread is counting; that
-    # thread then stops after its current trial instead of counting all 50
+    # trial 0 fails once another thread is counting; that thread then stops
+    # after its current trial instead of counting all 100
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started, counted = threading.Event(), []
 
@@ -806,6 +819,9 @@ NUMBER_SITES = {
     "params_d": (lambda x: ModelParams(r=3, c=.5, alpha=1.0, d=x), "d="),
     "params_K": (lambda x: ModelParams(r=3, c=.5, alpha=1.0, d=10.0, K=x),
                  "K="),
+    "params_r": (lambda x: ModelParams(r=x, c=.5, alpha=1.0, d=10.0), "r="),
+    "scan_grid": (lambda x: threshold_scan(SINGLE_EDGE, [0.5, x], 1.0, 4.0,
+                                           5, 0), "c="),
 }
 
 
@@ -817,3 +833,14 @@ def test_a_bool_is_refused_where_a_number_is_wanted(site, flag):
     call, named = NUMBER_SITES[site]
     with pytest.raises(ValueError, match=re.escape(f"{named}True")):
         call(flag)
+
+
+def test_a_non_integer_r_and_a_non_number_grid_value_are_refused():
+    for r in (3.5, 3.0, np.float64(4.0), "3"):
+        with pytest.raises(ValueError, match=re.escape(f"r={r} must be an "
+                                                       "integer")):
+            ModelParams(r=r, c=.5, alpha=1.0, d=10.0)
+    assert ModelParams(r=np.int64(3), c=.5, alpha=1.0, d=10.0).p == (
+        ModelParams(r=3, c=.5, alpha=1.0, d=10.0).p)
+    with pytest.raises(ValueError, match=re.escape("c=0.5 is a str")):
+        threshold_scan(SINGLE_EDGE, ["0.5"], 1.0, 4.0, 5, 0)

@@ -45,17 +45,18 @@ def test_coin_oracle_is_a_pure_function_of_seed_and_edge():
     assert list(a.success_mask(40)) == left
     assert _coins(0.0).success_mask(30).sum() == 0
     assert _coins(1.0).success_mask(30).sum() == 30
-    # block reads equal the scalar reads, across block edges and past m
+    # block reads equal the variates read one at a time, across block
+    # edges and past m
     key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
+    gen = np.random.Generator(np.random.Philox(key=key))
     for start, size in [(0, 300), (255, 3), (256, 1), (257, 10), (43, 600)]:
-        block = rng_mod.value_at(key, start, size)
-        assert list(block) == [rng_mod.value_at(key, start + j)
-                               for j in range(size)]
+        block = rng_mod.value_at(key, start, size, gen)
+        assert list(block) == [_variate(key, start + j) for j in range(size)]
     H = bootstrap_lift(complete_uniform(12, 2), load_pattern("k3"))
     order = np.random.default_rng(3).permutation(H.num_edges).tolist()
     c = _coins(0.4, seed=5)
     got = {e: c.outcome(e) for e in order}
-    assert got == {e: rng_mod.value_at(key, e) < 0.4 for e in order}
+    assert got == {e: _variate(key, e) < 0.4 for e in order}
     assert c.drawn == got
     assert list(c.success_mask(H.num_edges)) == [got[e] for e in
                                                  range(H.num_edges)]
@@ -71,9 +72,10 @@ def _fresh_generator(key, start):
     return np.random.Generator(bg)
 
 
-def _fresh_read(key, start, size):
-    gen = _fresh_generator(key, start)
-    return gen.random() if size is None else gen.random(4 * size)[::4]
+def _variate(key, index):
+    """The variate at position index of a keyed stream, from a fresh
+    advanced Philox."""
+    return _fresh_generator(key, index).random()
 
 
 def test_value_at_equals_a_fresh_advanced_philox():
@@ -81,9 +83,8 @@ def test_value_at_equals_a_fresh_advanced_philox():
     for seed in (5, 6):
         key = rng_mod.stream_key(seed, rng_mod.EDGE_COIN)
         for start in (0, 1, 127, 128, 255, 256, 12_800, 280_576):
-            for size in (None, 1, COIN_BLOCK, 256):
-                want = _fresh_read(key, start, size)
-                assert np.array_equal(rng_mod.value_at(key, start, size), want)
+            for size in (1, COIN_BLOCK, 256):
+                want = _fresh_generator(key, start).random(4 * size)[::4]
                 # a reused generator, re-keyed from another stream's state
                 got = rng_mod.value_at(key, start, size, gen)
                 assert np.array_equal(got, want), (seed, start, size)
@@ -97,7 +98,8 @@ def test_value_at_equals_a_fresh_advanced_philox():
     assert gen.bit_generator.state["has_uint32"] == 1
     key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
     fresh = _fresh_generator(key, 3)
-    assert rng_mod.value_at(key, 3, None, gen) == fresh.random()
+    assert (rng_mod.value_at(key, 3, 1, gen).tolist()
+            == fresh.random(4)[::4].tolist())
     assert gen.integers(7, size=9).tolist() == fresh.integers(7, size=9).tolist()
 
 
@@ -105,7 +107,7 @@ def test_coins_equal_value_at_below_q_across_block_edges():
     key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
     edges = [e + k * COIN_BLOCK for k in range(4) for e in (-1, 0, 1)][1:]
     for q in (0.0, 0.3, 1.0):
-        want = [rng_mod.value_at(key, e) < q for e in edges]
+        want = [_variate(key, e) < q for e in edges]
         scalar, batch = _coins(q, seed=5), _coins(q, seed=5)
         assert [scalar.outcome(e) for e in reversed(edges)] == want[::-1]
         assert batch.outcomes(edges).tolist() == want
@@ -141,7 +143,7 @@ def test_phase1_with_dead_coins_only_removes_edges():
     ps = ProcessState(H, infected0, _coins(0.0, 11), _choice(11))
     q0 = ps.state.open_count
     assert q0 > 3
-    went_quiet = phase1_run(ps, 3)
+    went_quiet = phase1_run(ps, 3, trace_stride=1)
     assert not went_quiet
     assert len(ps.sampled) == 3 and ps.m == 3
     assert ps.state.infected_count == len(infected0)
@@ -161,7 +163,7 @@ def test_phase1_rejects_a_bad_step_budget_before_acting():
         with pytest.raises(ValueError, match="step budget"):
             phase1_run(ps, steps, trace_stride=2)
         assert ps.trace == [] and ps.sampled == [] and ps.m == 0
-    for stride in (0, -2, 2.0, True, np.bool_(True), np.bool_(False)):
+    for stride in (0, -2, 2.0, None, True, np.bool_(True), np.bool_(False)):
         ps = ProcessState(H, [0, 1, 2], _coins(0.5, 3), _choice(3))
         with pytest.raises(ValueError, match="trace stride"):
             phase1_run(ps, 3, trace_stride=stride)
@@ -177,7 +179,7 @@ def test_phase1_with_sure_coins_reaches_closure():
         H = random_hypergraph(rng, 12, 3, 25)
         infected0 = sorted(int(v) for v in rng.choice(12, 3, replace=False))
         ps = ProcessState(H, infected0, _coins(1.0), _choice())
-        phase1_run(ps, 10 ** 6)
+        phase1_run(ps, 10 ** 6, trace_stride=10)
         assert closure(H, infected0) == set(
             np.flatnonzero(ps.state.infected).tolist())
 
@@ -484,22 +486,21 @@ def test_reveal_batch_rejects_bad_batches_before_revealing():
 
 
 def _phase1_reference(ps: ProcessState, choice, steps: int,
-                      trace_stride) -> bool:
+                      trace_stride: int) -> bool:
     """phase1_run as a call of the choice Generator and a one-edge batch
     reveal per step."""
-    if trace_stride is not None and ps.m == 0:
+    if ps.m == 0:
         ps.record(PHASE1)
     for _ in range(steps):
         if not ps.state.open_list:
-            if trace_stride is not None:
-                ps.record(QUIESCENT)
+            ps.record(QUIESCENT)
             return True
         k = int(choice.integers(len(ps.state.open_list)))
         _reveal_batch(ps, [ps.state.open_list[k]])
         ps.m += 1
-        if trace_stride is not None and ps.m % trace_stride == 0:
+        if ps.m % trace_stride == 0:
             ps.record(PHASE1)
-    if trace_stride is not None and ps.m % trace_stride != 0:
+    if ps.m % trace_stride != 0:
         ps.record(PHASE1)
     return False
 
@@ -521,7 +522,7 @@ def test_phase1_run_matches_per_step_reference():
         infected0 = rng.choice(H.n, size=int(rng.integers(H.r - 1, H.n // 3)),
                                replace=False).tolist()
         q = float(rng.choice([0.1, 0.4, 0.9]))
-        stride = [None, 1, 3, 7][trial % 4]
+        stride = [10 ** 6, 1, 3, 7][trial % 4]
         a = ProcessState(H, infected0, _coins(q, trial), _choice(trial))
         b, choice = ProcessState(H, infected0, _coins(q, trial)), _choice(trial)
         # one budget split over several calls, a zero budget among them
@@ -539,7 +540,7 @@ def test_phase1_needs_a_choice_stream():
     ps = ProcessState(complete_uniform(6, 3), [0, 1], _coins(1.0))
     assert ps.draws is None
     with pytest.raises(ValueError, match="choice stream"):
-        phase1_run(ps, 3)
+        phase1_run(ps, 3, 1)
     assert ps.sampled == [] and ps.m == 0
 
 
@@ -553,7 +554,7 @@ def test_removed_edges_are_exactly_the_sampled_ones():
                                replace=False)
         ps = ProcessState(H, infected0, _coins(float(rng.random()), trial),
                           _choice(trial))
-        phase1_run(ps, int(rng.integers(0, H.num_edges + 1)))
+        phase1_run(ps, int(rng.integers(0, H.num_edges + 1)), 10)
         drain(ps)
         assert ps.state.open_count == 0
         assert np.flatnonzero(~ps.state.live).tolist() == sorted(ps.sampled)

@@ -10,6 +10,9 @@ is some other variable.  A name that only tests reach is dead code; its
 test belongs against an oracle in tests/oracles.py.  No package module has a
 `global` statement either: state that code rebinds at module level is shared
 by every caller in the process, so it is passed as an argument instead.
+Every defaulted parameter of a public function, method or constructor is
+passed by some call in the program or benchmark; one that no call passes is
+a setting no run can change.
 """
 
 import ast
@@ -77,6 +80,78 @@ def test_every_public_name_is_reached():
     assert not ALLOWED.keys() - unreached, (
         "allowlisted names now reached or gone: "
         f"{sorted(ALLOWED.keys() - unreached)}")
+
+
+# defaulted parameters kept although no program call passes them
+PARAMETERS_ALLOWED = {
+    "main(argv)": "entry point; tests pass argv",
+}
+
+
+def _defaulted(tree: ast.Module):
+    """(label, bare callee name, positional index or None, parameter name) of
+    each defaulted parameter of a public top-level def, a public method of a
+    top-level class, or a public class's __init__, which its class name
+    calls.  The index counts the arguments a call passes, a method's first
+    parameter excluded; None marks a keyword-only parameter."""
+    def params(fn, callee, shift):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield f"{callee}({arg.arg})", callee, i - shift, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{callee}({arg.arg})", callee, None, arg.arg
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, funcs) and _public(node.name):
+            yield from params(node, node.name, 0)
+        if isinstance(node, ast.ClassDef) and _public(node.name):
+            for item in node.body:
+                if isinstance(item, funcs) and item.name == "__init__":
+                    yield from params(item, node.name, 1)
+                elif isinstance(item, funcs) and _public(item.name):
+                    yield from params(item, item.name, 1)
+
+
+def _passes(call: ast.Call, index, name: str) -> bool:
+    """Whether the call passes the parameter at this positional index (None
+    for keyword-only) or of this name."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed():
+    trees = [ast.parse(path.read_text()) for path in PROGRAM]
+    calls: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    # the tracer and perfbench's _call look functions up by name
+    by_string = {node.value for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str) and node.value.isidentifier()}
+    unpassed = {label
+                for path in PACKAGE
+                for label, callee, index, name in _defaulted(
+                    ast.parse(path.read_text()))
+                if callee not in by_string
+                and not any(_passes(call, index, name)
+                            for call in calls.get(callee, ()))}
+    assert not unpassed - PARAMETERS_ALLOWED.keys(), (
+        "defaulted parameters no program or benchmark call passes: "
+        f"{sorted(unpassed - PARAMETERS_ALLOWED.keys())}")
+    assert not PARAMETERS_ALLOWED.keys() - unpassed, (
+        "allowlisted parameters now passed or gone: "
+        f"{sorted(PARAMETERS_ALLOWED.keys() - unpassed)}")
 
 
 def test_no_module_has_a_global_statement():
