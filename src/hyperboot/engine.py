@@ -14,21 +14,24 @@ counts, so Closure.grow adds initial vertices and resumes the same rounds
 from where the last ones stopped, and Closure.copy branches it.
 sample_edge_set draws its Bernoulli(q) edge mask by comparing raw 64-bit
 generator words with one integer bound, which gives exactly the mask of
-Generator.random() < q without forming the doubles.
+Generator.random() < q without forming the doubles; the process's per-edge
+coins are decided on raw words with the same bound (_word_test).
 
 InfectionState supports the incremental operations the
 revelation processes need: O(1) uniform sampling from the open-edge set (a
-swap-remove list plus a numpy position index), scalar reads and removals of
-one edge, and checks and removals of a whole batch of open edges with array
-operations.  The per-edge healthy counts are the one store of edge status,
-kept in count_dtype(r), and set up from the initial vertices' CSR slices alone.
-infect updates the counts of the touched vertex's edges in one array step,
-then applies the open-list appends and swap-removes they cause one edge at
-a time, in incidence order.  Scalar reads and writes of one edge or vertex
-go through memoryviews of the open positions, the healthy counts and the
-infected mask.  The open edges grouped by their healthy vertex, and the
-open edges of the lowest saturated vertex, are derived on demand from the
-healthy counts.
+swap-remove list), scalar reads and removals of one edge, and checks and
+removals of a whole batch of open edges with array operations.  The
+per-edge healthy counts are the one store of edge status, so whether an edge
+is open is read from its count; they are kept in count_dtype(r) and set up
+from the initial vertices' CSR slices alone.  An open edge's place in the
+list is kept in a position index that is allocated unfilled and written only
+for open edges, so a run pays for the edges it touches.  infect updates the
+counts of the touched vertex's edges in one array step, then applies the
+open-list appends and swap-removes they cause one edge at a time, in
+incidence order.  Scalar reads and writes of one edge or vertex go through
+memoryviews of the positions, the healthy counts and the infected mask.  The
+open edges grouped by their healthy vertex, and the open edges of the lowest
+saturated vertex, are derived on demand from the healthy counts.
 """
 
 from __future__ import annotations
@@ -173,28 +176,37 @@ def sample_vertex_set(H: Hypergraph, p: float, rng: np.random.Generator) -> np.n
     return np.flatnonzero(rng.random(H.n) < p).astype(np.int64)
 
 
+def _word_test(q: float) -> tuple:
+    """(test, bound): test(w, bound) holds for a raw 64-bit word w exactly
+    when the double Generator.random makes from it is below q.
+
+    That double is u = (w >> 11) * 2**-53, and q * 2**53 is exact, so u < q
+    holds exactly when w >> 11 < ceil(q * 2**53), that is when
+    w < ceil(q * 2**53) << 11.  For q < 1 that bound is at most
+    (2**53 - 1) * 2**11 and fits in a uint64; at q = 1 it is 2**64, and
+    every word is <= 2**64 - 1.
+    """
+    bound = math.ceil(q * 2.0 ** 53) << 11
+    if bound < 1 << 64:
+        return np.less, np.uint64(bound)
+    return np.less_equal, np.uint64((1 << 64) - 1)
+
+
 def sample_edge_set(H: Hypergraph, q: float, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli(q) edge sample as a boolean mask over edge ids.
 
     Equal to rng.random(H.num_edges) < q, and leaves rng in the same state,
-    without forming a double.  Generator.random makes the double
-    u = (w >> 11) * 2**-53 from a raw 64-bit word w, and q * 2**53 is exact,
-    so u < q holds exactly when w >> 11 < ceil(q * 2**53), that is when
-    w < ceil(q * 2**53) << 11.  For q < 1 that bound is at most
-    (2**53 - 1) * 2**11 and fits in a uint64; at q = 1 every word passes.
-    The words are read and compared in blocks of EDGE_BLOCK.  The bit
-    generator must be Philox or PCG64; another (MT19937, whose doubles take
-    two words) raises ValueError.
+    without forming a double: each raw word is compared with _word_test's
+    integer bound, in blocks of EDGE_BLOCK words.  The bit generator must be
+    Philox or PCG64, whose doubles take the top 53 bits of one word; another
+    (MT19937, whose doubles take two words) raises ValueError.
     """
     check_probability("q", q)
     bitgen = rng.bit_generator
     if not isinstance(bitgen, _TOP_53_BIT_DOUBLES):
         raise ValueError("edge sampling reads raw Philox or PCG64 words, "
                          f"not {type(bitgen).__name__} ones")
-    bound = math.ceil(q * 2.0 ** 53) << 11
-    # at q = 1 the bound is 2**64: every word is <= 2**64 - 1
-    test = np.less if bound < 1 << 64 else np.less_equal
-    bound = np.uint64(min(bound, (1 << 64) - 1))
+    test, bound = _word_test(q)
     m = H.num_edges
     mask = np.empty(m, dtype=bool)
     for lo in range(0, m, EDGE_BLOCK):
@@ -208,9 +220,11 @@ class InfectionState:
 
     healthy_count[e] is -1 once e is removed (revealed), else its number of
     healthy vertices: 0 closed, 1 open, 2 or more waiting; its dtype is the
-    narrowest signed one that holds -1..r.  The open set
-    supports O(1) uniform sampling; open_by_vertex groups it by the healthy
-    vertex on demand.  open_list is updated in place, never rebound.
+    narrowest signed one that holds -1..r.  open_list, the open set, supports
+    O(1) uniform sampling and is updated in place, never rebound.
+    open_pos[e] is e's index in it while healthy_count[e] == 1 and means
+    nothing otherwise.  open_by_vertex groups the open set by the healthy
+    vertex on demand.
     """
 
     def __init__(self, H: Hypergraph, infected0: Iterable[int]):
@@ -231,7 +245,8 @@ class InfectionState:
         # r >= 2, so an open edge has an infected vertex and is touched
         opened = touched[counts[touched] == 1]
         self.open_list: list = opened.tolist()
-        self.open_pos = np.full(m, -1, dtype=np.int32)
+        # no fill: a position is read only while its edge is open
+        self.open_pos = np.empty(m, dtype=np.int32)
         self.open_pos[opened] = np.arange(len(opened))
         # memoryviews for the scalar reads and writes of one edge or vertex:
         # about half the cost of a numpy scalar index, and they yield Python
@@ -254,20 +269,19 @@ class InfectionState:
         return rows[~self.infected[rows]]
 
     def _toggle_open(self, edges: np.ndarray) -> None:
-        """For each edge in turn, append it to open_list if it is not open,
-        else swap-remove it."""
-        ol, pos = self.open_list, self._pos
+        """For each edge in turn, whose count is already updated, append it
+        to open_list if its count is 1, else swap-remove it."""
+        ol, pos, counts = self.open_list, self._pos, self._counts
         for e in edges.tolist():
-            p = pos[e]
-            if p < 0:
+            if counts[e] == 1:
                 pos[e] = len(ol)
                 ol.append(e)
             else:
+                p = pos[e]
                 last = ol.pop()
                 if last != e:
                     ol[p] = last
                     pos[last] = p
-                pos[e] = -1
 
     @property
     def open_count(self) -> int:
@@ -315,7 +329,7 @@ class InfectionState:
         return v, self._open_at(v)
 
     def unique_healthy_vertex(self, e: int) -> int:
-        if self._pos[e] < 0:
+        if self._counts[e] != 1:
             raise ValueError(f"edge {e} is not open")
         infected = self._infected
         healthy = 0
@@ -333,12 +347,12 @@ class InfectionState:
         distinct open edges, in batch order; fails as unique_healthy_vertex
         does, and on a repeated edge."""
         edges = np.asarray(edges, dtype=np.int64)
-        pos = self.open_pos[edges]
-        if (pos < 0).any():
-            raise ValueError(f"edge {edges[np.argmin(pos)]} is not open")
+        shut = self.healthy_count[edges] != 1
+        if shut.any():
+            raise ValueError(f"edge {edges[np.argmax(shut)]} is not open")
         # distinct open edges hold distinct open-list positions
         taken = np.zeros(len(self.open_list), dtype=bool)
-        taken[pos] = True
+        taken[self.open_pos[edges]] = True
         if np.count_nonzero(taken) != edges.size:
             raise ValueError("batch repeats an edge")
         rows = self._rows[edges]
@@ -371,31 +385,33 @@ class InfectionState:
     def remove_edge(self, e: int) -> None:
         """Delete an edge not yet removed (consumed by sampling)."""
         counts = self._counts
-        if counts[e] < 0:
+        c = counts[e]
+        if c < 0:
             raise ValueError(f"edge {e} is already removed")
         counts[e] = -1
-        pos = self._pos
-        p = pos[e]
-        if p >= 0:
+        if c == 1:
             if self._degrees is not None:
                 self._removed.append(e)
-            ol = self.open_list
+            pos, ol = self._pos, self.open_list
+            p = pos[e]
             last = ol.pop()
             if last != e:
                 ol[p] = last
                 pos[last] = p
-            pos[e] = -1
 
-    def remove_open_edges(self, edges) -> None:
-        """Delete a batch (list or array) of distinct open edges, as
-        unique_healthy_vertices checks them.  The open_list discards run in
-        batch order; a batch of the whole open set empties it at once."""
+    def remove_open_edges(self, edges) -> np.ndarray:
+        """Delete a batch (list or array) of distinct open edges and return
+        their healthy vertices, read first.  The batch is checked whole, as
+        unique_healthy_vertices checks it, before anything changes.  The
+        open_list discards run in batch order; a batch of the whole open
+        set empties it at once."""
         edges = np.asarray(edges, dtype=np.int64)
+        healthy = self.unique_healthy_vertices(edges)
         self.healthy_count[edges] = -1
         if self._degrees is not None:
             self._removed.extend(edges.tolist())
         if edges.size == len(self.open_list):
             self.open_list.clear()
-            self.open_pos[edges] = -1
         else:
             self._toggle_open(edges)
+        return healthy

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import rng as rng_mod
-from .engine import InfectionState, sample_vertex_set
+from .engine import InfectionState, _word_test, sample_vertex_set
 from .hypergraph import Hypergraph, check_probability, is_count
 from .theory import (Criticality, ModelParams, derive_constants,
                      open_edge_density)
@@ -38,29 +38,33 @@ TRACE_HEADER = "m,t,Q,I,gamma_pred,phase"
 
 # Coins are read from the stream in aligned blocks of this many edges.  A
 # subcritical run uses a few hundred coins scattered over ~1e6 edges, one or
-# two per block, so a short block reads few unused coins; a re-key is cheap
-# enough that a long run's extra blocks cost little.
+# two per block, so a short block reads few unused words; a re-key is cheap
+# enough that a long run's extra blocks cost little.  A block reads one
+# 4-word Philox block per coin and compares its first raw word with a bound.
 COIN_BLOCK = 128
 
 
 class CoinOracle:
     """Lazy memoized per-edge Bernoulli(q) coins on a counter-based stream.
 
-    outcome(e) is whether position e of the keyed stream (see
-    rng.value_at) is below q, a function of (key, e) alone; the
-    first read in a block reads the whole aligned COIN_BLOCK of coins in one
-    value_at call, which re-keys the oracle's own Philox at the block's
-    counter instead of building a generator, and keeps it.  outcomes
-    reveals the coins of a list of edges at once.  drawn records the coins
-    revealed so far, in reveal order; it is a process's one reveal log, and
-    a process reveals each edge once.  success_mask computes every coin at
-    once without revealing any, which is how the closure oracle recovers
-    the exact edge subset the process was coupled to.
+    outcome(e) is whether the uniform at position e of the keyed stream is
+    below q, a function of (key, e) alone, decided bit for bit on the raw
+    word at e (see rng.value_at) with sample_edge_set's integer bound
+    (engine._word_test).  The first read in a block reads the whole aligned
+    COIN_BLOCK of words in one value_at call, which re-keys the oracle's own
+    Philox at the block's counter instead of building a generator, and keeps
+    its coins.  outcomes reveals the coins of a list of edges at once.
+    drawn records the coins revealed so far, in reveal order; it is a
+    process's one reveal log, and a process reveals each edge once.
+    success_mask computes every coin at once without revealing any, which
+    is how the closure oracle recovers the exact edge subset the process
+    was coupled to.
     """
 
     def __init__(self, q: float, master_seed: int, *path: int):
         check_probability("q", q)
         self.q = q
+        self._test, self._bound = _word_test(q)
         self._key = rng_mod.stream_key(master_seed, *path)
         # re-keyed by every block read instead of building a Philox per read
         self._gen = np.random.Generator(np.random.Philox(key=self._key))
@@ -70,8 +74,8 @@ class CoinOracle:
     def _block(self, b: int) -> np.ndarray:
         block = self._blocks.get(b)
         if block is None:
-            block = rng_mod.value_at(self._key, b * COIN_BLOCK, COIN_BLOCK,
-                                     self._gen) < self.q
+            block = self._test(rng_mod.value_at(
+                self._key, b * COIN_BLOCK, COIN_BLOCK, self._gen), self._bound)
             self._blocks[b] = block
         return block
 
@@ -96,7 +100,8 @@ class CoinOracle:
         return got
 
     def success_mask(self, num_edges: int) -> np.ndarray:
-        return rng_mod.value_at(self._key, 0, num_edges, self._gen) < self.q
+        return self._test(rng_mod.value_at(self._key, 0, num_edges,
+                                           self._gen), self._bound)
 
 
 @dataclass
@@ -227,8 +232,7 @@ def _reveal_batch(ps: ProcessState, edges: list) -> int:
     no new ones.  Returns the number of successful reveals.
     """
     st = ps.state
-    healthy = st.unique_healthy_vertices(edges)
-    st.remove_open_edges(edges)
+    healthy = st.remove_open_edges(edges)
     hit = ps.coins.outcomes(edges)
     for u in healthy[hit].tolist():
         if not st.infected[u]:

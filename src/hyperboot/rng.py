@@ -8,10 +8,10 @@ it.  That is what makes trial-level parallelism bit-reproducible.
 
 Philox is counter-based, so a stream can also be evaluated at an arbitrary
 offset without generating the prefix (used by the per-edge coin oracle).
-Each counter position is one 4-word Philox block whose first word gives the
-variate at that position, so a run of consecutive positions is read as one
-block: value_at(key, i, size, gen)[j] == value_at(key, i + j, 1, gen)[0]
-exactly.
+Each counter position is one 4-word Philox block whose first raw 64-bit
+word is the word at that position, so a run of consecutive positions is read
+as one block: value_at(key, i, size, gen)[j] == value_at(key, i + j, 1,
+gen)[0] exactly.
 
 IndexDraws draws bounded indices from a sequential stream exactly as
 Generator.integers does, but from raw words read in blocks, so a long run of
@@ -65,8 +65,10 @@ _NO_WORDS = (0, 0, 0, 0)
 
 def value_at(key: np.ndarray, index: int, size: int,
              gen: Generator) -> np.ndarray:
-    """The uniform [0,1) variates at positions index .. index+size-1 of a
-    keyed stream, read in one call.
+    """The raw 64-bit words (uint64) at positions index .. index+size-1 of
+    a keyed stream, read in one call: lane 0 of each position's Philox block,
+    the word from which a fresh Philox advanced there makes its next uniform
+    (w >> 11) * 2**-53.
 
     Pure function of (key, index, size): evaluation order cannot change it.
     gen, a Generator over a Philox that the caller owns, is re-keyed and
@@ -79,7 +81,7 @@ def value_at(key: np.ndarray, index: int, size: int,
         "state": {"counter": [index, 0, 0, 0], "key": key},
         "buffer": _NO_WORDS, "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
-    return gen.random(4 * size)[::4]
+    return gen.bit_generator.random_raw(4 * size)[::4]
 
 
 # Raw 64-bit words IndexDraws reads from its bit generator per block.

@@ -242,6 +242,26 @@ def test_unique_healthy_vertices_checks_the_whole_batch():
         st0.unique_healthy_vertices(np.array([opened[2], e], dtype=np.int64))
 
 
+def test_remove_open_edges_refuses_a_batch_that_is_not_all_open():
+    H = Hypergraph.from_rows(5, 3, [[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+    # edge 2 waits (two healthy vertices) beside one open edge, then beside
+    # two, alone and with an open edge (a batch as long as the open set);
+    # a repeated open edge as long as the open set
+    for infected0, bad in (([0, 1], [2]), ([0, 1, 3], [2]),
+                           ([0, 1, 3], [0, 0]), ([0, 1, 3], [1, 2])):
+        st0 = InfectionState(H, infected0)
+        before = (list(st0.open_list), st0.healthy_count.copy())
+        with pytest.raises(ValueError):
+            st0.remove_open_edges(bad)
+        assert (st0.open_list, st0.healthy_count.tolist()) == (
+            before[0], before[1].tolist())
+    st0.remove_edge(0)
+    with pytest.raises(ValueError):
+        st0.remove_open_edges([0])
+    assert st0.remove_open_edges([1]).tolist() == [2]
+    assert st0.open_list == [] and st0.healthy_count.tolist() == [-1, -1, 2]
+
+
 def _open_degrees_oracle(edges, st0: InfectionState) -> dict:
     infected = {int(v) for v in np.flatnonzero(st0.infected)}
     live = [int(e) for e in np.flatnonzero(st0.live)]
@@ -335,9 +355,8 @@ def _assert_state_matches_scratch(st0: InfectionState, edges) -> None:
     want_open = open_edges_oracle(edges, infected, live)
     assert set(st0.open_list) == want_open
     assert st0.open_count == len(want_open)
-    want_pos = np.full(len(edges), -1)
-    want_pos[st0.open_list] = np.arange(st0.open_count)
-    assert np.array_equal(st0.open_pos, want_pos)
+    # a position means something only at an open edge
+    assert st0.open_pos[st0.open_list].tolist() == list(range(st0.open_count))
     assert_open_by_vertex(st0, open_by_vertex_oracle(edges, infected, live))
     assert st0.infected_count == len(infected)
     for e in live:
@@ -399,9 +418,7 @@ def _assert_setup_matches_rows(st0: InfectionState, H: Hypergraph) -> None:
     assert np.array_equal(st0.healthy_count, want)
     opened = np.flatnonzero(want == 1)
     assert st0.open_list == opened.tolist()
-    want_pos = np.full(H.num_edges, -1)
-    want_pos[opened] = np.arange(opened.size)
-    assert np.array_equal(st0.open_pos, want_pos)
+    assert st0.open_pos[opened].tolist() == list(range(opened.size))
     assert st0.infected_count == int(st0.infected.sum())
 
 

@@ -45,13 +45,16 @@ def test_coin_oracle_is_a_pure_function_of_seed_and_edge():
     assert list(a.success_mask(40)) == left
     assert _coins(0.0).success_mask(30).sum() == 0
     assert _coins(1.0).success_mask(30).sum() == 30
-    # block reads equal the variates read one at a time, across block
-    # edges and past m
+    # block reads equal the words read one at a time, across block edges
+    # and past m, and each word makes the variate at its position
     key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
     gen = np.random.Generator(np.random.Philox(key=key))
     for start, size in [(0, 300), (255, 3), (256, 1), (257, 10), (43, 600)]:
         block = rng_mod.value_at(key, start, size, gen)
-        assert list(block) == [_variate(key, start + j) for j in range(size)]
+        assert block.dtype == np.uint64
+        assert block.tolist() == [_word(key, start + j) for j in range(size)]
+        assert ((block >> np.uint64(11)) * 2.0 ** -53).tolist() == [
+            _variate(key, start + j) for j in range(size)]
     H = bootstrap_lift(complete_uniform(12, 2), load_pattern("k3"))
     order = np.random.default_rng(3).permutation(H.num_edges).tolist()
     c = _coins(0.4, seed=5)
@@ -78,13 +81,20 @@ def _variate(key, index):
     return _fresh_generator(key, index).random()
 
 
+def _word(key, index):
+    """The raw 64-bit word at position index of a keyed stream, from a
+    fresh advanced Philox."""
+    return int(_fresh_generator(key, index).bit_generator.random_raw())
+
+
 def test_value_at_equals_a_fresh_advanced_philox():
     gen = np.random.Generator(np.random.Philox(key=rng_mod.stream_key(9, 9)))
     for seed in (5, 6):
         key = rng_mod.stream_key(seed, rng_mod.EDGE_COIN)
         for start in (0, 1, 127, 128, 255, 256, 12_800, 280_576):
             for size in (1, COIN_BLOCK, 256):
-                want = _fresh_generator(key, start).random(4 * size)[::4]
+                want = _fresh_generator(key, start).bit_generator.random_raw(
+                    4 * size)[::4]
                 # a reused generator, re-keyed from another stream's state
                 got = rng_mod.value_at(key, start, size, gen)
                 assert np.array_equal(got, want), (seed, start, size)
@@ -99,19 +109,24 @@ def test_value_at_equals_a_fresh_advanced_philox():
     key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
     fresh = _fresh_generator(key, 3)
     assert (rng_mod.value_at(key, 3, 1, gen).tolist()
-            == fresh.random(4)[::4].tolist())
+            == fresh.bit_generator.random_raw(4)[::4].tolist())
     assert gen.integers(7, size=9).tolist() == fresh.integers(7, size=9).tolist()
 
 
 def test_coins_equal_value_at_below_q_across_block_edges():
+    """Coins decided on raw words against the word bound equal the fresh
+    variate below q, at both ends of [0, 1] and next to them."""
     key = rng_mod.stream_key(5, rng_mod.EDGE_COIN)
     edges = [e + k * COIN_BLOCK for k in range(4) for e in (-1, 0, 1)][1:]
-    for q in (0.0, 0.3, 1.0):
+    edges += list(range(2 * COIN_BLOCK + 2, 3 * COIN_BLOCK - 1))
+    for q in (0.0, 2.0 ** -60, 0.3, np.nextafter(1.0, 0.0), 1.0):
         want = [_variate(key, e) < q for e in edges]
         scalar, batch = _coins(q, seed=5), _coins(q, seed=5)
         assert [scalar.outcome(e) for e in reversed(edges)] == want[::-1]
         assert batch.outcomes(edges).tolist() == want
         assert batch.drawn == scalar.drawn == dict(zip(edges, want))
+        mask = _coins(q, seed=5).success_mask(max(edges) + 1)
+        assert mask[edges].tolist() == want
 
 
 def test_coin_outcomes_match_scalar_outcomes():
@@ -405,7 +420,9 @@ def _process_pair(H, infected0, q, seed):
 
 def _assert_same_process_state(a: ProcessState, b: ProcessState) -> None:
     assert a.state.open_list == b.state.open_list
-    assert np.array_equal(a.state.open_pos, b.state.open_pos)
+    # a position means something only at an open edge
+    opened = a.state.open_list
+    assert np.array_equal(a.state.open_pos[opened], b.state.open_pos[opened])
     assert a.sampled == b.sampled
     assert list(a.coins.drawn.items()) == list(b.coins.drawn.items())
     assert np.array_equal(a.state.infected, b.state.infected)
@@ -483,6 +500,59 @@ def test_reveal_batch_rejects_bad_batches_before_revealing():
     # nothing was revealed or removed by the rejected batches
     assert ps.sampled == [] and ps.coins.drawn == {}
     assert ps.state.live.all() and len(ps.state.open_list) == len(opened)
+
+
+def _poison(ps: ProcessState, rng) -> None:
+    """Write garbage over every non-open edge's position: int32 min (a read
+    of it as an index raises), the old -1 sentinel, or an index into
+    open_list (a read of it moves the wrong edge)."""
+    st = ps.state
+    shut = np.flatnonzero(st.healthy_count != 1)
+    garbage = rng.integers(-2, max(st.open_count, 1), size=shut.size)
+    garbage[garbage == -2] = np.iinfo(np.int32).min
+    st.open_pos[shut] = garbage
+
+
+def test_positions_are_read_only_at_open_edges():
+    """A state whose open_pos holds garbage at every non-open edge, written
+    again before every step, runs step for step as a clean one through
+    phase 1, both round kinds and the drain."""
+    rng = np.random.default_rng(23)
+    rounds = {subcritical_round: 0, supercritical_round: 0}
+    for trial in range(30):
+        r = 3 if trial % 2 else 4
+        n = int(rng.integers(10, 30))
+        H = random_hypergraph(rng, n, r, int(rng.integers(30, 150)))
+        infected0 = rng.choice(n, size=int(rng.integers(r - 1, n // 2 + 1)),
+                               replace=False)
+        q = float(rng.choice([0.3, 0.7, 1.0]))
+        seed = int(rng.integers(2 ** 32))
+        params = ModelParams(r=r, c=0.5, alpha=1.0, d=4.0).bind(n)
+        clean, dirty = (ProcessState(H, infected0, _coins(q, seed),
+                                     _choice(seed), params) for _ in range(2))
+
+        def both(act):
+            _poison(dirty, rng)
+            got = act(clean)
+            assert act(dirty) == got
+            assert dirty.state.open_list == clean.state.open_list
+            assert list(dirty.coins.drawn.items()) == list(
+                clean.coins.drawn.items())
+            assert np.array_equal(dirty.state.infected, clean.state.infected)
+            return got
+
+        for _ in range(int(rng.integers(0, H.num_edges // 2 + 1))):
+            if both(lambda ps: phase1_run(ps, 1, 1)):
+                break
+        round_fn = supercritical_round if trial % 3 else subcritical_round
+        for _ in range(3):
+            if not clean.state.open_count:
+                break
+            both(round_fn)
+            rounds[round_fn] += 1
+        both(drain)
+        assert dirty.trace == clean.trace
+    assert min(rounds.values()) > 5
 
 
 def _phase1_reference(ps: ProcessState, choice, steps: int,
