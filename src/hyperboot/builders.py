@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .hypergraph import (Hypergraph, SizeGuardError, _group_rows,
-                         _ragged_arange, from_json)
+                         _incidences, _ragged_arange, from_json)
 
 COMPLETE_EDGE_LIMIT = 50_000_000
 GENERIC_LIFT_EDGE_LIMIT = 500_000
@@ -158,7 +158,7 @@ def _candidates(G: Hypergraph, phi: np.ndarray, anchors: list, roots: list,
         if len(phi) > 1 and deg.sum() > COPY_CANDIDATE_LIMIT:
             return None
         group = np.repeat(np.arange(ua.size), deg)
-        base = incident[_ragged_arange(deg) + np.repeat(indptr[ua], deg)]
+        base = _incidences(indptr, incident, ua)
     keep = np.ones(base.size, dtype=bool) if active is None else active[base]
     if marks:
         keep &= infected[G.edges_array[base]].sum(axis=1) >= len(marks)

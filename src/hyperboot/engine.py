@@ -17,21 +17,23 @@ generator words with one integer bound, which gives exactly the mask of
 Generator.random() < q without forming the doubles; the process's per-edge
 coins are decided on raw words with the same bound (_word_test).
 
-InfectionState supports the incremental operations the
-revelation processes need: O(1) uniform sampling from the open-edge set (a
-swap-remove list), scalar reads and removals of one edge, and checks and
-removals of a whole batch of open edges with array operations.  The
-per-edge healthy counts are the one store of edge status, so whether an edge
-is open is read from its count; they are kept in count_dtype(r) and set up
-from the initial vertices' CSR slices alone.  An open edge's place in the
-list is kept in a position index that is allocated unfilled and written only
-for open edges, so a run pays for the edges it touches.  infect updates the
-counts of the touched vertex's edges in one array step, then applies the
-open-list appends and swap-removes they cause one edge at a time, in
-incidence order.  Scalar reads and writes of one edge or vertex go through
-memoryviews of the positions, the healthy counts and the infected mask.  The
-open edges grouped by their healthy vertex, and the open edges of the lowest
-saturated vertex, are derived on demand from the healthy counts.
+InfectionState supports the incremental operations the revelation processes
+need: O(1) uniform sampling from the open-edge set (a swap-remove list),
+infection of one vertex, and removal of open edges, the only edges a process
+removes: one at a time, or a whole batch with array operations.  Either
+removal checks that its edges are open before any write and returns their
+healthy vertices, read first.  The per-edge healthy counts are the one store
+of edge status, so whether an edge is open is read from its count; they are
+kept in count_dtype(r) and set up from the initial vertices' CSR slices
+alone.  An open edge's place in the list is kept in a position index that is
+allocated unfilled and written only for open edges, so a run pays for the
+edges it touches.  infect updates the counts of the touched vertex's edges
+in one array step, then applies the open-list appends and swap-removes they
+cause one edge at a time, in incidence order.  Scalar reads and writes of
+one edge or vertex go through memoryviews of the positions, the healthy
+counts and the infected mask.  The open edges grouped by their healthy
+vertex, and the open edges of the lowest saturated vertex, are derived on
+demand from the healthy counts.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, as_mask, check_probability, csr_incidence
+from .hypergraph import (Hypergraph, _incidences, as_mask, check_probability,
+                         csr_incidence)
 
 
 # A round whose incidences exceed len(E) / CLOSURE_DENSE_ROUND counts its hits
@@ -162,14 +165,6 @@ class Closure(Set):
         return self
 
 
-def _incidences(indptr: np.ndarray, incident: np.ndarray,
-                vertices: np.ndarray) -> np.ndarray:
-    """The CSR slices of the given vertices, gathered as one index array."""
-    deg = indptr[vertices + 1] - indptr[vertices]
-    shift = indptr[vertices] - (np.cumsum(deg) - deg)
-    return incident[np.arange(deg.sum()) + np.repeat(shift, deg)]
-
-
 def sample_vertex_set(H: Hypergraph, p: float, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli(p) vertex sample, ascending ids; one uniform per vertex."""
     check_probability("p", p)
@@ -220,11 +215,12 @@ class InfectionState:
 
     healthy_count[e] is -1 once e is removed (revealed), else its number of
     healthy vertices: 0 closed, 1 open, 2 or more waiting; its dtype is the
-    narrowest signed one that holds -1..r.  open_list, the open set, supports
-    O(1) uniform sampling and is updated in place, never rebound.
-    open_pos[e] is e's index in it while healthy_count[e] == 1 and means
-    nothing otherwise.  open_by_vertex groups the open set by the healthy
-    vertex on demand.
+    narrowest signed one that holds -1..r.  Only an open edge is removed,
+    its count going from 1 to -1.  open_list, the open set, supports O(1)
+    uniform sampling and is updated in place, never rebound.  open_pos[e]
+    is e's index in it while healthy_count[e] == 1 and means nothing
+    otherwise.  open_by_vertex groups the open set by the healthy vertex on
+    demand.
     """
 
     def __init__(self, H: Hypergraph, infected0: Iterable[int]):
@@ -328,42 +324,6 @@ class InfectionState:
         v = int(full[0])
         return v, self._open_at(v)
 
-    def unique_healthy_vertex(self, e: int) -> int:
-        if self._counts[e] != 1:
-            raise ValueError(f"edge {e} is not open")
-        infected = self._infected
-        healthy = 0
-        for v in self._rows[e].tolist():
-            if not infected[v]:
-                u = v
-                healthy += 1
-        if healthy != 1:
-            raise AssertionError(f"open edge {e} has {healthy} healthy "
-                                 "vertices")
-        return u
-
-    def unique_healthy_vertices(self, edges) -> np.ndarray:
-        """The healthy vertex of each edge of a batch (list or array) of
-        distinct open edges, in batch order; fails as unique_healthy_vertex
-        does, and on a repeated edge."""
-        edges = np.asarray(edges, dtype=np.int64)
-        shut = self.healthy_count[edges] != 1
-        if shut.any():
-            raise ValueError(f"edge {edges[np.argmax(shut)]} is not open")
-        # distinct open edges hold distinct open-list positions
-        taken = np.zeros(len(self.open_list), dtype=bool)
-        taken[self.open_pos[edges]] = True
-        if np.count_nonzero(taken) != edges.size:
-            raise ValueError("batch repeats an edge")
-        rows = self._rows[edges]
-        healthy = ~self.infected[rows]
-        counts = np.count_nonzero(healthy, axis=1)
-        bad = np.flatnonzero(counts != 1)
-        if bad.size:
-            raise AssertionError(f"open edge {edges[bad[0]]} has "
-                                 f"{counts[bad[0]]} healthy vertices")
-        return rows[healthy]
-
     def infect(self, v: int) -> None:
         """Infect a healthy vertex and update the edges holding it."""
         if self._infected[v]:
@@ -382,31 +342,58 @@ class InfectionState:
             self._opened.extend(inc[after == 1].tolist())
         self._toggle_open(inc[moved])
 
-    def remove_edge(self, e: int) -> None:
-        """Delete an edge not yet removed (consumed by sampling)."""
+    def remove_edge(self, e: int) -> int:
+        """Delete one open edge (its coin revealed) and return its healthy
+        vertex, read first.  A waiting, closed or removed edge raises
+        ValueError, and an open edge without exactly one healthy vertex (a
+        corrupted state) AssertionError, before anything changes."""
         counts = self._counts
-        c = counts[e]
-        if c < 0:
-            raise ValueError(f"edge {e} is already removed")
+        if counts[e] != 1:
+            raise ValueError(f"edge {e} is not open")
+        infected = self._infected
+        healthy = 0
+        for v in self._rows[e].tolist():
+            if not infected[v]:
+                u = v
+                healthy += 1
+        if healthy != 1:
+            raise AssertionError(f"open edge {e} has {healthy} healthy "
+                                 "vertices")
         counts[e] = -1
-        if c == 1:
-            if self._degrees is not None:
-                self._removed.append(e)
-            pos, ol = self._pos, self.open_list
-            p = pos[e]
-            last = ol.pop()
-            if last != e:
-                ol[p] = last
-                pos[last] = p
+        if self._degrees is not None:
+            self._removed.append(e)
+        pos, ol = self._pos, self.open_list
+        p = pos[e]
+        last = ol.pop()
+        if last != e:
+            ol[p] = last
+            pos[last] = p
+        return u
 
     def remove_open_edges(self, edges) -> np.ndarray:
         """Delete a batch (list or array) of distinct open edges and return
-        their healthy vertices, read first.  The batch is checked whole, as
-        unique_healthy_vertices checks it, before anything changes.  The
-        open_list discards run in batch order; a batch of the whole open
-        set empties it at once."""
+        their healthy vertices, read first, in batch order.  The batch is
+        checked whole before anything changes: a waiting, closed, removed
+        or repeated edge raises ValueError, and an open edge without exactly
+        one healthy vertex AssertionError, as in remove_edge.  The open_list
+        discards run in batch order; a batch of the whole open set empties
+        it at once."""
         edges = np.asarray(edges, dtype=np.int64)
-        healthy = self.unique_healthy_vertices(edges)
+        shut = self.healthy_count[edges] != 1
+        if shut.any():
+            raise ValueError(f"edge {edges[np.argmax(shut)]} is not open")
+        # distinct open edges hold distinct open-list positions
+        taken = np.zeros(len(self.open_list), dtype=bool)
+        taken[self.open_pos[edges]] = True
+        if np.count_nonzero(taken) != edges.size:
+            raise ValueError("batch repeats an edge")
+        rows = self._rows[edges]
+        healthy = ~self.infected[rows]
+        counts = np.count_nonzero(healthy, axis=1)
+        bad = np.flatnonzero(counts != 1)
+        if bad.size:
+            raise AssertionError(f"open edge {edges[bad[0]]} has "
+                                 f"{counts[bad[0]]} healthy vertices")
         self.healthy_count[edges] = -1
         if self._degrees is not None:
             self._removed.extend(edges.tolist())
@@ -414,4 +401,4 @@ class InfectionState:
             self.open_list.clear()
         else:
             self._toggle_open(edges)
-        return healthy
+        return rows[healthy]

@@ -201,6 +201,14 @@ def _ragged_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def _incidences(indptr: np.ndarray, incident: np.ndarray,
+                vertices: np.ndarray) -> np.ndarray:
+    """The CSR slices of the given vertices, gathered as one index array."""
+    deg = indptr[vertices + 1] - indptr[vertices]
+    shift = indptr[vertices] - (np.cumsum(deg) - deg)
+    return incident[np.arange(deg.sum()) + np.repeat(shift, deg)]
+
+
 def csr_incidence(n: int, rows: np.ndarray):
     """Vertex-to-row CSR of an (m, r) row array: (indptr, row ids)."""
     flat = rows.ravel()

@@ -208,13 +208,12 @@ def subcritical_round(ps: ProcessState) -> int:
 
 
 def _reveal_one(ps: ProcessState, e: int) -> None:
-    """Reveal one open edge, a phase-1 or drain step: read its healthy
-    vertex, reveal its coin, remove it, and on a hit infect the vertex."""
+    """Reveal one open edge, a phase-1 or drain step: remove it, which
+    checks that it is open and returns its healthy vertex, then reveal its
+    coin and on a hit infect that vertex."""
     st = ps.state
-    u = st.unique_healthy_vertex(e)
-    hit = ps.coins.outcome(e)
-    st.remove_edge(e)
-    if hit:
+    u = st.remove_edge(e)
+    if ps.coins.outcome(e):
         st.infect(u)
 
 
@@ -222,14 +221,14 @@ def _reveal_batch(ps: ProcessState, edges: list) -> int:
     """Reveal a batch of distinct open edges, then infect the vertices they
     hit.
 
-    Each edge's coin is revealed and the edge removed; every edge's healthy
-    vertex is read before any infection, so the batch acts simultaneously,
-    and the hit vertices are infected one by one in batch order.  The batch
-    is checked whole before anything changes, then removed and read with
-    array operations; only the open-list discards stay sequential, in batch
-    order.  With _reveal_one, the only place a coin is revealed.  drawn
-    keeps the given id objects, so a batch taken from open_list allocates
-    no new ones.  Returns the number of successful reveals.
+    One remove_open_edges call checks the batch whole before anything
+    changes, removes it and returns each edge's healthy vertex, all read
+    before any infection, so the batch acts simultaneously; then every
+    edge's coin is revealed and the hit vertices are infected one by one in
+    batch order, skipping repeats.  With _reveal_one, the only place a coin
+    is revealed.  drawn keeps the given id objects, so a batch taken from
+    open_list allocates no new ones.  Returns the number of successful
+    reveals.
     """
     st = ps.state
     healthy = st.remove_open_edges(edges)

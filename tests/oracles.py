@@ -72,19 +72,18 @@ def open_list_oracle(open_list, ops):
 def reveal_batch_oracle(ps, edges):
     """The per-edge reveal loop that the batch path replaced.
 
-    For each edge in turn: read its healthy vertex, reveal its coin (which
-    records it as sampled) and remove it; then infect the hit vertices in order,
-    skipping repeats.  Built from the process state's own scalar operations
-    (unique_healthy_vertex, outcome, remove_edge, infect), so it pins the
-    batch path to the one-edge-at-a-time semantics.
+    For each edge in turn: remove it, keeping the healthy vertex that
+    remove_edge returns, and reveal its coin (which records it as sampled);
+    then infect the hit vertices in order, skipping repeats.  Built from the
+    process state's own scalar operations (remove_edge, outcome, infect), so
+    it pins the batch path to the one-edge-at-a-time semantics.
     """
     st = ps.state
     hits = []
     for e in edges:
-        u = st.unique_healthy_vertex(e)
+        u = st.remove_edge(e)
         if ps.coins.outcome(e):
             hits.append(u)
-        st.remove_edge(e)
     for u in hits:
         if not st.infected[u]:
             st.infect(u)

@@ -205,41 +205,84 @@ def test_closure_leaves_input_masks_unchanged():
 def test_initial_open_set_example():
     st0 = InfectionState(PATH_HOST, [1, 2])
     assert list(st0.open_list) == [0]
-    assert st0.unique_healthy_vertex(0) == 0
     assert_open_by_vertex(st0, {0: {0}})
+    assert st0.remove_edge(0) == 0
+    assert st0.open_list == [] and st0.healthy_count.tolist() == [-1, 2, 3]
 
 
 def test_infect_opens_downstream_edge():
     st0 = InfectionState(PATH_HOST, [1, 2])
     st0.infect(0)
     assert set(st0.open_list) == {1}
-    assert st0.unique_healthy_vertex(1) == 3
     assert_open_by_vertex(st0, {3: {1}})    # none left at infected vertex 0
+    assert st0.remove_edge(1) == 3
 
 
-def test_unique_healthy_vertex_fails_loudly_without_one():
+def test_remove_edge_fails_loudly_without_one_healthy_vertex():
     st0 = InfectionState(PATH_HOST, [1, 2])
     st0.infected[0] = True      # corrupt the state behind the engine's back
     with pytest.raises(AssertionError):
-        st0.unique_healthy_vertex(0)
+        st0.remove_edge(0)
+    # refused before any write
+    assert st0.open_list == [0] and st0.healthy_count.tolist() == [1, 2, 3]
 
 
-def test_unique_healthy_vertices_checks_the_whole_batch():
+def _snapshot(st0: InfectionState) -> tuple:
+    """Everything a refused removal must leave as it was: the counts, the
+    open list, the positions at open edges and lowest_saturated's answers
+    at every threshold up to one above the highest open degree."""
+    answers = []
+    for threshold in range(1, st0.open_count + 2):
+        got = st0.lowest_saturated(threshold)
+        answers.append(None if got is None else (got[0], got[1].tolist()))
+    return (st0.healthy_count.tolist(), list(st0.open_list),
+            st0.open_pos[st0.open_list].tolist(), answers)
+
+
+def test_remove_edge_refuses_an_edge_that_is_not_open():
+    # with 0, 1 and 3 infected: [0, 1, 2] and [0, 1, 6] are open (at 2 and
+    # 6), [0, 1, 3] is closed, [1, 2, 4] and [2, 4, 5] wait
+    H = Hypergraph.from_rows(7, 3, [[0, 1, 2], [0, 1, 3], [1, 2, 4],
+                                    [2, 4, 5], [0, 1, 6]])
+    st0 = InfectionState(H, [0, 1, 3])
+    edges = edge_lists(H)
+    first, second = edges.index((0, 1, 2)), edges.index((0, 1, 6))
+    _snapshot(st0)      # from here on removals feed the saturation log
+    assert st0.remove_edge(second) == 6
+    assert st0.open_list == [first] and st0.healthy_count[second] == -1
+    before = _snapshot(st0)
+    assert before[3][0] == (2, [first])
+    for e in (edges.index((1, 2, 4)), edges.index((2, 4, 5)),
+              edges.index((0, 1, 3)), second):
+        with pytest.raises(ValueError, match=f"edge {e} is not open"):
+            st0.remove_edge(e)
+        assert _snapshot(st0) == before
+    assert st0.remove_edge(first) == 2
+    assert st0.open_list == [] and st0.lowest_saturated(1) is None
+
+
+def test_remove_open_edges_checks_the_whole_batch():
     H = complete_uniform(6, 3)
-    st0 = InfectionState(H, [0, 1, 2])
+    st0, st1 = (InfectionState(H, [0, 1, 2]) for _ in range(2))
     opened = sorted(st0.open_list)
-    batch = np.array(opened[::-1], dtype=np.int64)
-    assert st0.unique_healthy_vertices(batch).tolist() == [
-        st0.unique_healthy_vertex(e) for e in batch.tolist()]
     closed = next(e for e in range(H.num_edges) if st0.healthy_count[e] == 0)
-    st0.remove_edge(opened[1])
+    assert st0.remove_edge(opened[1]) == st1.remove_edge(opened[1])
     for bad in ([opened[0], closed], [opened[1]], [opened[0], opened[0]]):
         with pytest.raises(ValueError):
-            st0.unique_healthy_vertices(np.array(bad, dtype=np.int64))
-    e = opened[0]
-    st0.infected[st0.unique_healthy_vertex(e)] = True   # corrupt the state
+            st0.remove_open_edges(np.array(bad, dtype=np.int64))
+    # a batch is the per-edge removals in batch order, read first
+    batch = opened[:1] + opened[:1:-2]
+    assert st0.remove_open_edges(batch).tolist() == [
+        st1.remove_edge(e) for e in batch]
+    assert st0.open_list == st1.open_list
+    assert np.array_equal(st0.healthy_count, st1.healthy_count)
+    # the one vertex of an open edge outside 0, 1 and 2 is its largest
+    e = st0.open_list[0]
+    st0.infected[H.edges_array[e].max()] = True     # corrupt the state
+    before = (list(st0.open_list), st0.healthy_count.tolist())
     with pytest.raises(AssertionError):
-        st0.unique_healthy_vertices(np.array([opened[2], e], dtype=np.int64))
+        st0.remove_open_edges(st0.open_list[::-1])
+    assert (st0.open_list, st0.healthy_count.tolist()) == before
 
 
 def test_remove_open_edges_refuses_a_batch_that_is_not_all_open():
@@ -308,8 +351,8 @@ def test_lowest_saturated_matches_open_by_vertex_oracle():
         infected0 = rng.choice(n, size=int(rng.integers(1, n - 1)),
                                replace=False)
         st0 = InfectionState(H, infected0)
-        # about a fifth of the edges removed before the first query
-        for e in np.flatnonzero(rng.random(H.num_edges) < 0.2).tolist():
+        # about a fifth of the open edges removed before the first query
+        for e in [e for e in st0.open_list if rng.random() < 0.2]:
             st0.remove_edge(e)
         for _ in range(6):
             sizes = Counter(len(es) for es in
@@ -320,15 +363,14 @@ def test_lowest_saturated_matches_open_by_vertex_oracle():
             for threshold in sorted(sizes) + [max(sizes, default=0) + 1]:
                 assert (_lowest_saturated_list(st0, threshold)
                         == _saturated_oracle(edges, st0, threshold))
-            # between queries: infect a vertex, remove a live edge (open or
-            # not) and a batch of open edges
+            # between queries: infect a vertex, remove an open edge and a
+            # batch of open edges
             healthy = np.flatnonzero(~st0.infected)
             if not healthy.size:
                 break
             st0.infect(int(rng.choice(healthy)))
-            live = np.flatnonzero(st0.live)
-            if live.size:
-                st0.remove_edge(int(rng.choice(live)))
+            if st0.open_list:
+                st0.remove_edge(int(rng.choice(st0.open_list)))
             batch = [e for e in st0.open_list if rng.random() < 0.2]
             st0.remove_open_edges(np.array(batch, dtype=np.int64))
     assert ties > 20
@@ -374,13 +416,12 @@ def test_incremental_state_equals_scratch_recomputation():
         k = int(rng.integers(0, n // 2 + 1))
         infected0 = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
         st0 = InfectionState(H, infected0)
-        # every third trial first removes a random subset of the edges
+        # every third trial first removes a random subset of the open edges
         if trial % 3 == 0:
-            keep = rng.random(H.num_edges) < 0.6
-            for e in np.flatnonzero(~keep).tolist():
+            gone = [e for e in st0.open_list if rng.random() < 0.4]
+            for e in gone:
                 st0.remove_edge(e)
-            assert np.array_equal(st0.live, keep)
-            assert (st0.healthy_count[~keep] == -1).all()
+            assert np.flatnonzero(~st0.live).tolist() == sorted(gone)
         _assert_state_matches_scratch(st0, edges)
         for _ in range(40):
             healthy = np.flatnonzero(~st0.infected)
@@ -388,7 +429,7 @@ def test_incremental_state_equals_scratch_recomputation():
             moves = []
             if len(healthy):
                 moves.append("infect")
-            if len(live):
+            if st0.open_list:
                 moves.append("remove")
             if not moves:
                 break
@@ -404,11 +445,10 @@ def test_incremental_state_equals_scratch_recomputation():
                 want = open_list_oracle(st0.open_list, ops)
                 st0.infect(v)
             else:
-                e = int(live[int(rng.integers(len(live)))])
-                opened = len(set(edges[e]) - infected) == 1
-                want = open_list_oracle(st0.open_list,
-                                        [(e, False)] if opened else [])
-                st0.remove_edge(e)
+                e = st0.open_list[int(rng.integers(st0.open_count))]
+                (u,) = set(edges[e]) - infected
+                want = open_list_oracle(st0.open_list, [(e, False)])
+                assert st0.remove_edge(e) == u
             assert st0.open_list == want
             _assert_state_matches_scratch(st0, edges)
 

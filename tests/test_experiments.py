@@ -44,6 +44,16 @@ def test_wilson_interval_matches_closed_form():
         assert 0.0 <= lo <= hi <= 1.0
 
 
+def test_wilson_bounds_never_fall_as_successes_grow():
+    """Why a bisection has no monotonicity warning: its evaluations share one
+    trial set and one trial count, so successes never fall as p grows, and
+    neither Wilson bound falls as successes grow at a fixed trial count."""
+    for trials in range(1, 501):
+        bounds = np.array([wilson_interval(s, trials)
+                           for s in range(trials + 1)])
+        assert (np.diff(bounds, axis=0) >= 0).all(), trials
+
+
 def test_mc_degenerate_densities_are_exact():
     H = complete_uniform(4, 3)
     res1 = percolation_probability_mc(H, 1.0, 0.7, trials=200, seed=1)

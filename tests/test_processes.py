@@ -210,9 +210,7 @@ def test_subcritical_round_on_empty_open_set_is_noop():
 def test_subcritical_round_reveals_snapshot_simultaneously():
     # both edges are open at vertex 2 and get revealed in the same round
     st0 = ProcessState(TWO_EDGE, [0, 1, 3, 4], _coins(1.0))
-    assert set(st0.state.open_list) == {0, 1}
-    assert st0.state.unique_healthy_vertex(0) == 2
-    assert st0.state.unique_healthy_vertex(1) == 2
+    assert_open_by_vertex(st0.state, {2: {0, 1}})
     hits = subcritical_round(st0)
     assert hits == 2
     assert st0.state.infected_count == 5
@@ -474,8 +472,9 @@ def test_reveal_batch_matches_per_edge_oracle():
             if not batch:
                 continue
             win = a.coins.success_mask(H.num_edges)
-            hit_at = [a.state.unique_healthy_vertex(e) for e in batch
-                      if win[e]]
+            vertices, edges = a.state.open_by_vertex()
+            healthy = dict(zip(edges.tolist(), vertices.tolist()))
+            hit_at = [healthy[e] for e in batch if win[e]]
             repeats += len(hit_at) > len(set(hit_at))
             hits = reveal_batch_oracle(b, batch)
             assert _reveal_batch(a, batch) == hits
@@ -494,7 +493,9 @@ def test_reveal_batch_rejects_bad_batches_before_revealing():
     for bad in ([opened[0], closed], [opened[1], opened[0], opened[1]]):
         with pytest.raises(ValueError):
             _reveal_batch(ps, bad)
-    ps.state.infected[ps.state.unique_healthy_vertex(opened[2])] = True
+    # corrupt the state: infect the one vertex of an open edge outside 0, 1
+    # and 2, its largest
+    ps.state.infected[H.edges_array[opened[2]].max()] = True
     with pytest.raises(AssertionError):
         _reveal_batch(ps, opened)
     # nothing was revealed or removed by the rejected batches
