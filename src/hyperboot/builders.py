@@ -118,16 +118,21 @@ def match_copies(G: Hypergraph, F: Hypergraph, roots=(), images=(),
         edge = G.edges_array[cand]
         hit = np.zeros(edge.shape, dtype=bool)
         ok = np.ones(cand.size, dtype=bool)
-        for x in used:
-            eq = edge == phi[src, x][:, None]
-            hit |= eq
-            if x in anchors:
-                ok &= eq.any(axis=1)
-        ok &= hit.sum(axis=1) == len(anchors)
+        # by column: r whole-column ops cost far less than one axis=1 reduction
+        for x in used:   # a candidate holds every anchor and no other image
+            img, seen = phi[src, x], np.zeros(cand.size, dtype=bool)
+            for c in range(G.r):
+                eq = edge[:, c] == img
+                hit[:, c] |= eq
+                seen |= eq
+            ok &= seen if x in anchors else ~seen
         src, cand = src[ok], cand[ok]
         rest = edge[ok][~hit[ok]].reshape(cand.size, len(free))
-        fits = (infected[rest][:, perms[:, marks]].all(axis=2) if marks
-                else np.ones((cand.size, len(perms)), dtype=bool))
+        fits = np.ones((cand.size, len(perms)), dtype=bool)
+        if marks:
+            inf = infected[rest]
+            for t in marks:
+                fits &= inf[:, perms[:, t]]
         ci, pi = np.nonzero(fits)
         phi = phi[src[ci]]
         phi[:, free] = rest[ci[:, None], perms[pi]]
@@ -161,7 +166,10 @@ def _candidates(G: Hypergraph, phi: np.ndarray, anchors: list, roots: list,
         base = _incidences(indptr, incident, ua)
     keep = np.ones(base.size, dtype=bool) if active is None else active[base]
     if marks:
-        keep &= infected[G.edges_array[base]].sum(axis=1) >= len(marks)
+        count = np.zeros(base.size, dtype=np.uint8)
+        for c in range(G.r):
+            count += infected[G.edges_array[base, c]]
+        keep &= count >= len(marks)
     base, group = base[keep], group[keep]
     if ahead:
         # sorted (group, vertex) keys, one per vertex of each group edge

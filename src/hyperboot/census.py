@@ -17,6 +17,7 @@ subdominant for the trajectory to concentrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable
 
@@ -66,6 +67,8 @@ class Configuration:
 def _copies(H: Hypergraph, infected, config: Configuration,
             root_images: Iterable[int], active=None) -> np.ndarray:
     """The copies as unique rows of host edge ids, arguments validated."""
+    if infected is None:
+        raise ValueError("infected must be a vertex set or mask, not None")
     S = np.flatnonzero(as_mask(root_images, H.n, "root image"))
     if len(S) != len(config.roots):
         raise ValueError(
@@ -162,8 +165,14 @@ def general_star_family(r: int, i: int, j: int) -> list:
     pendant edges with exactly r-1 marked vertices whose unique neutral
     vertex sits on the central edge; pendants may share marked vertices
     with the central edge and with each other.  count_general_stars counts
-    the union of their copy sets.
+    the union of their copy sets.  The family is derived once per (r, i, j)
+    in a process; each call returns a new list of the same configurations.
     """
+    return list(_general_star_family(r, i, j))
+
+
+@lru_cache(maxsize=None)
+def _general_star_family(r: int, i: int, j: int) -> tuple:
     if not 0 <= i <= r - 1:
         raise ValueError(f"marked count i={i} outside 0..{r - 1}")
     if not 0 <= j <= r - 1 - i:
@@ -188,8 +197,8 @@ def general_star_family(r: int, i: int, j: int) -> list:
                     marked | set(fresh), nxt + len(fresh))
 
     rec(0, [central], set(central_marked), r)
-    return sorted(shapes.values(),
-                  key=lambda c: (c.pattern.n, canonical_config_key(c)))
+    return tuple(sorted(shapes.values(),
+                        key=lambda c: (c.pattern.n, canonical_config_key(c))))
 
 
 # -- isomorphism-class keys and the secondary family -------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_lists, random_hypergraph
+from hyperboot import census
 from hyperboot.builders import (bootstrap_lift, complete_uniform,
                                 enumerate_copies, load_pattern)
 from hyperboot.census import (Configuration, canonical_config_key,
@@ -191,6 +192,49 @@ def test_fast_counters_match_generic_matcher():
                             m.roots, m.marked, [v], infected)
 
 
+
+def test_fast_counters_match_oracles_at_wide_edges():
+    # the join's column loops run over G.r columns: r = 5 and 6 hosts around
+    # a planted two-pendant star at v, an edge filter on every other trial;
+    # count_copies_oracle takes the one-edge patterns
+    rng = np.random.default_rng(24)
+    pendant_total = 0
+    for trial in range(4):
+        r = 5 + trial % 2
+        n = 3 * r
+        star = pendant_star_config(r, 0, 2)
+        place = rng.permutation(n)
+        rows = (place[star.pattern.edges_array].tolist()
+                + [rng.choice(n, r, replace=False).tolist()
+                   for _ in range(int(rng.integers(10, 16)))])
+        H = Hypergraph.from_rows(n, r, rows)
+        v = int(place[0])
+        infected = sorted(set(place[sorted(star.marked)].tolist())
+                          | set(rng.choice(n, r, replace=False).tolist()))
+        active = rng.random(H.num_edges) < 0.8 if trial >= 2 else None
+        edges = [e for e, a in zip(edge_lists(H), active if active is not None
+                                   else [True] * H.num_edges) if a]
+        e = H.edge(int(H.incident_edges(v)[0]))
+        for S in ([v], sorted([v, next(x for x in e if x != v)])):
+            cfg = saturated_edge_config(r, len(S))
+            got = count_rooted_copies(H, infected, cfg, S, active)
+            assert got == saturated_edges_oracle(edges, infected, S)
+            assert got == count_copies_oracle(
+                edges, cfg.pattern.edges_array.tolist(), cfg.roots,
+                cfg.marked, S, infected)
+        for i in range(r):
+            cfg = pendant_star_config(r, i, 0)
+            assert count_pendant_stars(H, infected, v, i, 0, active) == (
+                count_copies_oracle(edges, cfg.pattern.edges_array.tolist(),
+                                    cfg.roots, cfg.marked, [v], infected))
+            for j in range(min(2, r - 1 - i) + 1):
+                got = count_pendant_stars(H, infected, v, i, j, active)
+                assert got == pendant_stars_oracle(edges, infected, v, i, j)
+                assert count_general_stars(H, infected, v, i, j, active) == (
+                    general_stars_oracle(edges, infected, v, i, j))
+                pendant_total += got * (j == 2)
+    assert pendant_total > 0       # two-pendant copies were found
+
 # sha256 of every counter at 5 vertices of the K_30 triangle lift, as a
 # JSON list, pinned on the recursive matcher and the hand-written counters
 # that the level-wise join replaced
@@ -273,6 +317,17 @@ def test_general_star_family_shapes():
     keys = {canonical_config_key(c) for c in fam}
     assert canonical_config_key(pendant_star_config(3, 0, 2)) in keys
     assert len(fam) > 1
+
+
+def test_general_star_family_is_derived_once():
+    # each call gets its own list of the cached family
+    first, second = general_star_family(3, 0, 2), general_star_family(3, 0, 2)
+    built = list(census._general_star_family.__wrapped__(3, 0, 2))
+    assert first == second == built
+    assert first is not second
+    first.append(pendant_star_config(3, 0, 0))
+    assert second == built
+    assert general_star_family(3, 0, 2) == built
 
 
 def test_canonical_key_invariant_under_relabeling():
@@ -383,6 +438,12 @@ def test_counters_validate_arguments():
         count_saturated(H, [], [0, 1, 2, 3])
     with pytest.raises(ValueError):
         count_rooted_copies(H, [], pendant_star_config(4, 0, 0), [0])
+    # no infected set is refused, with marked vertices or without
+    for cfg in (pendant_star_config(3, 1, 0), pendant_star_config(3, 0, 0)):
+        with pytest.raises(ValueError, match="infected"):
+            count_rooted_copies(H, None, cfg, [0])
+    with pytest.raises(ValueError, match="infected"):
+        count_general_stars(H, None, 0, 0, 1)
     # edge and vertex filters are range-checked, not wrapped or clipped
     cfg = saturated_edge_config(3, 1)
     m = TWO_EDGE.num_edges
