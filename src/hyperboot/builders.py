@@ -28,6 +28,8 @@ GENERIC_LIFT_EDGE_LIMIT = 500_000
 KBALANCE_EDGE_LIMIT = 20
 # candidate edges one pass of the copy join may gather, about 60 bytes each
 COPY_CANDIDATE_LIMIT = 1 << 16
+# v-subsets _complete_lift ranks in one block
+LIFT_BLOCK_SUBSETS = 1 << 16
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:
@@ -228,8 +230,10 @@ def _complete_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:
 
     A copy of F spans v host vertices: the lift is F's shapes (K_v if F is
     complete, else the join's copies in K_v) on every v-subset of G, in
-    lexicographic order.  Subsets grow a position at a time, and a shape edge
-    is ranked in G's edge order once its last position is placed.
+    lexicographic order.  The row array is allocated once and filled a block
+    of first positions at a time, about LIFT_BLOCK_SUBSETS subsets each: the
+    rows keep 4 bytes an entry, but whole-length position and rank columns
+    (some int64) and a stacked copy of them would cost several times that.
     """
     if F.r != G.r:
         raise ValueError(
@@ -245,20 +249,38 @@ def _complete_lift(G: Hypergraph, F: Hypergraph) -> Hypergraph:
     term = np.array([[-comb(n - 1 - a, r - i) * (a >= i) for a in range(n)]
                      for i in range(r)], dtype=np.int32)
     term[0] += G.num_edges - 1
-    pos, ranks = [np.arange(n - v + 1, dtype=np.int32)], {}
+    rows = np.empty((comb(n, v), len(shapes), F.num_edges), dtype=np.int32)
+    lo = a = 0
+    while a <= n - v:   # first positions a..b-1 own subsets lo..hi-1
+        b, hi = a, lo
+        while b <= n - v and hi - lo < LIFT_BLOCK_SUBSETS:
+            b, hi = b + 1, hi + comb(n - 1 - b, v - 1)
+        for e, rank in _subset_ranks(n, v, K, term, a, b).items():
+            rows[lo:hi, shapes == e] = rank[:, None]
+        lo, a = hi, b
+    # a complete F's rows come out canonical
+    return Hypergraph.from_rows(G.num_edges, F.num_edges,
+                                rows.reshape(-1, F.num_edges),
+                                canonical=complete)
+
+
+def _subset_ranks(n: int, v: int, K: Hypergraph, term: np.ndarray,
+                  a: int, b: int) -> dict:
+    """Each edge of K_v's rank on every v-subset of [n] whose first position
+    is in a..b-1, lexicographic: {edge id of K_v: int32 column}.
+
+    Subsets grow a position at a time, and an edge of K_v is ranked once its
+    last position is placed.
+    """
+    pos, ranks = [np.arange(a, b, dtype=np.int32)], {}
     for j in range(1, v):   # a subset's position j is pos[j-1] + 1 .. n-v+j
         count = n - v + j - pos[-1]
         pos = [np.repeat(p, count) for p in pos]
         ranks = {e: np.repeat(c, count) for e, c in ranks.items()}
         pos.append(pos[-1] + 1 + _ragged_arange(count))
         for e in np.flatnonzero(K.edges_array[:, -1] == j):
-            ranks[e] = sum(term[i][pos[a]] for i, a in enumerate(K.edge(e)))
-    rows = np.column_stack([ranks[e] for e in range(K.num_edges)])
-    del pos, ranks   # free the columns before from_rows allocates its own
-    if not complete:   # a complete F's rows come out canonical
-        rows = rows[:, shapes].reshape(-1, F.num_edges)
-    return Hypergraph.from_rows(G.num_edges, F.num_edges, rows,
-                                canonical=complete)
+            ranks[e] = sum(term[i][pos[x]] for i, x in enumerate(K.edge(e)))
+    return ranks
 
 
 # -- density / balance -----------------------------------------------------

@@ -21,6 +21,11 @@ import numpy as np
 
 # pair events the link-intersection audit may expand; about 40 bytes each
 LINK_PAIR_LIMIT = 20_000_000
+# csr_incidence sorts up to CSR_SORT_ROWS rows at once, larger arrays in
+# blocks of CSR_BLOCK_ROWS.  Up to the cut one sort is the faster (the K_120
+# lift and Monte Carlo success hosts); above it blocks bound the int64 copies
+CSR_SORT_ROWS = 1 << 19
+CSR_BLOCK_ROWS = 1 << 16
 
 
 class SizeGuardError(RuntimeError):
@@ -210,18 +215,45 @@ def _incidences(indptr: np.ndarray, incident: np.ndarray,
 
 
 def csr_incidence(n: int, rows: np.ndarray):
-    """Vertex-to-row CSR of an (m, r) row array: (indptr, row ids)."""
-    flat = rows.ravel()
-    counts = np.bincount(flat, minlength=n) if flat.size else np.zeros(n, dtype=np.int64)
+    """Vertex-to-row CSR of an (m, r) row array: (indptr, row ids).
+
+    The result keeps 4 bytes an entry, but an argsort's int64 output and
+    bincount's intp copy of its input cost 8.  So vertices are counted
+    CSR_BLOCK_ROWS rows at a time, and an array of more than CSR_SORT_ROWS
+    rows is also placed a block at a time: each block's sorted vertex
+    buckets go to those vertices' next free slots.
+    """
+    m, r = rows.shape
+    counts = np.zeros(n, dtype=np.int64)
+    for s in range(0, m, CSR_BLOCK_ROWS):
+        counts += np.bincount(rows[s:s + CSR_BLOCK_ROWS].ravel(), minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    # stable argsort of the flattened vertex column keeps edge ids ascending
-    # within each vertex bucket; 16-bit keys sort the same way, by radix
-    order = np.argsort(flat.astype(np.uint16) if n <= 1 << 16 else flat,
-                       kind="stable")
-    order //= rows.shape[1]
-    incident = order.astype(np.int32)
+    if m <= CSR_SORT_ROWS:
+        order = _bucket_order(n, rows.ravel())
+        order //= r
+        return indptr, order.astype(np.int32)
+    incident = np.empty(m * r, dtype=np.int32)
+    free = indptr[:-1].copy()   # each vertex's next free slot
+    for s in range(0, m, CSR_BLOCK_ROWS):
+        flat = rows[s:s + CSR_BLOCK_ROWS].ravel()
+        size = np.bincount(flat, minlength=n)
+        # the block's sorted bucket of v starts at cumsum(size)[v] - size[v]
+        dest = np.repeat(free - np.cumsum(size) + size, size)
+        dest += np.arange(flat.size)
+        ids = _bucket_order(n, flat).astype(np.int32)
+        ids //= r
+        ids += s
+        incident[dest] = ids
+        free += size
     return indptr, incident
+
+
+def _bucket_order(n: int, flat: np.ndarray) -> np.ndarray:
+    """Stable argsort of vertex ids: positions ascending within each vertex
+    bucket.  Ids below 2^16 sort the same way as 16-bit keys, by radix."""
+    return np.argsort(flat.astype(np.uint16) if n <= 1 << 16 else flat,
+                      kind="stable")
 
 
 def _holds_bool(values) -> bool:

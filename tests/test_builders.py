@@ -1,6 +1,7 @@
 """Complete hosts, lifted instances, balance analysis, pattern library."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_lists, random_hypergraph
+from hyperboot import builders
 from hyperboot.builders import (SizeGuardError, bootstrap_lift,
                                 complete_uniform, enumerate_copies,
                                 k_balance_analysis, load_pattern,
@@ -55,6 +57,35 @@ def test_triangle_lift_of_k5():
 def test_triangle_lift_fast_path_matches_generic():
     # the closed form on complete hosts must agree with the copy join, down
     # to hosts with fewer vertices than the pattern spans (an empty lift)
+    check_closed_form_matches_join()
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_lift_block_cuts_match_generic(monkeypatch, block):
+    # a block of 1 subset holds one first position; blocks of 5 also join
+    # the last two positions (3 + 1 or 4 + 1 subsets at v = 3, 4).  Each
+    # fills the same rows, and n < v still gives no block at all
+    monkeypatch.setattr(builders, "LIFT_BLOCK_SUBSETS", block)
+    check_closed_form_matches_join()
+
+
+def test_k200_lift_build_peaks_near_its_arrays():
+    # the build holds little more than the rows and CSR it returns: no
+    # whole-length int64 sort order or position column (numpy reports its
+    # buffers to tracemalloc)
+    G, F = complete_uniform(200, 2), load_pattern("k3")
+    tracemalloc.start()
+    try:
+        L = bootstrap_lift(G, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    indptr, incident = L.incidence
+    assert peak <= 1.5 * (L.edges_array.nbytes + indptr.nbytes
+                          + incident.nbytes)
+
+
+def check_closed_form_matches_join():
     cases = [(load_pattern(name), range(3, 13)) for name in pattern_names()
              if name != "loose_triangle_3"]
     cases.append((load_pattern("loose_triangle_3"), range(5, 10)))

@@ -13,7 +13,8 @@ from conftest import edge_lists, random_hypergraph
 from hyperboot import hypergraph
 from hyperboot.builders import bootstrap_lift, complete_uniform, load_pattern
 from hyperboot.hypergraph import (Hypergraph, SizeGuardError,
-                                  check_well_behaved, from_json, from_text,
+                                  check_well_behaved, csr_incidence,
+                                  from_json, from_text,
                                   loads, max_neighbourhood_intersection,
                                   to_json)
 from oracles import (codegree_oracle, degree_oracle, max_codegree_oracle,
@@ -128,6 +129,31 @@ def test_incident_edges_ascending_on_both_sides_of_16_bit_ids():
         edges = edge_lists(H)
         for v in {0, n - 2, n - 1} | {x for e in edges[:20] for x in e}:
             assert H.incident_edges(v).tolist() == [
+                i for i, e in enumerate(edges) if v in e]
+
+
+@pytest.mark.parametrize("n", [40, 1 << 16, (1 << 16) + 1])
+def test_block_placement_matches_single_sort(monkeypatch, n):
+    # with the sizes shrunk, every row array, even an empty one, is placed
+    # five rows at a time; vertex 1 is in no row, ids reach n - 1, and the
+    # ids at both ends recur, so buckets span blocks
+    rng = np.random.default_rng(n)
+    pool = np.unique(np.r_[2:min(n, 12), max(2, n - 10):n])
+    for m in (0, 1, 5, 7, 10, 13, 48):
+        rows = np.array([[0, n - 2, n - 1]] + [
+            sorted(rng.choice(pool, 3, replace=False))
+            for _ in range(m - 1)], dtype=np.int32)[:m].reshape(m, 3)
+        want = csr_incidence(n, rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(hypergraph, "CSR_SORT_ROWS", -1)
+            patch.setattr(hypergraph, "CSR_BLOCK_ROWS", 5)
+            indptr, incident = csr_incidence(n, rows)
+        assert indptr.dtype == want[0].dtype and incident.dtype == want[1].dtype
+        assert np.array_equal(indptr, want[0])
+        assert np.array_equal(incident, want[1])
+        edges = rows.tolist()
+        for v in {0, 1, n - 2, n - 1} | {x for e in edges for x in e}:
+            assert incident[indptr[v]:indptr[v + 1]].tolist() == [
                 i for i, e in enumerate(edges) if v in e]
 
 
