@@ -9,16 +9,19 @@ isomorphisms it has.  Neutral vertices are unconstrained: their images may
 or may not be infected.
 
 The families the trajectory theory tracks (saturated edges, pendant stars
-and general stars) are named configurations counted by the same matcher.
-enumerate_secondary lists the small overlap patterns whose counts must stay
-subdominant for the trajectory to concentrate.
+and general stars) are named configurations counted by the same matcher;
+general stars are generated as the orbits of their marked vertices'
+signature counts under relabelling of the pendants.  enumerate_secondary
+lists the small overlap patterns whose counts must stay subdominant for
+the trajectory to concentrate.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations, product
 from typing import Iterable
 
 import numpy as np
@@ -136,26 +139,11 @@ def saturated_edge_config(r: int, i: int) -> Configuration:
 
 
 def pendant_star_config(r: int, i: int, j: int) -> Configuration:
-    """Central edge (one root, i marked) with j disjoint pendant edges.
-
-    Pendant k attaches at the k-th neutral vertex of the central edge; its
-    other r-1 vertices are fresh and marked.
-    """
-    if not 0 <= i <= r - 1:
-        raise ValueError(f"marked count i={i} outside 0..{r - 1}")
-    if not 0 <= j <= r - 1 - i:
-        raise ValueError(f"pendant count j={j} outside 0..{r - 1 - i}")
-    edges = [list(range(r))]          # 0 root, 1..i marked, i+1..r-1 neutral
-    marked = set(range(1, i + 1))
-    nxt = r
-    for k in range(j):
-        attach = i + 1 + k
-        body = list(range(nxt, nxt + r - 1))
-        marked.update(body)
-        nxt += r - 1
-        edges.append([attach] + body)
-    F = Hypergraph.from_rows(nxt, r, edges)
-    return Configuration(F, frozenset([0]), frozenset(marked))
+    """Central edge (one root, i marked) with j disjoint pendant edges: the
+    general star whose pendants' r-1 marked vertices lie in no other edge."""
+    _check_star(r, i, j)
+    return _star_config(r, i, j, [((0,), i)]
+                        + [((k,), r - 1) for k in range(1, j + 1)])
 
 
 def general_star_family(r: int, i: int, j: int) -> list:
@@ -165,40 +153,63 @@ def general_star_family(r: int, i: int, j: int) -> list:
     pendant edges with exactly r-1 marked vertices whose unique neutral
     vertex sits on the central edge; pendants may share marked vertices
     with the central edge and with each other.  count_general_stars counts
-    the union of their copy sets.  The family is derived once per (r, i, j)
-    in a process; each call returns a new list of the same configurations.
+    the union of their copy sets.
+
+    A member is fixed by how many marked vertices have each signature, the
+    set of edges holding them (0 the central edge, k pendant k); the other
+    vertices follow from (r, i, j).  An isomorphism fixes the central edge,
+    the only one at the root, so members are isomorphic exactly when a
+    relabelling of the pendants maps one count to the other.  Pendant k
+    takes up to count vertices of each class so far and fresh ones for the
+    rest, and each step keeps one least form per orbit.  The family is
+    derived once per (r, i, j) in a process; each call returns a new list.
     """
     return list(_general_star_family(r, i, j))
 
 
 @lru_cache(maxsize=None)
 def _general_star_family(r: int, i: int, j: int) -> tuple:
+    _check_star(r, i, j)
+    level = {(((0,), i),) if i else ()}
+    for k in range(1, j + 1):
+        grown = set()
+        for state in level:
+            for take in product(*(range(min(c, r - 1) + 1) for _, c in state)):
+                fresh = r - 1 - sum(take)
+                if fresh < 0:
+                    continue
+                pairs = [((k,), fresh)]
+                for (sig, c), x in zip(state, take):
+                    pairs += [(sig, c - x), (sig + (k,), x)]
+                grown.add(_pendant_orbit(pairs, k))
+        level = grown
+    shapes = [_star_config(r, i, j, state) for state in level]
+    return tuple(sorted(shapes,
+                        key=lambda c: (c.pattern.n, canonical_config_key(c))))
+
+
+def _pendant_orbit(pairs: list, k: int) -> tuple:
+    """The nonzero pairs in their least form over relabelled pendants 1..k."""
+    return min(tuple(sorted((tuple(sorted(pi[e] for e in sig)), c)
+                            for sig, c in pairs if c))
+               for pi in ((0,) + p for p in permutations(range(1, k + 1))))
+
+
+def _check_star(r: int, i: int, j: int) -> None:
     if not 0 <= i <= r - 1:
         raise ValueError(f"marked count i={i} outside 0..{r - 1}")
     if not 0 <= j <= r - 1 - i:
         raise ValueError(f"pendant count j={j} outside 0..{r - 1 - i}")
-    central = list(range(r))          # 0 root, 1..i marked, i+1..r-1 neutral
-    central_marked = list(range(1, i + 1))
-    attaches = [i + 1 + k for k in range(j)]
-    shapes: dict = {}
 
-    def rec(k: int, edges: list, marked: set, nxt: int):
-        if k == j:
-            F = Hypergraph.from_rows(nxt, r, edges)
-            cfg = Configuration(F, frozenset([0]), frozenset(marked))
-            shapes.setdefault(canonical_config_key(cfg), cfg)
-            return
-        pool = sorted(marked)
-        for take in range(0, min(r - 1, len(pool)) + 1):
-            for old in combinations(pool, take):
-                fresh = list(range(nxt, nxt + (r - 1 - take)))
-                body = list(old) + fresh
-                rec(k + 1, edges + [[attaches[k]] + body],
-                    marked | set(fresh), nxt + len(fresh))
 
-    rec(0, [central], set(central_marked), r)
-    return tuple(sorted(shapes.values(),
-                        key=lambda c: (c.pattern.n, canonical_config_key(c))))
+def _star_config(r: int, i: int, j: int, signatures) -> Configuration:
+    """The general star with these (signature, count) pairs of marked
+    vertices: the root and the central edge's free neutral vertices, then
+    the attachments, then the marked signature classes."""
+    return _config_from_regions(
+        r, [((0,), (1, 0, r - 1 - i - j))]
+        + [((0, k), (0, 0, 1)) for k in range(1, j + 1)]
+        + [(sig, (0, c, 0)) for sig, c in signatures])
 
 
 # -- isomorphism-class keys and the secondary family -------------------------
@@ -213,30 +224,19 @@ def canonical_config_key(config: Configuration):
     with at most about six edges.
     """
     F = config.pattern
-    k = F.num_edges
-    masks = [0] * F.n
-    for ei in range(k):
-        for x in F.edge(ei):
-            masks[x] |= 1 << ei
     role = ["n"] * F.n
     for v in config.roots:
         role[v] = "r"
     for v in config.marked:
         role[v] = "m"
-    best = None
-    for perm in permutations(range(k)):
-        counts: dict = {}
-        for v in range(F.n):
-            mm = 0
-            for ei in range(k):
-                if masks[v] >> ei & 1:
-                    mm |= 1 << perm[ei]
-            key = (mm, role[v])
-            counts[key] = counts.get(key, 0) + 1
-        item = tuple(sorted((mm, ro, c) for (mm, ro), c in counts.items()))
-        if best is None or item < best:
-            best = item
-    return (k, F.r, best)
+    classes = Counter((tuple(F.incident_edges(x).tolist()), role[x])
+                      for x in range(F.n))
+    # a relabeling sends edge e to bit perm[e] of the membership mask
+    best = min(tuple(sorted((sum(map(bits.__getitem__, edges)), ro, c)
+                            for (edges, ro), c in classes.items()))
+               for bits in ([1 << p for p in perm]
+                            for perm in permutations(range(F.num_edges))))
+    return (F.num_edges, F.r, best)
 
 
 def _role_splits(size: int):

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__, hypergraph
 from . import rng as rng_mod
-from .builders import SizeGuardError, bootstrap_lift, complete_uniform, load_pattern
+from .builders import bootstrap_lift, complete_uniform, load_pattern
 from .census import count_pendant_stars, pendant_star_config
 from .engine import closure, count_dtype, sample_edge_set
 from .hypergraph import (Hypergraph, check_probability, is_count, is_number,
@@ -47,7 +47,6 @@ from .processes import ProcessState, full_pipeline
 from .theory import (BoundaryError, ModelParams, classify_criticality,
                      derive_constants, star_density)
 
-EXACT_ORACLE_LIMIT = 22      # max n + |E| for the brute-force oracle
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 MODES = ("percolation_prob", "pc_bisect", "scan", "trajectory")
@@ -376,63 +375,6 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
             # evaluation ends once the running ones return
             pool.shutdown(cancel_futures=True)
     return MCResult(p=p, q=q, trials=int(trials), successes=int(successes))
-
-
-# -- exact brute-force oracle --------------------------------------------------
-
-def _closure_bits(inf: int, masks: Sequence[int]) -> int:
-    changed = True
-    while changed:
-        changed = False
-        for em in masks:
-            h = em & ~inf
-            if h and not (h & (h - 1)):
-                inf |= h
-                changed = True
-    return inf
-
-
-def exact_percolation_probability(H: Hypergraph, p: float, q: float) -> float:
-    """Exact percolation probability by summing over all (I0, edge-set) pairs.
-
-    Weighted by the Bernoulli masses of the 2^n initial sets and 2^|E| coin
-    outcomes; each term is decided by a bitmask closure.  Guarded to
-    n + |E| <= 22 because the cost is exponential in both.
-    """
-    n, m = H.n, H.num_edges
-    if n + m > EXACT_ORACLE_LIMIT:
-        raise SizeGuardError(
-            f"exact oracle needs n + |E| <= {EXACT_ORACLE_LIMIT}, "
-            f"got {n} + {m}")
-    check_probability("p", p)
-    check_probability("q", q)
-    masks = [0] * m
-    for eid in range(m):
-        for v in H.edge(eid):
-            masks[eid] |= 1 << v
-    full = (1 << n) - 1
-    total = 0.0
-    for i0 in range(1 << n):
-        k = bin(i0).count("1")
-        pw = p ** k * (1.0 - p) ** (n - k)
-        if pw == 0.0:
-            continue
-        if i0 == full:
-            total += pw
-            continue
-        if _closure_bits(i0, masks) != full:
-            continue    # even every coin succeeding cannot finish the job
-        acc = 0.0
-        for sbits in range(1 << m):
-            s = bin(sbits).count("1")
-            qw = q ** s * (1.0 - q) ** (m - s)
-            if qw == 0.0:
-                continue
-            sel = [masks[j] for j in range(m) if sbits >> j & 1]
-            if _closure_bits(i0, sel) == full:
-                acc += qw
-        total += pw * acc
-    return total
 
 
 # -- critical-density estimation -----------------------------------------------

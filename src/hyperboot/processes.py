@@ -286,17 +286,6 @@ def drain(ps: ProcessState) -> None:
         _reveal_one(ps, st.open_list[-1])
 
 
-def run_to_quiescence(H: Hypergraph, infected0, coins: CoinOracle) -> set:
-    """Final infected set of a schedule that exhausts the open set.
-
-    Equals closure(H, infected0, coin success set); which open edge is
-    revealed first cannot matter because coins are per-edge.
-    """
-    ps = ProcessState(H, infected0, coins)
-    drain(ps)
-    return set(np.flatnonzero(ps.state.infected).tolist())
-
-
 @dataclass
 class PipelineResult:
     percolated: bool

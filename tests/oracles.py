@@ -1,16 +1,28 @@
 """Slow, independent recomputations used as ground truth by the tests.
 
 Everything here is deliberately naive: plain dicts, sets, full rescans and
-subset enumeration, sharing no code with the package under test.  The one
-exception is reveal_batch_oracle, which replays the package's own scalar
-reveal operations edge by edge as the reference for its batch path.  Where
-a closed form exists (quadratic roots, binomial means) it is spelled out
-from scratch rather than imported.
+subset enumeration, sharing no code with the package under test.  Where a
+closed form exists (quadratic roots, binomial means) it is spelled out from
+scratch rather than imported.  Four references use package code on
+purpose: reveal_batch_oracle and run_to_quiescence replay the package's
+scalar reveal operations, as references for its batch path and for the
+closure; exact_percolation_probability validates its arguments as the
+package does; general_star_family_oracle builds the package's
+configurations and dedupes them by canonical_config_key.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from hyperboot.builders import SizeGuardError
+from hyperboot.census import Configuration, canonical_config_key
+from hyperboot.hypergraph import Hypergraph, check_probability
+from hyperboot.processes import ProcessState, drain
+
+EXACT_ORACLE_LIMIT = 22      # max n + |E| for the brute-force oracle
 
 
 # -- deterministic closure ---------------------------------------------------
@@ -88,6 +100,17 @@ def reveal_batch_oracle(ps, edges):
         if not st.infected[u]:
             st.infect(u)
     return len(hits)
+
+
+def run_to_quiescence(H, infected0, coins) -> set:
+    """Final infected set of a schedule that exhausts the open set.
+
+    Equals closure(H, infected0, coin success set); which open edge is
+    revealed first cannot matter because coins are per-edge.
+    """
+    ps = ProcessState(H, infected0, coins)
+    drain(ps)
+    return set(np.flatnonzero(ps.state.infected).tolist())
 
 
 # -- degrees, codegrees, links ------------------------------------------------
@@ -264,6 +287,61 @@ def percolation_prob_oracle(n, edges, p, q):
     return total
 
 
+def _closure_bits(inf: int, masks) -> int:
+    changed = True
+    while changed:
+        changed = False
+        for em in masks:
+            h = em & ~inf
+            if h and not (h & (h - 1)):
+                inf |= h
+                changed = True
+    return inf
+
+
+def exact_percolation_probability(H, p: float, q: float) -> float:
+    """Exact percolation probability by summing over all (I0, edge-set) pairs.
+
+    Weighted by the Bernoulli masses of the 2^n initial sets and 2^|E| coin
+    outcomes; each term is decided by a bitmask closure.  Guarded to
+    n + |E| <= 22 because the cost is exponential in both.
+    """
+    n, m = H.n, H.num_edges
+    if n + m > EXACT_ORACLE_LIMIT:
+        raise SizeGuardError(
+            f"exact oracle needs n + |E| <= {EXACT_ORACLE_LIMIT}, "
+            f"got {n} + {m}")
+    check_probability("p", p)
+    check_probability("q", q)
+    masks = [0] * m
+    for eid in range(m):
+        for v in H.edge(eid):
+            masks[eid] |= 1 << v
+    full = (1 << n) - 1
+    total = 0.0
+    for i0 in range(1 << n):
+        k = bin(i0).count("1")
+        pw = p ** k * (1.0 - p) ** (n - k)
+        if pw == 0.0:
+            continue
+        if i0 == full:
+            total += pw
+            continue
+        if _closure_bits(i0, masks) != full:
+            continue    # even every coin succeeding cannot finish the job
+        acc = 0.0
+        for sbits in range(1 << m):
+            s = bin(sbits).count("1")
+            qw = q ** s * (1.0 - q) ** (m - s)
+            if qw == 0.0:
+                continue
+            sel = [masks[j] for j in range(m) if sbits >> j & 1]
+            if _closure_bits(i0, sel) == full:
+                acc += qw
+        total += pw * acc
+    return total
+
+
 # -- rooted copy counting by subset enumeration ----------------------------------
 
 def count_copies_oracle(host_edges, pattern_edges, roots, marked,
@@ -369,3 +447,30 @@ def general_stars_oracle(edges, infected, v, i, j):
                     seen.add(frozenset(pick))
         total += len(seen)
     return total
+
+
+def general_star_family_oracle(r, i, j):
+    """general_star_family by labelled overlap choices: pendant k takes
+    every subset of the marked vertices so far, its other r-1 vertices
+    fresh, and the members are deduped by canonical_config_key; sorted as
+    the package sorts them."""
+    central = list(range(r))          # 0 root, 1..i marked, i+1..r-1 neutral
+    attaches = [i + 1 + k for k in range(j)]
+    shapes = {}
+
+    def rec(k, edges, marked, nxt):
+        if k == j:
+            F = Hypergraph.from_rows(nxt, r, edges)
+            cfg = Configuration(F, frozenset([0]), frozenset(marked))
+            shapes.setdefault(canonical_config_key(cfg), cfg)
+            return
+        pool = sorted(marked)
+        for take in range(0, min(r - 1, len(pool)) + 1):
+            for old in itertools.combinations(pool, take):
+                fresh = list(range(nxt, nxt + (r - 1 - take)))
+                rec(k + 1, edges + [[attaches[k]] + list(old) + fresh],
+                    marked | set(fresh), nxt + len(fresh))
+
+    rec(0, [central], set(range(1, i + 1)), r)
+    return sorted(shapes.values(),
+                  key=lambda c: (c.pattern.n, canonical_config_key(c)))

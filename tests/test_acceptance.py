@@ -22,16 +22,16 @@ from hyperboot.census import (count_general_stars, count_pendant_stars,
 from hyperboot.engine import closure
 from hyperboot.experiments import (ExperimentSpec, ModelRecipe,
                                    estimate_pc_bisection,
-                                   exact_percolation_probability,
                                    percolation_probability_mc, render_report,
                                    run_experiment)
 from hyperboot.hypergraph import check_well_behaved
 from hyperboot.processes import (CoinOracle, ProcessState, full_pipeline,
-                                 phase1_run, run_to_quiescence)
+                                 phase1_run)
 from hyperboot.theory import (Criticality, ModelParams, classify_criticality,
                               critical_initial_constant, open_edge_density,
                               star_density, stationary_and_roots)
-from oracles import nbhd_intersection_oracle, saturated_edges_oracle
+from oracles import (exact_percolation_probability, nbhd_intersection_oracle,
+                     run_to_quiescence, saturated_edges_oracle)
 
 MASTER_SEED = 2026
 

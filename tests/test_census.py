@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from hyperboot.census import (Configuration, canonical_config_key,
                               general_star_family, pendant_star_config,
                               rooted_copies, saturated_edge_config)
 from hyperboot.hypergraph import Hypergraph
-from oracles import (count_copies_oracle, general_stars_oracle,
-                     pendant_stars_oracle, saturated_edges_oracle)
+from oracles import (count_copies_oracle, general_star_family_oracle,
+                     general_stars_oracle, pendant_stars_oracle,
+                     saturated_edges_oracle)
 
 PATH_HOST = Hypergraph.from_rows(5, 3, [[0, 1, 2], [0, 2, 3], [0, 3, 4]])
 TWO_EDGE = Hypergraph.from_rows(5, 3, [[0, 1, 2], [2, 3, 4]])
@@ -235,6 +237,41 @@ def test_fast_counters_match_oracles_at_wide_edges():
                 pendant_total += got * (j == 2)
     assert pendant_total > 0       # two-pendant copies were found
 
+
+def test_general_stars_match_oracle_at_wide_pendants():
+    # r = 5 hosts around planted three- and four-pendant general stars at
+    # vertex 0 (the disjoint one, the most overlapped one and one at
+    # random), an edge filter on the four-pendant host; the members' copy
+    # sets stay disjoint
+    rng = np.random.default_rng(26)
+    r, n, found = 5, 24, 0
+    for j in (3, 4):
+        family = general_star_family(r, 0, j)
+        rows, marked = [], set()
+        for m in (family[0], family[-1], family[rng.integers(len(family))]):
+            place = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+            rows += place[m.pattern.edges_array].tolist()
+            marked |= set(place[sorted(m.marked)].tolist())
+        rows += [rng.choice(n, r, replace=False).tolist() for _ in range(12)]
+        H = Hypergraph.from_rows(n, r, rows)
+        noise = rng.choice(n, 3, replace=False).tolist()
+        infected = sorted(marked | set(noise))
+        active = rng.random(H.num_edges) < 0.9 if j == 4 else None
+        edges = [e for e, a in zip(edge_lists(H), active if active is not None
+                                   else [True] * H.num_edges) if a]
+        for i in range(r - j):
+            copies = [set(map(tuple, rooted_copies(
+                          H, infected, m, [0], active).tolist()))
+                      for m in general_star_family(r, i, j)]
+            total = sum(len(c) for c in copies)
+            assert len(set().union(*copies)) == total
+            got = count_general_stars(H, infected, 0, i, j, active)
+            assert got == total == general_stars_oracle(edges, infected, 0,
+                                                        i, j)
+            found += got * (i == 0)
+    assert found > 0               # planted stars were found at i = 0
+
+
 # sha256 of every counter at 5 vertices of the K_30 triangle lift, as a
 # JSON list, pinned on the recursive matcher and the hand-written counters
 # that the level-wise join replaced
@@ -317,6 +354,33 @@ def test_general_star_family_shapes():
     keys = {canonical_config_key(c) for c in fam}
     assert canonical_config_key(pendant_star_config(3, 0, 2)) in keys
     assert len(fam) > 1
+
+
+# the (r, i, j) with r = 3..6 whose labelled derivation, the oracle's, does
+# not finish within 10 s
+LABELLED_TOO_SLOW = {(5, 0, 4), (6, 0, 4), (6, 0, 5), (6, 1, 4), (6, 2, 3)}
+
+
+@pytest.mark.parametrize("rij", [
+    (r, i, j) for r in range(3, 7) for i in range(r) for j in range(r - i)
+    if (r, i, j) not in LABELLED_TOO_SLOW], ids="r{0[0]}i{0[1]}j{0[2]}".format)
+def test_general_star_family_matches_labelled_oracle(rij):
+    got = [(c.pattern.n, canonical_config_key(c))
+           for c in general_star_family(*rij)]
+    want = [(c.pattern.n, canonical_config_key(c))
+            for c in general_star_family_oracle(*rij)]
+    assert got == want
+
+
+def test_general_star_family_five_four_pendants_in_time():
+    # the labelled derivation does not finish (5, 0, 4) within 100 s
+    t0 = time.monotonic()
+    family = census._general_star_family.__wrapped__(5, 0, 4)
+    assert time.monotonic() - t0 < 15.0
+    assert len(family) == 332
+    assert len({canonical_config_key(c) for c in family}) == 332
+    assert canonical_config_key(pendant_star_config(5, 0, 4)) == (
+        canonical_config_key(family[-1]))
 
 
 def test_general_star_family_is_derived_once():

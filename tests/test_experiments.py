@@ -21,7 +21,6 @@ from hyperboot.builders import (SizeGuardError, bootstrap_lift,
 from hyperboot.engine import closure, sample_edge_set, sample_vertex_set
 from hyperboot.experiments import (ExperimentSpec, ModelRecipe,
                                    estimate_pc_bisection,
-                                   exact_percolation_probability,
                                    percolation_probability_mc,
                                    record_trajectory,
                                    render_report, run_experiment,
@@ -30,7 +29,8 @@ from hyperboot.experiments import (ExperimentSpec, ModelRecipe,
 from hyperboot.hypergraph import Hypergraph
 from hyperboot.processes import CoinOracle, full_pipeline
 from hyperboot.theory import ModelParams
-from oracles import percolation_prob_oracle, wilson_oracle
+from oracles import (exact_percolation_probability, percolation_prob_oracle,
+                     wilson_oracle)
 
 SINGLE_EDGE = Hypergraph.from_rows(3, 3, [[0, 1, 2]])
 

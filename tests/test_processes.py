@@ -16,13 +16,12 @@ from hyperboot.processes import (COIN_BLOCK, PHASE1, PHASE2_SUB,
                                  PHASE2_SUPER, QUIESCENT, TRACE_HEADER,
                                  CoinOracle, ProcessState,
                                  _reveal_batch, drain, full_pipeline,
-                                 phase1_run, run_to_quiescence,
-                                 saturation_threshold, subcritical_round,
-                                 supercritical_budget, supercritical_round,
-                                 write_trace_csv)
+                                 phase1_run, saturation_threshold,
+                                 subcritical_round, supercritical_budget,
+                                 supercritical_round, write_trace_csv)
 from hyperboot.theory import ModelParams
 from oracles import (open_by_vertex_oracle, open_edges_oracle,
-                     reveal_batch_oracle)
+                     reveal_batch_oracle, run_to_quiescence)
 
 TWO_EDGE = Hypergraph.from_rows(5, 3, [[0, 1, 2], [2, 3, 4]])
 

@@ -24,8 +24,6 @@ PROGRAM = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 # public names kept although no program path calls them
 ALLOWED = {
-    "exact_percolation_probability": "oracle of the exact 11/16 gate",
-    "run_to_quiescence": "oracle of the process/closure coupling gate",
     "CoinOracle.success_mask": "coin success set of the coupling gate",
     "enumerate_secondary": "the paper's secondary configuration family",
     "saturated_edge_config": "named configuration, counted through "
