@@ -21,7 +21,8 @@ work, and one between them grows the failed closure by the new seeds
 instead of closing from scratch.  A scan thus runs one closure per kept
 trial.  A lone evaluation keeps nothing.  Worker threads take the trials
 of an evaluation from one queue and all read and fill the one trial set,
-so a multi-worker scan or bisection also draws each trial once.
+so a multi-worker scan or bisection also draws each trial once; the trial
+set owns the one thread pool that all its evaluations use.
 """
 
 from __future__ import annotations
@@ -301,7 +302,10 @@ class _TrialSet:
     the kept trials' _Trial.nbytes would then sum past H's own rows and
     CSR; a trial not kept is drawn and closed again for each p.  Threads may
     share a set while each trial index is asked by one thread at a time; a
-    lock makes the check and charge of the room one step.
+    lock makes the check and charge of the room one step.  The set is a
+    context manager: count starts one thread pool and keeps it for every
+    later count at the same thread count, and leaving the context (or
+    close) shuts it down, so a scan or bisection starts its threads once.
     """
 
     def __init__(self, H: Hypergraph, q: float, seed: int):
@@ -310,6 +314,20 @@ class _TrialSet:
         self.kept: dict = {}
         self._room = _nbytes(H)
         self._lock = threading.Lock()
+        self._pool = None   # (threads, ThreadPoolExecutor) once count needs it
+
+    def __enter__(self) -> "_TrialSet":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the pool down: queued trials are cancelled, running ones are
+        waited for."""
+        if self._pool is not None:
+            self._pool[1].shutdown(cancel_futures=True)
+            self._pool = None
 
     def _draw(self, k: int) -> _Trial:
         H, seed = self.H, self.seed
@@ -334,6 +352,20 @@ class _TrialSet:
                         self.kept[k] = trial
         return trial.percolates(p)
 
+    def count(self, p: float, trials: int, threads: int, keep: bool) -> int:
+        """How many of trials 0..trials-1 percolate at p.  One thread counts
+        them in the calling thread; more take them from the set's pool.  An
+        error or Ctrl-C leaves the set's context, whose close cancels the
+        queued trials, so the count ends once the running ones return."""
+        if threads == 1:
+            return sum(self.percolates(k, p, keep) for k in range(trials))
+        if self._pool is None or self._pool[0] != threads:
+            self.close()
+            self._pool = (threads, ThreadPoolExecutor(max_workers=threads))
+        futures = [self._pool[1].submit(self.percolates, k, p, keep)
+                   for k in range(trials)]
+        return sum(f.result() for f in as_completed(futures))
+
 
 def percolation_probability_mc(H: Hypergraph, p: float, q: float,
                                trials: int, seed: int, workers: int = 1, *,
@@ -345,35 +377,24 @@ def percolation_probability_mc(H: Hypergraph, p: float, q: float,
     Bernoulli(q) per edge, then asks the closure whether everything gets
     infected.  min(workers, trials, os.cpu_count()) threads share the
     trials: one thread counts them in the calling thread, more take them
-    from one executor queue.  Totals are sums, so any thread count gives the
-    identical result.  trial_set, the _TrialSet of this (H, q, seed), keeps
-    the trials that every thread draws for later calls at other p; without
-    it the call keeps nothing.
+    from one executor queue (_TrialSet.count).  Totals are sums, so any
+    thread count gives the identical result.  trial_set, the _TrialSet of
+    this (H, q, seed), keeps the trials that every thread draws, and its
+    pool, for later calls at other p; without it the call keeps nothing.
     """
     _check_count("trials", trials)
     _check_count("workers", workers)
     check_probability("p", p)
     check_probability("q", q)
-    keep = trial_set is not None
-    if not keep:
-        trial_set = _TrialSet(H, q, seed)
+    threads = min(workers, trials, os.cpu_count() or 1)
+    if trial_set is None:
+        with _TrialSet(H, q, seed) as lone:
+            successes = lone.count(p, trials, threads, keep=False)
     elif (trial_set.H is not H or trial_set.q != q
           or trial_set.seed != seed):
         raise ValueError("trial set was drawn for another host, q or seed")
-    threads = min(workers, trials, os.cpu_count() or 1)
-    if threads == 1:
-        successes = sum(trial_set.percolates(k, p, keep)
-                        for k in range(trials))
     else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        try:
-            futures = [pool.submit(trial_set.percolates, k, p, keep)
-                       for k in range(trials)]
-            successes = sum(f.result() for f in as_completed(futures))
-        finally:
-            # on an error or Ctrl-C the queued trials are cancelled, so the
-            # evaluation ends once the running ones return
-            pool.shutdown(cancel_futures=True)
+        successes = trial_set.count(p, trials, threads, keep=True)
     return MCResult(p=p, q=q, trials=int(trials), successes=int(successes))
 
 
@@ -438,25 +459,25 @@ def estimate_pc_bisection(H: Hypergraph, q: float, seed: int,
     if d is None:
         d = float(H.max_degree())
     _check_positive("degree scale d", d)
-    trial_set = _TrialSet(H, q, seed)
     lo, hi = 0.0, 1.0
     evals = []
     stop_reason = "tol"
     p_hat = None
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        res = percolation_probability_mc(H, mid, q, trials, seed, workers,
-                                         trial_set=trial_set)
-        evals.append(res)
-        ci_lo, ci_hi = res.ci
-        if ci_lo <= 0.5 <= ci_hi:
-            stop_reason = "ambiguous"
-            p_hat = mid
-            break
-        if res.fraction >= 0.5:
-            hi = mid
-        else:
-            lo = mid
+    with _TrialSet(H, q, seed) as trial_set:
+        while hi - lo > tol:
+            mid = (lo + hi) / 2.0
+            res = percolation_probability_mc(H, mid, q, trials, seed, workers,
+                                             trial_set=trial_set)
+            evals.append(res)
+            ci_lo, ci_hi = res.ci
+            if ci_lo <= 0.5 <= ci_hi:
+                stop_reason = "ambiguous"
+                p_hat = mid
+                break
+            if res.fraction >= 0.5:
+                hi = mid
+            else:
+                lo = mid
     if p_hat is None:
         p_hat = (lo + hi) / 2.0
     return PcEstimate(
@@ -501,13 +522,15 @@ def threshold_scan(H: Hypergraph, grid: Iterable[float], alpha: float,
     if not cs:
         raise ValueError("scan needs a nonempty grid")
     grid_params = [ModelParams(r=H.r, c=c, alpha=alpha, d=d) for c in cs]
-    trial_set = _TrialSet(H, grid_params[0].q, seed)   # q does not depend on c
     rows = []
-    for params in grid_params:
-        res = percolation_probability_mc(H, params.p, params.q, trials,
-                                         seed, workers, trial_set=trial_set)
-        rows.append(ScanRow(c=params.c, result=res,
-                            predicted=classify_criticality(params).value))
+    # q does not depend on c
+    with _TrialSet(H, grid_params[0].q, seed) as trial_set:
+        for params in grid_params:
+            res = percolation_probability_mc(H, params.p, params.q, trials,
+                                             seed, workers,
+                                             trial_set=trial_set)
+            rows.append(ScanRow(c=params.c, result=res,
+                                predicted=classify_criticality(params).value))
     return rows
 
 

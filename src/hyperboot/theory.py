@@ -11,7 +11,9 @@ N * density(t) at t = m/N, where
 Whether density ever hits zero decides the regime: two positive roots mean
 the single-reveal phase starves (subcritical), no roots mean it keeps
 accelerating (supercritical).  The dividing line in closed form is
-c^(r-2) * alpha = (r-2)^(r-2) / (r-1)^(r-1).
+c^(r-2) * alpha = (r-2)^(r-2) / (r-1)^(r-1).  The roots are found by
+_brentq, a line-for-line transcription of scipy's brentq.c (Brent's method),
+so the package needs numpy alone and its roots equal scipy's bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from math import comb, log
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hypergraph import is_count, is_number
 
 ROOT_RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-12
+BRENT_MAXITER = 100
 
 
 class BoundaryError(ValueError):
@@ -117,8 +119,9 @@ def stationary_and_roots(p: ModelParams) -> TrajectoryRoots:
 
     The density has a unique stationary point on the physical branch; a
     strictly negative stationary value yields exactly two positive roots,
-    found by bracketed solving and polished to residual <= 1e-9.  A
-    stationary value within 1e-12 of zero is refused as boundary.
+    found by Brent's method (_brentq) on [0, t_min] and [t_min, hi] and
+    polished by Newton steps to residual <= 1e-9.  A stationary value within
+    1e-12 of zero is refused as boundary.
     """
     r, c, a = p.r, p.c, p.alpha
     t_min = ((1.0 / (a * (r - 1))) ** (1.0 / (r - 2)) - c) / a
@@ -134,16 +137,80 @@ def stationary_and_roots(p: ModelParams) -> TrajectoryRoots:
     def g(t):
         return open_edge_density(t, p)
 
-    root_low = _polish(brentq(g, 0.0, t_min, xtol=1e-15, rtol=8.9e-16), p)
+    root_low = _polish(_brentq(g, 0.0, t_min, xtol=1e-15, rtol=8.9e-16), p)
     hi = t_min + 1.0
     while g(hi) <= 0:
         hi = t_min + 2 * (hi - t_min)
-    root_high = _polish(brentq(g, t_min, hi, xtol=1e-15, rtol=8.9e-16), p)
+    root_high = _polish(_brentq(g, t_min, hi, xtol=1e-15, rtol=8.9e-16), p)
     for root in (root_low, root_high):
         if abs(open_edge_density(root, p)) > ROOT_RESIDUAL_TOL:
             raise RuntimeError(f"root residual {open_edge_density(root, p):.3e} "
                                f"exceeds {ROOT_RESIDUAL_TOL}")
     return TrajectoryRoots(t_min, g_min, root_low, root_high)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of f in the bracket [xa, xb] by Brent's method (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).
+
+    Operation for operation this is scipy.optimize.brentq (its brentq.c and
+    the NaN check of its Python wrapper), so it returns the same float: an
+    endpoint where f is zero is returned as is; a bracket whose ends have
+    the same sign, or a NaN value of f, raises ValueError; BRENT_MAXITER
+    steps without convergence raise RuntimeError.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; "
+                             "solver cannot continue")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # where den underflows to 0, brentq.c's step is an infinity
+                # or NaN, which bisects below as math.inf does
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den
+                        if den else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
 
 
 def _polish(t: float, p: ModelParams) -> float:

@@ -212,6 +212,55 @@ def test_mc_error_in_one_thread_stops_the_others(monkeypatch):
     assert 1 <= len(counted) < 10
 
 
+class _RecordingPool(ThreadPoolExecutor):
+    """A ThreadPoolExecutor that logs its creation and its shutdowns."""
+    log: list = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.log.append(f"made {max_workers}")
+
+    def shutdown(self, *args, **kwargs):
+        super().shutdown(*args, **kwargs)
+        self.log.append("shut")
+
+
+def test_scan_and_bisection_reuse_one_pool(monkeypatch):
+    H = bootstrap_lift(complete_uniform(12, 2), load_pattern("k3"))
+    runs = {
+        "scan": lambda workers: threshold_scan(
+            H, [0.25, 0.8, 1.4, 2.0], 1.0, 10.0, 21, 4, workers),
+        "bisection": lambda workers: estimate_pc_bisection(
+            H, 10.0 ** -0.5, 4, trials=21, tol=0.05, d=10.0,
+            workers=workers),
+    }
+    want = {name: run(1) for name, run in runs.items()}
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "log", [])
+    for name, run in runs.items():
+        _RecordingPool.log.clear()
+        assert run(2) == want[name]
+        # one two-thread pool for all the evaluations, shut by the return
+        assert _RecordingPool.log == ["made 2", "shut"]
+    # an error in a pool thread cancels the queued trials and shuts the pool
+    asked = []
+    percolates = experiments._TrialSet.percolates
+
+    def failing(trial_set, k, p, keep):
+        asked.append(k)
+        if len(asked) == 31:   # the tenth call of the second evaluation
+            raise RuntimeError("a trial failed")
+        time.sleep(0.005)
+        return percolates(trial_set, k, p, keep)
+    monkeypatch.setattr(experiments._TrialSet, "percolates", failing)
+    _RecordingPool.log.clear()
+    with pytest.raises(RuntimeError, match="a trial failed"):
+        runs["scan"](2)
+    assert _RecordingPool.log == ["made 2", "shut"]
+    assert len(asked) < 40
+
+
 def test_exact_oracle_complete_4_3():
     assert exact_percolation_probability(
         complete_uniform(4, 3), 0.5, 1.0) == pytest.approx(11 / 16, abs=1e-12)
@@ -425,31 +474,32 @@ def test_trial_set_keeps_trials_within_the_host_size(monkeypatch):
     # the threads of a multi-worker evaluation share the set; four threads
     # and a short switch interval interleave their charges of its room
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    trial_set = experiments._TrialSet(H, 0.3, 8)
-    draws = []
-    draw = trial_set._draw
-    monkeypatch.setattr(trial_set, "_draw", lambda k: draws.append(k)
-                        or draw(k))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = percolation_probability_mc(H, 0.3, 0.3, 40, 8, workers=8,
+    with experiments._TrialSet(H, 0.3, 8) as trial_set:
+        draws = []
+        draw = trial_set._draw
+        monkeypatch.setattr(trial_set, "_draw", lambda k: draws.append(k)
+                            or draw(k))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = percolation_probability_mc(H, 0.3, 0.3, 40, 8, workers=8,
+                                             trial_set=trial_set)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == _fresh_mc(H, 0.3, 0.3, 40, 8)
+        kept = set(trial_set.kept)
+        assert 0 < len(kept) < 40 and trial_set._room >= 0
+        # uniforms, success rows and CSR, then the closure's mask and int8
+        # counts
+        assert experiments._nbytes(H) == trial_set._room + sum(
+            t.u.nbytes + experiments._nbytes(t.host) + t.host.n
+            + t.host.num_edges for t in trial_set.kept.values())
+        # another p draws again exactly the trials that were not kept
+        draws.clear()
+        got = percolation_probability_mc(H, 0.5, 0.3, 40, 8, workers=2,
                                          trial_set=trial_set)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == _fresh_mc(H, 0.3, 0.3, 40, 8)
-    kept = set(trial_set.kept)
-    assert 0 < len(kept) < 40 and trial_set._room >= 0
-    # uniforms, success rows and CSR, then the closure's mask and int8 counts
-    assert experiments._nbytes(H) == trial_set._room + sum(
-        t.u.nbytes + experiments._nbytes(t.host) + t.host.n
-        + t.host.num_edges for t in trial_set.kept.values())
-    # another p draws again exactly the trials that were not kept
-    draws.clear()
-    got = percolation_probability_mc(H, 0.5, 0.3, 40, 8, workers=2,
-                                     trial_set=trial_set)
-    assert got == _fresh_mc(H, 0.5, 0.3, 40, 8)
-    assert sorted(draws) == sorted(set(range(40)) - kept)
+        assert got == _fresh_mc(H, 0.5, 0.3, 40, 8)
+        assert sorted(draws) == sorted(set(range(40)) - kept)
     for host, q, seed in ((complete_uniform(5, 3), 0.3, 8), (H, 0.4, 8),
                           (H, 0.3, 9)):
         with pytest.raises(ValueError, match="trial set"):
@@ -496,13 +546,13 @@ def test_trial_set_answers_match_fresh_draws_in_any_p_order(monkeypatch,
         # the host's own room keeps some trials; an unbounded one keeps all
         for room in (None, math.inf):
             for order in _p_orders(rng, ps):
-                trial_set = experiments._TrialSet(H, q, seed)
-                if room is not None:
-                    trial_set._room = room
-                for p in order:
-                    assert percolation_probability_mc(
-                        H, p, q, trials, seed, workers,
-                        trial_set=trial_set) == want[p], (H, q, p)
+                with experiments._TrialSet(H, q, seed) as trial_set:
+                    if room is not None:
+                        trial_set._room = room
+                    for p in order:
+                        assert percolation_probability_mc(
+                            H, p, q, trials, seed, workers,
+                            trial_set=trial_set) == want[p], (H, q, p)
                 if room is not None:
                     assert len(trial_set.kept) == trials
 

@@ -12,10 +12,13 @@ test belongs against an oracle in tests/oracles.py.  No package module has a
 by every caller in the process, so it is passed as an argument instead.
 Every defaulted parameter of a public function, method or constructor is
 passed by some call in the program or benchmark; one that no call passes is
-a setting no run can change.
+a setting no run can change.  The package imports only the standard
+library, numpy and itself, and importing all of it loads no scipy module.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,3 +160,32 @@ def test_no_module_has_a_global_statement():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Global)]
     assert not found, f"global statements: {found}"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hyperboot"}
+    found = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert not found, f"imports beyond the standard library and numpy: {found}"
+
+
+def test_importing_the_package_loads_no_scipy():
+    modules = sorted(f"hyperboot.{path.stem}" for path in PACKAGE
+                     if path.stem != "__init__")
+    script = (f"import sys\nfor name in {modules!r}:\n    __import__(name)\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         cwd=ROOT / "src").stdout
+    assert "hyperboot.cli" in modules
+    assert out.strip() == "[]", f"scipy modules loaded: {out}"

@@ -322,3 +322,81 @@ def test_derive_constants_solves_the_roots_once(monkeypatch):
         assert calls == [p]
         text = json.dumps(dc.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def _brent_pair(f, a, b, xtol, rtol):
+    """(_brentq's outcome, scipy.optimize.brentq's), each a pair: the root
+    or the type of the error raised, and the points where it called f."""
+    # the oracle: only the tests import scipy
+    from scipy.optimize import brentq
+    out = []
+    for solve in (theory._brentq, brentq):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+        try:
+            got = solve(counted, a, b, xtol=xtol, rtol=rtol)
+        except (ValueError, RuntimeError) as exc:
+            got = type(exc)
+        out.append((got, calls))
+    return out
+
+
+def test_brentq_equals_scipy_on_density_brackets():
+    # both roots of random subcritical densities, bracketed and toleranced
+    # as stationary_and_roots does; every root and every probe is equal
+    rng = np.random.default_rng(27)
+    solved = 0
+    while solved < 1000:
+        r, alpha = int(rng.integers(3, 8)), float(rng.uniform(0.05, 5.0))
+        cstar = critical_initial_constant(r, alpha)
+        c = float(rng.uniform(0.0, 0.999)) * cstar
+        t_min = stationary_t_oracle(r, c, alpha)
+
+        def g(t):
+            return gamma_oracle(r, c, alpha, t)
+        if t_min <= 0 or g(t_min) >= 0:
+            continue
+        hi = t_min + 1.0
+        while g(hi) <= 0:
+            hi = t_min + 2 * (hi - t_min)
+        for a, b in ((0.0, t_min), (t_min, hi)):
+            ours, scipys = _brent_pair(g, a, b, 1e-15, 8.9e-16)
+            assert isinstance(ours[0], float), (r, c, alpha, a, b)
+            assert ours[0].hex() == scipys[0].hex() and ours[1] == scipys[1]
+            solved += 1
+
+
+def test_brentq_keeps_scipys_checks():
+    def step(x):
+        return 1.0 if x >= 0 else -1.0
+
+    def nan_inside(x):
+        return math.nan if abs(x) < 0.5 else x
+    cases = [
+        (lambda x: x - 1.0, 1.0, 3.0, 1e-15, 8.9e-16, 1.0),     # endpoint root
+        (lambda x: x - 1.0, 0.0, 1.0, 1e-15, 8.9e-16, 1.0),
+        (lambda x: x - 1.0, 2.0, 3.0, 1e-15, 8.9e-16, ValueError),  # same sign
+        (lambda x: math.nan, 0.0, 1.0, 1e-15, 8.9e-16, ValueError),
+        (nan_inside, -1.0, 2.0, 1e-15, 8.9e-16, ValueError),   # NaN mid-way
+        # a jump at 0 bisects, and the relative tolerance shrinks with x:
+        # [-1, 1] down to 1e-300 needs about 1000 halvings
+        (step, -1.0, 1.0, 1e-300, 8.9e-16, RuntimeError),
+        (step, -1.0, 1.0, 1e-15, 8.9e-16, None),
+        # values near 1e-200: the extrapolation's denominator underflows
+        # to 0, where brentq.c's step is an infinity and bisects
+        (lambda x: 1e-200 * (x - 0.4) ** 3, 0.0, 3.0, 1e-15, 8.9e-16, None),
+        (lambda x: 1e-200 * (x - 0.4), -1.0, 2.0, 1e-15, 8.9e-16, None),
+        # a wide xtol, where the "- delta" of the short-step test decides
+        (lambda x: x * x - 2, -2.4, 0.0, 0.1, 8.9e-16, -1.4162131519274384),
+    ]
+    for f, a, b, xtol, rtol, want in cases:
+        ours, scipys = _brent_pair(f, a, b, xtol, rtol)
+        assert ours == scipys
+        if want is not None:
+            assert ours[0] == want
+    # the cap: two endpoint values, then one per iteration
+    assert theory.BRENT_MAXITER == 100
+    assert len(_brent_pair(step, -1.0, 1.0, 1e-300, 8.9e-16)[0][1]) == 102
