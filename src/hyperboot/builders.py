@@ -6,13 +6,19 @@ forms a subhypergraph isomorphic to F).  A complete host's lift, the
 paper's lift of K_n through F and every instance at scale, is generated in
 closed form.  match_copies is the one copy matcher: a level-wise numpy join
 over F's edges in connectivity order, used for the lifts of other hosts
-and, with roots, marks and edge filters, for every census count.
+and, with roots, marks and edge filters, for every census count.  It finds
+a copy once per orbit of F's automorphisms that fix the roots and keep the
+marks: the group is searched once per pattern at the edge level, over the
+classes of twin vertices, and turned into conditions phi(x) < phi(y) on
+the witness maps.  What roots and marks still let repeat is deduped by one
+sorted key per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from itertools import combinations, permutations
 from math import comb
@@ -61,6 +67,105 @@ def _edge_order(F: Hypergraph, covered=()) -> list:
     return order
 
 
+def vertex_classes(F: Hypergraph, roots, marked) -> dict:
+    """F's vertices by class: {(incident edge ids, role): vertices ascending},
+    the role "r" for a root, "m" for a marked vertex and "n" otherwise.
+
+    The vertices of one class are twins: any permutation of them is an
+    automorphism of F that keeps every role.
+    """
+    classes: dict = {}
+    for x in range(F.n):
+        role = "r" if x in roots else "m" if x in marked else "n"
+        classes.setdefault((tuple(F.incident_edges(x).tolist()), role),
+                           []).append(x)
+    return classes
+
+
+def _automorphisms(F: Hypergraph, classes: dict) -> list:
+    """F's automorphisms that fix every root and keep the marked set, up to
+    twins, given F's vertex_classes: one vertex map (a tuple) per edge
+    permutation that maps each class onto a class of the same size and role
+    and fixes each class holding a root; the map sends a class onto its
+    image in ascending order.
+
+    Edges are placed one at a time, each where it shares with every edge
+    placed before what its image shares with their images, so the search
+    stays small however many vertices the classes hold.
+    """
+    m = F.num_edges
+    # the kinds of the classes in both edges a and b (a = b: in edge a)
+    share = [[sorted((role, len(vs), len(S)) for (S, role), vs in classes.items()
+                     if a in S and b in S) for b in range(m)] for a in range(m)]
+    group = []
+
+    def place(pi: tuple):
+        if len(pi) < m:
+            for e in range(m):
+                if e not in pi and all(share[len(pi)][i] == share[e][f]
+                                       for i, f in enumerate(pi + (e,))):
+                    place(pi + (e,))
+            return
+        sigma = list(range(F.n))
+        for (S, role), vs in classes.items():
+            image = tuple(sorted(pi[e] for e in S))
+            if (len(classes.get((image, role), ())) != len(vs)
+                    or role == "r" and image != S):
+                return
+            for x, y in zip(vs, classes[image, role]):
+                sigma[x] = y
+        group.append(tuple(sigma))
+
+    place(())
+    return group
+
+
+def _symmetry_conditions(F: Hypergraph, roots, marked) -> list:
+    """Pairs (x, y): a join keeps a witness map phi only if phi(x) < phi(y),
+    which leaves one witness per orbit of the automorphisms that fix the
+    roots and keep the marks (Grochow and Kellis, RECOMB 2007).
+
+    Twins take ascending images.  The least vertices of the classes then
+    follow a stabiliser chain of the edge-level group: the least one, x,
+    that the group moves must map below every other vertex of its orbit,
+    and the chain goes on with the stabiliser of x.
+    """
+    classes = vertex_classes(F, roots, marked)
+    conditions = [pair for (edges, role), vs in classes.items()
+                  if edges and role != "r" for pair in zip(vs, vs[1:])]
+    group = _automorphisms(F, classes)
+    for x in sorted(vs[0] for (edges, _), vs in classes.items() if edges):
+        conditions += [(x, y) for y in sorted({g[x] for g in group}) if y != x]
+        group = [g for g in group if g[x] == x]
+    return conditions
+
+
+@lru_cache(maxsize=None)
+def _join_plan(F: Hypergraph, roots: tuple, marked: frozenset) -> tuple:
+    """match_copies' levels, one per pattern edge in _edge_order: (vertices
+    mapped before, anchors, free vertices, the orderings of the free
+    vertices that their conditions allow, positions of the marked ones,
+    conditions against vertices mapped before)."""
+    conditions = _symmetry_conditions(F, roots, marked)
+    levels, assigned = [], list(roots)
+    for e in _edge_order(F, roots):
+        free = [x for x in F.edge(e) if x not in assigned]
+        inner = [(free.index(x), free.index(y)) for x, y in conditions
+                 if x in free and y in free]
+        perms = [p for p in permutations(range(len(free)))
+                 if all(p[s] < p[t] for s, t in inner)]
+        # a condition between a free vertex and one mapped before: (the free
+        # vertex's position, the other vertex, whether the free one is below)
+        later = [(free.index(x), y, True) if x in free
+                 else (free.index(y), x, False) for x, y in conditions
+                 if (x in free and y in assigned) or (y in free and x in assigned)]
+        levels.append((list(assigned), [x for x in F.edge(e) if x in assigned],
+                       free, np.array(perms, np.intp).reshape(len(perms), -1),
+                       [t for t, x in enumerate(free) if x in marked], later))
+        assigned += free
+    return tuple(levels)
+
+
 def match_copies(G: Hypergraph, F: Hypergraph, roots=(), images=(),
                  marked=frozenset(), infected=None, active=None) -> np.ndarray:
     """Copies of F in G under constraints, as unique rows of G-edge ids.
@@ -73,26 +178,30 @@ def match_copies(G: Hypergraph, F: Hypergraph, roots=(), images=(),
     A level-wise join (generic join, Ngo, Porat, Re and Rudra, PODS 2012):
     each row holds a partial map's vertex images, then its edges so far,
     and each level adds one pattern edge in _edge_order to every row.  The
-    free vertices take each ordering of the new edge's unassigned vertices,
-    except that twins (same role, same edges) take ascending images only.
+    join keeps one witness map per orbit of F's automorphisms that fix the
+    roots and keep the marks, by the conditions of _symmetry_conditions:
+    one between two free vertices of a level drops orderings of the new
+    edge's vertices up front, one between a free vertex and a vertex mapped
+    before drops a candidate's orderings as the level extends its rows.
+    A copy can still be found twice, through root bijections that permute
+    the roots or through witnesses related by an automorphism that moves a
+    marked vertex onto a neutral one, so the rows are deduped at the end.
     Passes of at most COPY_CANDIDATE_LIMIT candidates go depth first.
     """
     if F.r != G.r:
         raise ValueError(
             f"pattern uniformity {F.r} does not match host uniformity {G.r}")
-    roots, k = list(roots), F.n
-    role = [(F.incident_edges(x).tolist(), x in marked) for x in range(k)]
-    levels, assigned = [], list(roots)
-    for e in _edge_order(F, roots):
-        free = [x for x in F.edge(e) if x not in assigned]
-        twins = [(s, t) for s, t in combinations(range(len(free)), 2)
-                 if role[free[s]] == role[free[t]]]
-        perms = [p for p in permutations(range(len(free)))
-                 if all(p[s] < p[t] for s, t in twins)]
-        levels.append((list(assigned), [x for x in F.edge(e) if x in assigned],
-                       free, np.array(perms, np.intp).reshape(len(perms), -1),
-                       [t for t, x in enumerate(free) if x in marked]))
-        assigned += free
+    roots, images = [int(x) for x in roots], [int(y) for y in images]
+    if len(roots) != len(images):
+        raise ValueError(f"{len(images)} images for {len(roots)} roots")
+    for what, ids, size in (("root", roots, F.n), ("image", images, G.n)):
+        for x in ids:
+            if not 0 <= x < size:
+                raise ValueError(f"{what} {x} outside 0..{size - 1}")
+            if ids.count(x) > 1:
+                raise ValueError(f"{what} {x} repeated")
+    k = F.n
+    levels = _join_plan(F, tuple(roots), frozenset(marked))
     seeds = np.array(list(permutations(images)), dtype=np.int32)
     phi = np.full((len(seeds), k + len(levels)), -1, dtype=np.int32)
     phi[:, roots] = seeds.reshape(len(seeds), len(roots))
@@ -100,9 +209,9 @@ def match_copies(G: Hypergraph, F: Hypergraph, roots=(), images=(),
     while stack:
         level, phi, lookup = stack.pop()
         if level == len(levels) or not len(phi):
-            found.append(_unique_rows(np.sort(phi[:, k:], axis=1)))
+            found.append(np.sort(phi[:, k:], axis=1))
             continue
-        used, anchors, free, perms, marks = levels[level]
+        used, anchors, free, perms, marks, later = levels[level]
         lookup = lookup or _candidates(G, phi, anchors, roots, marks,
                                        infected, active)
         if lookup is None:
@@ -135,6 +244,9 @@ def match_copies(G: Hypergraph, F: Hypergraph, roots=(), images=(),
             inf = infected[rest]
             for t in marks:
                 fits &= inf[:, perms[:, t]]
+        for t, z, below in later:   # free vertex t against mapped vertex z
+            new, old = rest[:, perms[:, t]], phi[src, z, None]
+            fits &= (new < old) if below else (new > old)
         ci, pi = np.nonzero(fits)
         phi = phi[src[ci]]
         phi[:, free] = rest[ci[:, None], perms[pi]]
@@ -199,8 +311,9 @@ def enumerate_copies(G: Hypergraph, F: Hypergraph) -> np.ndarray:
     A copy is an injective map of the vertices F's edges span under which
     every edge of F lands exactly on an edge of G.  An isolated vertex of F
     is not mapped: it needs no vertex of G and does not multiply the count.
-    The result is deduplicated at the subhypergraph level, so automorphisms
-    of F do not inflate the count.
+    Copies count at the subhypergraph level: with no roots or marks the
+    join keeps one witness map per orbit of F's automorphisms, so it finds
+    each edge set once, and the final dedupe finds no repeats.
     """
     if not F.num_edges:
         return np.zeros((0, 0), dtype=np.int32)

@@ -18,7 +18,6 @@ the trajectory to concentrate.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -27,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from . import hypergraph
-from .builders import match_copies
+from .builders import match_copies, vertex_classes
 from .hypergraph import (Hypergraph, _group_rows, as_mask, json_int,
                          record_field)
 
@@ -224,16 +223,10 @@ def canonical_config_key(config: Configuration):
     with at most about six edges.
     """
     F = config.pattern
-    role = ["n"] * F.n
-    for v in config.roots:
-        role[v] = "r"
-    for v in config.marked:
-        role[v] = "m"
-    classes = Counter((tuple(F.incident_edges(x).tolist()), role[x])
-                      for x in range(F.n))
+    classes = vertex_classes(F, config.roots, config.marked)
     # a relabeling sends edge e to bit perm[e] of the membership mask
-    best = min(tuple(sorted((sum(map(bits.__getitem__, edges)), ro, c)
-                            for (edges, ro), c in classes.items()))
+    best = min(tuple(sorted((sum(map(bits.__getitem__, edges)), ro, len(vs))
+                            for (edges, ro), vs in classes.items()))
                for bits in ([1 << p for p in perm]
                             for perm in permutations(range(F.num_edges))))
     return (F.num_edges, F.r, best)

@@ -4,7 +4,8 @@ Edges are stored as a dense (m, r) int32 array whose rows are sorted
 ascending and whose row order is lexicographic, so the representation of a
 given hypergraph is unique.  Incidence (vertex -> edge ids) is kept in CSR
 form.  One stable sort-and-group of int rows, `_group_rows`, finds both the
-repeated sub-tuples that the regularity audit counts and duplicate edges.
+repeated sub-tuples that the regularity audit counts and duplicate edges; it
+sorts one int64 key per row.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ LINK_PAIR_LIMIT = 20_000_000
 # lift and Monte Carlo success hosts); above it blocks bound the int64 copies
 CSR_SORT_ROWS = 1 << 19
 CSR_BLOCK_ROWS = 1 << 16
+# _group_rows keeps its mixed-radix row keys below this
+GROUP_KEY_LIMIT = 1 << 62
 
 
 class SizeGuardError(RuntimeError):
@@ -192,11 +195,25 @@ def _group_rows(keys: np.ndarray):
     order is a stable lexicographic sort of the rows and group g is
     keys[order[starts[g]:starts[g] + counts[g]]], members in their original
     order, so order[starts] holds each group's first occurrence.
+
+    The rows are sorted by one int64 key, the columns in mixed radix, each
+    offset by its minimum; the key so far is re-ranked densely whenever the
+    next column would take it past GROUP_KEY_LIMIT, so a column may span up
+    to GROUP_KEY_LIMIT / M values (2^32, a 32-bit id, for any M up to 2^30).
     """
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
+    key, size = np.zeros(keys.shape[0], dtype=np.int64), 1
+    for col in keys.T if keys.size else ():
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if size * span > GROUP_KEY_LIMIT:
+            ranks, key = np.unique(key, return_inverse=True)
+            size = len(ranks)
+        key = key * span + col - lo
+        size *= span
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
     new = np.ones(keys.shape[0], dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new[1:] = ranked[1:] != ranked[:-1]
     starts = np.flatnonzero(new)
     return order, starts, np.diff(starts, append=keys.shape[0])
 

@@ -342,14 +342,27 @@ def exact_percolation_probability(H, p: float, q: float) -> float:
     return total
 
 
+# -- grouping equal rows ---------------------------------------------------------
+
+def group_rows_oracle(keys):
+    """hypergraph._group_rows by a stable lexicographic sort of the rows and
+    a row-by-row comparison of neighbours: (order, starts, counts)."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(keys.shape[0], dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return order, starts, np.diff(starts, append=keys.shape[0])
+
+
 # -- rooted copy counting by subset enumeration ----------------------------------
 
 def count_copies_oracle(host_edges, pattern_edges, roots, marked,
                         roots_to, infected):
     """Distinct host edge subsets supporting a role-respecting isomorphism.
 
-    Tries every |pattern|-subset of host edges and every bijection of the
-    spanned vertex sets; exponential, so callers keep both sides tiny.
+    Tries every |pattern|-subset of host edges and searches the bijections
+    of the spanned vertex sets; exponential, so callers keep both sides tiny.
     """
     p_sets = [frozenset(e) for e in pattern_edges]
     pverts = sorted(set().union(*p_sets))
@@ -357,6 +370,8 @@ def count_copies_oracle(host_edges, pattern_edges, roots, marked,
     marked_set = set(marked)
     target_roots = {int(v) for v in roots_to}
     inf = {int(v) for v in infected}
+    if len(target_roots) != len(root_set):
+        return 0
     count = 0
     for combo in itertools.combinations(range(len(host_edges)), len(p_sets)):
         h_sets = {frozenset(host_edges[i]) for i in combo}
@@ -365,19 +380,60 @@ def count_copies_oracle(host_edges, pattern_edges, roots, marked,
         hverts = sorted(set().union(*h_sets))
         if len(hverts) != len(pverts):
             continue
-        ok = False
-        for perm in itertools.permutations(hverts):
-            phi = dict(zip(pverts, perm))
-            if {phi[x] for x in root_set} != target_roots:
-                continue
-            if not all(phi[x] in inf for x in marked_set):
-                continue
-            if {frozenset(phi[x] for x in ps) for ps in p_sets} == h_sets:
-                ok = True
-                break
-        if ok:
+        if _bijection_exists(
+                p_sets, pverts, h_sets, hverts, {},
+                lambda x, y: ((x in root_set) == (y in target_roots)
+                              and (x not in marked_set or y in inf))):
             count += 1
     return count
+
+
+def _bijection_exists(p_sets, pverts, h_sets, hverts, phi, allowed) -> bool:
+    """Whether phi extends to a bijection of pverts onto hverts, mapping x
+    to y only when allowed(x, y), under which p_sets lands on h_sets.  The
+    pattern vertices are placed in order, and a branch dies once an edge
+    whose vertices are all placed misses h_sets."""
+    if len(phi) == len(pverts):
+        return True
+    x = pverts[len(phi)]
+    for y in hverts:
+        if y in phi.values() or not allowed(x, y):
+            continue
+        phi[x] = y
+        if all(frozenset(phi[v] for v in ps) in h_sets
+               for ps in p_sets if ps <= phi.keys()) and _bijection_exists(
+                p_sets, pverts, h_sets, hverts, phi, allowed):
+            return True
+        del phi[x]
+    return False
+
+
+def automorphisms_oracle(pattern_edges, n, roots, marked):
+    """The permutations of the vertices 0..n-1 that fix every root, map the
+    marked vertices onto the marked ones and the edges onto the edges, each
+    as a tuple of images.  The vertices are placed in order, and a branch
+    dies once an edge whose vertices are all placed misses the edges."""
+    p_sets = {frozenset(e) for e in pattern_edges}
+    roots, marked = set(roots), set(marked)
+    out = []
+
+    def extend(phi):
+        if len(phi) == n:
+            out.append(tuple(phi[x] for x in range(n)))
+            return
+        x = len(phi)
+        for y in range(n):
+            if (y in phi.values() or (x in roots and y != x)
+                    or (x in marked) != (y in marked)):
+                continue
+            phi[x] = y
+            if all(frozenset(phi[v] for v in e) in p_sets
+                   for e in p_sets if e <= phi.keys()):
+                extend(phi)
+            del phi[x]
+
+    extend({})
+    return out
 
 
 # -- direct counts of the three star-shaped configurations ------------------------

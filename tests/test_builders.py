@@ -4,6 +4,7 @@ import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hyperboot import builders
 from hyperboot.builders import (SizeGuardError, bootstrap_lift,
                                 complete_uniform, enumerate_copies,
                                 k_balance_analysis, load_pattern,
-                                pattern_names)
+                                match_copies, pattern_names)
+from hyperboot.census import general_star_family, pendant_star_config
 from hyperboot.hypergraph import Hypergraph
-from oracles import kbalance_oracle
+from oracles import automorphisms_oracle, count_copies_oracle, kbalance_oracle
 
 K3 = Hypergraph.from_rows(3, 2, [[0, 1], [0, 2], [1, 2]])
 PATH3 = Hypergraph.from_rows(3, 2, [[0, 1], [1, 2]])
@@ -118,6 +120,102 @@ def test_copies_map_only_the_vertices_edges_span():
     G = complete_uniform(3, 2)
     assert enumerate_copies(G, F).tolist() == [[0, 1, 2]]
     assert edge_lists(bootstrap_lift(G, F)) == [(0, 1, 2)]
+
+
+# the automorphism group orders of the library patterns
+LIBRARY_ORDERS = {"k3": 6, "c4": 8, "k4": 24, "triangle_pendant": 2,
+                  "loose_triangle_3": 6}
+
+
+def star_configs() -> list:
+    """Every pendant- and general-star configuration with r = 3, 4, j <= 2."""
+    out = []
+    for r in (3, 4):
+        for i in range(r):
+            for j in range(min(2, r - 1 - i) + 1):
+                out += [pendant_star_config(r, i, j),
+                        *general_star_family(r, i, j)]
+    return out
+
+
+def join_cases() -> list:
+    """(pattern, roots, marked): the library patterns unrooted, with one root
+    and a mark, and with two roots and a mark; then the star configurations."""
+    cases = []
+    for name in pattern_names():
+        F = load_pattern(name)
+        cases += [(F, (), frozenset()), (F, (0,), frozenset({1})),
+                  (F, (0, 1), frozenset({2}))]
+    return cases + [(c.pattern, tuple(sorted(c.roots)), c.marked)
+                    for c in star_configs()]
+
+
+def join_group_order(F, roots, marked) -> int:
+    """The order of the join's group: edge-level maps times twin orders."""
+    classes = builders.vertex_classes(F, roots, marked)
+    return len(builders._automorphisms(F, classes)) * prod(
+        factorial(len(vs)) for (_, role), vs in classes.items() if role != "r")
+
+
+def test_join_group_orders_match_oracle():
+    for F, roots, marked in join_cases():
+        assert join_group_order(F, roots, marked) == len(automorphisms_oracle(
+            edge_lists(F), F.n, roots, marked)), (F, roots, marked)
+    assert {name: join_group_order(load_pattern(name), (), frozenset())
+            for name in pattern_names()} == LIBRARY_ORDERS
+    cfg = pendant_star_config(3, 0, 2)
+    assert join_group_order(cfg.pattern, cfg.roots, cfg.marked) == 8
+
+
+def test_symmetry_conditions_keep_one_witness_per_orbit():
+    # of the maps phi o sigma, sigma an automorphism, exactly one passes
+    rng = np.random.default_rng(28)
+    for F, roots, marked in join_cases():
+        group = automorphisms_oracle(edge_lists(F), F.n, roots, marked)
+        conditions = builders._symmetry_conditions(F, roots, marked)
+        for _ in range(4):
+            phi = rng.permutation(F.n)
+            passing = [s for s in group
+                       if all(phi[s[x]] < phi[s[y]] for x, y in conditions)]
+            assert len(passing) == 1, (F, roots, marked)
+
+
+def test_match_copies_matches_subset_oracle():
+    rng = np.random.default_rng(29)
+    hosts = {2: (7, 15), 3: (9, 16), 4: (11, 16)}
+    found = 0
+    for F, roots, marked in join_cases():
+        n, m = hosts[F.r]
+        for _ in range(2):
+            G = random_hypergraph(rng, n, F.r, m)
+            # the root images start at a vertex of highest degree
+            top = int(np.argmax(G.degrees()))
+            images = ([top] + rng.permutation(
+                np.delete(np.arange(n), top)).tolist())[:len(roots)]
+            infected = rng.random(n) < 0.7
+            active = rng.random(G.num_edges) < 0.8
+            edges = edge_lists(G)
+            kept = [e for e, a in zip(edges, active) if a]
+            for host_edges, mask in ((edges, None), (kept, active)):
+                got = match_copies(G, F, roots, images, marked, infected, mask)
+                want = count_copies_oracle(
+                    host_edges, edge_lists(F), roots, marked, images,
+                    np.flatnonzero(infected))
+                assert len(got) == want, (F, roots, marked)
+                found += want
+    assert found > 0
+
+
+@pytest.mark.parametrize("roots, images, message", [
+    ([0], [1, 2], "2 images for 1 roots"),
+    ([0, 0], [1, 2], "root 0 repeated"),
+    ([0, 1], [1, 1], "image 1 repeated"),
+    ([7], [1], "root 7 outside 0..2"),
+    ([0], [6], "image 6 outside 0..5"),
+])
+def test_match_copies_refuses_bad_roots(roots, images, message):
+    with pytest.raises(ValueError, match=message):
+        match_copies(complete_uniform(6, 2), K3, roots, images)
 
 
 def test_triangle_lift_of_incomplete_graph():

@@ -17,9 +17,9 @@ from hyperboot.hypergraph import (Hypergraph, SizeGuardError,
                                   from_json, from_text,
                                   loads, max_neighbourhood_intersection,
                                   to_json)
-from oracles import (codegree_oracle, degree_oracle, max_codegree_oracle,
-                     max_codegree_witness_oracle, max_nbhd_intersection_oracle,
-                     nbhd_intersection_oracle)
+from oracles import (codegree_oracle, degree_oracle, group_rows_oracle,
+                     max_codegree_oracle, max_codegree_witness_oracle,
+                     max_nbhd_intersection_oracle, nbhd_intersection_oracle)
 
 PATH_HYPERGRAPH = [[0, 1, 2], [0, 2, 3], [0, 3, 4]]
 
@@ -155,6 +155,23 @@ def test_block_placement_matches_single_sort(monkeypatch, n):
         for v in {0, 1, n - 2, n - 1} | {x for e in edges for x in e}:
             assert incident[indptr[v]:indptr[v + 1]].tolist() == [
                 i for i, e in enumerate(edges) if v in e]
+
+
+def test_group_rows_matches_lexsort_oracle():
+    rng = np.random.default_rng(28)
+    big = [-(1 << 30), -1, 0, 1 << 30]
+    cases = [np.zeros((0, 3), dtype=np.int32),
+             rng.integers(0, 5, (40, 1), dtype=np.int32),
+             rng.integers(-6, 6, (200, 3), dtype=np.int32),
+             # columns span 2^31 + 1 values: the second pushes the key past
+             # GROUP_KEY_LIMIT, so it is re-ranked
+             rng.choice(big, (300, 3)).astype(np.int64)]
+    cases += [rng.integers(0, 4, (int(rng.integers(1, 50)), k))
+              for k in (2, 4, 6) for _ in range(5)]
+    for keys in cases:
+        got, want = hypergraph._group_rows(keys), group_rows_oracle(keys)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), keys
 
 
 @settings(max_examples=60, deadline=None)
